@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the time-windowed backend
 // (window/windowed.h): timestamped ingest throughput, the cost of an epoch
-// advance (bucket seal + rebuild + retirement), and window queries with and
-// without the cached merged sample. Baselines are checked into
+// advance (bucket seal + back-stack merge + expiry, amortized flips), and
+// window queries with and without the cached merged sample. Baselines are checked into
 // BENCH_window.json and gated by bench/compare_bench.py in CI.
 
 #include <benchmark/benchmark.h>
@@ -62,7 +62,9 @@ BENCHMARK(BM_WindowIngest)->Arg(1 << 14)->Arg(1 << 17)
     ->Unit(benchmark::kMillisecond);
 
 /// One epoch advance: seal the current bucket (inner rebuild over the
-/// bucket's items), retire the expired slot, recycle the builder.
+/// bucket's items), fold it into the back stack's running merge (one
+/// two-way merge), expire the oldest bucket, recycle the builder; every
+/// B-th advance also flips the back stack (B-2 two-way merges).
 void BM_WindowAdvance(benchmark::State& state) {
   const std::size_t per_bucket = static_cast<std::size_t>(state.range(0));
   static const std::vector<WeightedKey> items = ParetoItems(1 << 14, 62);
@@ -109,9 +111,10 @@ void BM_WindowQueryCached(benchmark::State& state) {
 BENCHMARK(BM_WindowQueryCached);
 
 /// Repeated-query path, cache cold: every iteration crosses one epoch
-/// boundary (fixed per-bucket fill), so each QueryAt seals the bucket and
-/// re-merges the B-1 live samples (~s entries each) through the reused
-/// MergeScratch — the steady-state cost a per-epoch dashboard refresh pays.
+/// boundary (fixed per-bucket fill), so each QueryAt pays one advance (see
+/// BM_WindowAdvance, flips amortized) plus the window merge of the oldest
+/// front aggregate with the back stack's running merge (two parts of ~s
+/// entries) — the steady-state cost a per-epoch dashboard refresh pays.
 void BM_WindowQueryUncached(benchmark::State& state) {
   static const std::vector<WeightedKey> items = ParetoItems(1 << 15, 66);
   constexpr std::size_t kPerBucket = 1 << 10;

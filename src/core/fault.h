@@ -60,7 +60,8 @@ inline constexpr const char kShardWorkerBatch[] = "shard.worker.batch";
 inline constexpr const char kShardWorkerFinalize[] = "shard.worker.finalize";
 /// Sealing one windowed bucket into its inner sample (lane = epoch).
 inline constexpr const char kWindowBucketSeal[] = "window.bucket.seal";
-/// Merging the live windowed buckets for a query (lane = epoch).
+/// Any merge of the windowed wrapper: a back-stack push, a flip fold, or the
+/// window merge of a query (lane = epoch).
 inline constexpr const char kWindowQueryMerge[] = "window.query.merge";
 /// One successfully parsed trace row (fires by *corrupting* the row: the
 /// reader counts it malformed and drops it instead of throwing).

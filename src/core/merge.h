@@ -28,9 +28,9 @@ namespace sas {
 
 /// Reusable workspace for the merge's intermediate buffers (combined
 /// entries, weights, inclusion probabilities, shuffle order, and the IPPS
-/// scratch). A caller that merges repeatedly — the windowed ring's QueryAt
-/// path re-merges its live bucket samples on every cache miss — keeps one
-/// scratch alive and pays no steady-state allocations for them. A scratch
+/// scratch). A caller that merges repeatedly — the windowed wrapper merges
+/// at every seal, flip, and window rebuild — keeps one scratch alive and
+/// pays no steady-state allocations for them. A scratch
 /// may be reused freely across calls but not shared by concurrent calls.
 struct MergeScratch {
   std::vector<WeightedKey> entries;
@@ -55,8 +55,8 @@ Sample MergeAllSamples(const std::vector<Sample>& parts, std::size_t s,
                        Rng* rng);
 
 /// Pointer-flavored N-way merge for callers that assemble their parts from
-/// non-contiguous storage (the windowed ring merges samples held in ring
-/// slots) and want buffer reuse across merges. `scratch` may be nullptr
+/// non-contiguous storage (the windowed wrapper merges samples held on its
+/// two stacks) and want buffer reuse across merges. `scratch` may be nullptr
 /// (per-call buffers are then used). Null part pointers are not allowed;
 /// zero-entry parts are.
 Sample MergeSampleParts(const Sample* const* parts, std::size_t num_parts,

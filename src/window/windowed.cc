@@ -20,9 +20,13 @@ constexpr int kMaxBuckets = 4096;
 constexpr std::size_t kMaxFreeBuilders = 2;
 
 // Distinct salts keep the bucket-seed and merge-seed streams independent of
-// each other and of the sharded wrapper's partition salt.
+// each other and of the sharded wrapper's partition salt; the stack merges
+// (back-stack pushes, flip folds) draw from their own sub-streams of the
+// merge seed.
 constexpr std::uint64_t kBucketSeedTag = 0x5EA1B0C4E7B0C4E7ULL;
 constexpr std::uint64_t kMergeSeedTag = 0x3E6E5A1AD3A9F0B5ULL;
+constexpr std::uint64_t kBackPushTag = 0x7C1D2B9E4F86A03DULL;
+constexpr std::uint64_t kFlipFoldTag = 0xA5B4C3D2E1F00917ULL;
 
 /// Rough bytes one retained sample entry costs (entry + reservoir
 /// bookkeeping); the same coarse constant the sharded wrapper budgets with.
@@ -136,11 +140,12 @@ WindowedSummarizer::WindowedSummarizer(std::string key,
   merge_seed_base_ = Mix64(cfg.seed ^ kMergeSeedTag);
   effective_s_ = cfg.s;
   free_builder_s_ = cfg.s;
-  ring_.resize(static_cast<std::size_t>(spec.buckets));
+  buckets_ = spec.buckets;
   // Cold registry lookups; the hot paths only touch the cached pointers.
   seal_ns_ = telemetry::GetHistogram("sas.window.seal_ns");
   bucket_items_ = telemetry::GetHistogram("sas.window.bucket_items");
   merge_fanin_ = telemetry::GetHistogram("sas.window.merge_fanin");
+  merge_ns_ = telemetry::GetHistogram("sas.window.merge_ns");
   query_ns_ = telemetry::GetHistogram("sas.window.query_ns");
   expired_buckets_ = telemetry::GetCounter("sas.window.expired_buckets");
   cache_hits_ = telemetry::GetCounter("sas.window.cache_hits");
@@ -174,7 +179,7 @@ void WindowedSummarizer::RequireLive(const char* what) const {
     throw std::runtime_error(
         std::string("windowed summarizer: ") + what +
         " on a poisoned builder (a bucket seal or window merge failed "
-        "mid-update, so the ring may be inconsistent; Reset(seed) "
+        "mid-update, so the window may be inconsistent; Reset(seed) "
         "recovers)");
   }
 }
@@ -184,8 +189,7 @@ std::int64_t WindowedSummarizer::EpochOf(double ts) const {
   // Clamp epochs outside the int64 range (finite but astronomically large
   // timestamps relative to the span): the cast below would otherwise be
   // undefined behavior. Clamped times all share an extreme epoch, which
-  // degrades ordering only beyond +-2^63 buckets; the min clamp stays one
-  // above kNoEpoch so a clamped epoch can still occupy a ring slot.
+  // degrades ordering only beyond +-2^63 buckets.
   constexpr double kEpochLimit = 9.2e18;  // safely below INT64_MAX (~9.22e18)
   if (q >= kEpochLimit) return static_cast<std::int64_t>(kEpochLimit);
   if (q <= -kEpochLimit) return -static_cast<std::int64_t>(kEpochLimit);
@@ -193,13 +197,10 @@ std::int64_t WindowedSummarizer::EpochOf(double ts) const {
 }
 
 int WindowedSummarizer::live_buckets() const {
-  int live = cur_items_.empty() ? 0 : 1;
-  for (const Slot& slot : ring_) {
-    if (slot.epoch != kNoEpoch && slot.epoch > cur_epoch_ - buckets()) {
-      ++live;
-    }
-  }
-  return live;
+  // Expiry runs on every clock advance, so the stacks hold live buckets
+  // only — one part per bucket on either stack.
+  return static_cast<int>(front_.size() + back_.size()) +
+         (cur_items_.empty() ? 0 : 1);
 }
 
 std::unique_ptr<Summarizer> WindowedSummarizer::AcquireInner(
@@ -247,15 +248,13 @@ void WindowedSummarizer::ReleaseInner(std::unique_ptr<Summarizer> spent) {
 
 void WindowedSummarizer::MaybeDegrade() {
   if (cfg_.max_bytes == 0) return;
-  std::size_t live_sealed = 0;
-  for (const Slot& slot : ring_) {
-    if (slot.epoch != kNoEpoch) ++live_sealed;
-  }
-  // The ring retains one expected-size-s sample per live sealed bucket
-  // plus the one about to be built.
+  // After a seal the stacks hold the front aggregates, the raw back
+  // samples, the back aggregate, and the new bucket — each of expected
+  // size at most s. Only seals and the final build at Finalize budget, so
+  // interleaved queries cannot change effective_s_ or any later sample.
+  const std::size_t held = front_.size() + back_.size() + 2;
   const auto estimate = [&](double s) {
-    return (live_sealed + 1) * static_cast<std::size_t>(s) *
-           kBytesPerSampleEntry;
+    return held * static_cast<std::size_t>(s) * kBytesPerSampleEntry;
   };
   const double before = effective_s_;
   while (estimate(effective_s_) > cfg_.max_bytes && effective_s_ >= 2.0) {
@@ -265,15 +264,13 @@ void WindowedSummarizer::MaybeDegrade() {
   if (effective_s_ != before) {
     std::fprintf(stderr,
                  "sas: %s: max_bytes=%zu: degraded bucket s %g -> %g "
-                 "(%zu live buckets)\n",
-                 key_.c_str(), cfg_.max_bytes, before, effective_s_,
-                 live_sealed + 1);
+                 "(%zu samples held)\n",
+                 key_.c_str(), cfg_.max_bytes, before, effective_s_, held);
   }
 }
 
 Sample WindowedSummarizer::BuildBucketSample(
     std::int64_t epoch, std::span<const WeightedKey> items) {
-  MaybeDegrade();
   auto builder = AcquireInner(epoch);
   builder->AddBatch(items);
   auto summary = builder->Finalize();
@@ -289,6 +286,30 @@ Sample WindowedSummarizer::BuildBucketSample(
   return out;
 }
 
+Sample WindowedSummarizer::MergeParts(std::span<const Sample* const> parts,
+                                      std::int64_t epoch,
+                                      std::uint64_t seed) {
+  try {
+    FaultPoint(cfg_.faults.get(), fault_sites::kWindowQueryMerge, epoch);
+    const bool telemetry_on = TelemetryOn();
+    if (telemetry_on) merge_fanin_->Observe(parts.size());
+    telemetry::Span merge_span("window.merge", merge_ns_, telemetry_on);
+    Rng merge_rng(seed);
+    // The target is effective_s_, which tracks cfg.s until the max_bytes
+    // budget steps it down; parts built at an older, larger s are
+    // re-sampled down to it.
+    return MergeSampleParts(parts.data(), parts.size(),
+                            static_cast<std::size_t>(effective_s_),
+                            &merge_rng, &merge_scratch_);
+    // sas-lint: allow(catch-all): a failed merge can leave the stacks and
+    // the shared merge scratch mid-update; mark the builder poisoned before
+    // the error propagates so later calls fail fast.
+  } catch (...) {
+    poisoned_ = true;
+    throw;
+  }
+}
+
 void WindowedSummarizer::SealCurrentBucket(std::int64_t next_epoch) {
   if (cur_items_.empty()) return;
   if (cur_epoch_ <= next_epoch - buckets()) {
@@ -297,36 +318,77 @@ void WindowedSummarizer::SealCurrentBucket(std::int64_t next_epoch) {
     cur_items_.clear();
     return;
   }
-  Slot& slot = ring_[static_cast<std::size_t>(
-      ((cur_epoch_ % buckets()) + buckets()) % buckets())];
+  Sample sealed;
   try {
     FaultPoint(cfg_.faults.get(), fault_sites::kWindowBucketSeal,
                cur_epoch_);
+    MaybeDegrade();
     const bool telemetry_on = TelemetryOn();
     if (telemetry_on) bucket_items_->Observe(cur_items_.size());
     telemetry::Span seal_span("window.seal", seal_ns_, telemetry_on);
-    slot.epoch = cur_epoch_;
-    slot.sample = BuildBucketSample(cur_epoch_, cur_items_);
-    // sas-lint: allow(catch-all): a failed seal leaves the slot and buffer
-    // half-updated; mark the ring poisoned before the error propagates so
+    sealed = BuildBucketSample(cur_epoch_, cur_items_);
+    // sas-lint: allow(catch-all): a failed seal leaves the bucket
+    // half-built; mark the builder poisoned before the error propagates so
     // later calls fail fast instead of merging an inconsistent window.
   } catch (...) {
     poisoned_ = true;
     throw;
   }
+  // One two-way merge folds the new bucket into the back stack's running
+  // merge.
+  if (back_.empty()) {
+    back_merged_ = sealed;
+  } else {
+    const Sample* pair[] = {&back_merged_, &sealed};
+    back_merged_ = MergeParts(
+        pair, cur_epoch_,
+        ForkSeed(merge_seed_base_ ^ kBackPushTag,
+                 static_cast<std::uint64_t>(cur_epoch_)));
+  }
+  back_.push_back({cur_epoch_, std::move(sealed)});
   cur_items_.clear();  // keeps capacity: the next bucket reuses it
 }
 
 void WindowedSummarizer::RetireExpired(std::int64_t current_epoch) {
+  const std::int64_t oldest_live = current_epoch - buckets() + 1;
   std::uint64_t expired = 0;
-  for (Slot& slot : ring_) {
-    if (slot.epoch != kNoEpoch && slot.epoch <= current_epoch - buckets()) {
-      slot.epoch = kNoEpoch;
-      slot.sample = Sample();  // frees the retired bucket's entries
-      ++expired;
-    }
+  while (!front_.empty() && front_.back().epoch < oldest_live) {
+    front_.pop_back();  // frees the retired aggregate's entries
+    ++expired;
+  }
+  if (front_.empty() && !back_.empty() &&
+      back_.front().epoch < oldest_live) {
+    // The front ran out while expired buckets remain in the back: at every
+    // ~B-th crossing, or after a clock jump.
+    const std::size_t held = back_.size();
+    Flip(oldest_live);
+    expired += held - front_.size();
   }
   if (expired > 0 && TelemetryOn()) expired_buckets_->Inc(expired);
+}
+
+void WindowedSummarizer::Flip(std::int64_t oldest_live) {
+  // Fold right to left, A_j = Merge(f_j, A_{j+1}), the newest bucket being
+  // its own aggregate; pushing in that order leaves the oldest on top.
+  // Expired buckets are older than every live one, so skipping them
+  // changes no live aggregate.
+  for (std::size_t j = back_.size(); j-- > 0;) {
+    Part& f = back_[j];
+    if (f.epoch < oldest_live) break;
+    if (front_.empty()) {
+      front_.push_back(std::move(f));
+      continue;
+    }
+    const Sample* pair[] = {&f.sample, &front_.back().sample};
+    Sample folded =
+        MergeParts(pair, f.epoch,
+                   ForkSeed(merge_seed_base_ ^ kFlipFoldTag,
+                            static_cast<std::uint64_t>(f.epoch)));
+    f.sample = Sample();  // folded in: free the raw entries right away
+    front_.push_back({f.epoch, std::move(folded)});
+  }
+  back_.clear();
+  back_merged_ = Sample();
 }
 
 void WindowedSummarizer::Advance(double now) {
@@ -347,8 +409,9 @@ void WindowedSummarizer::Advance(double now) {
   // is consistent at this point, so a hook failure — including a merge
   // fault below — propagates without poisoning only when the merge itself
   // stayed healthy (MergedWindow poisons on its own faults, as for any
-  // query). No hook, no merge: untimed and unserved windows keep their
-  // lazy merge-on-query behavior (and merges_performed() counts).
+  // query). No hook, no window merge: untimed and unserved windows keep
+  // their lazy merge-on-query behavior (and merges_performed() counts);
+  // only the stack merges of the seal and the flip ran above.
   if (publish_hook_) publish_hook_(MergedWindow());
 }
 
@@ -407,43 +470,33 @@ const Sample& WindowedSummarizer::MergedWindow() {
     return cached_window_;
   }
   if (telemetry_on) cache_misses_->Inc();
-  try {
-    FaultPoint(cfg_.faults.get(), fault_sites::kWindowQueryMerge,
-               cur_epoch_);
-    merge_parts_.clear();
-    // Oldest to newest, so the part order (and with it the merge) is a
-    // deterministic function of the ring state.
-    for (int back = buckets() - 1; back >= 1; --back) {
-      const std::int64_t epoch = cur_epoch_ - back;
-      const Slot& slot = ring_[static_cast<std::size_t>(
-          ((epoch % buckets()) + buckets()) % buckets())];
-      if (slot.epoch == epoch) merge_parts_.push_back(&slot.sample);
-    }
-    Sample partial;
-    if (!cur_items_.empty()) {
+  // Oldest to newest: the oldest live suffix aggregate, the back stack's
+  // running merge, the current bucket's partial sample.
+  const Sample* parts[3];
+  std::size_t n = 0;
+  if (!front_.empty()) parts[n++] = &front_.back().sample;
+  if (!back_.empty()) parts[n++] = &back_merged_;
+  Sample partial;
+  if (!cur_items_.empty()) {
+    try {
       partial = BuildBucketSample(cur_epoch_, cur_items_);
-      merge_parts_.push_back(&partial);
+      // sas-lint: allow(catch-all): a failed build can leave the builder
+      // free list mid-update; poison before the error propagates, as for a
+      // failed merge.
+    } catch (...) {
+      poisoned_ = true;
+      throw;
     }
-    // The merge seed is a deterministic function of (config seed, epoch,
-    // items in the current bucket), so replaying a timestamped input
-    // reproduces every queried sample bit-identically. The target size is
-    // effective_s_, which tracks cfg.s until the max_bytes budget steps it
-    // down.
-    if (telemetry_on) merge_fanin_->Observe(merge_parts_.size());
-    Rng merge_rng(ForkSeed(
-        merge_seed_base_,
-        Mix64(static_cast<std::uint64_t>(cur_epoch_)) ^ cur_items_.size()));
-    cached_window_ =
-        MergeSampleParts(merge_parts_.data(), merge_parts_.size(),
-                         static_cast<std::size_t>(effective_s_), &merge_rng,
-                         &merge_scratch_);
-    // sas-lint: allow(catch-all): a failed merge can leave the shared
-    // merge scratch and cache mid-update; mark the ring poisoned before
-    // the error propagates so later queries fail fast.
-  } catch (...) {
-    poisoned_ = true;
-    throw;
+    parts[n++] = &partial;
   }
+  // The merge seed is a deterministic function of (config seed, epoch,
+  // items in the current bucket), so replaying a timestamped input
+  // reproduces every queried sample bit-identically.
+  cached_window_ = MergeParts(
+      {parts, n}, cur_epoch_,
+      ForkSeed(merge_seed_base_,
+               Mix64(static_cast<std::uint64_t>(cur_epoch_)) ^
+                   cur_items_.size()));
   ++merges_;
   cache_valid_ = true;
   return cached_window_;
@@ -458,16 +511,22 @@ const Sample& WindowedSummarizer::QueryAt(double now) {
 
 std::unique_ptr<RangeSummary> WindowedSummarizer::Finalize() {
   RequireLive("Finalize");
+  // The current bucket's final build is budgeted like a seal (a query's
+  // partial build is not, so queries never move effective_s_).
+  if (!cur_items_.empty()) {
+    const double s_before = effective_s_;
+    MaybeDegrade();
+    if (effective_s_ != s_before) InvalidateCache();
+  }
   MergedWindow();
   finalized_ = true;
   return std::make_unique<SampleSummary>(key_, std::move(cached_window_));
 }
 
 bool WindowedSummarizer::Reset(std::uint64_t seed) {
-  for (Slot& slot : ring_) {
-    slot.epoch = kNoEpoch;
-    slot.sample = Sample();
-  }
+  front_.clear();
+  back_.clear();
+  back_merged_ = Sample();
   cur_items_.clear();
   now_ = 0.0;
   cur_epoch_ = 0;

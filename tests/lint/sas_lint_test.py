@@ -82,10 +82,31 @@ class SasLintTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout)
 
 
+def write_compile_db(build_dir, files):
+    """Writes a compile_commands.json for repo-relative `files` into
+    `build_dir`; run_clang_tidy.py reads only each entry's directory and
+    file."""
+    db = [{"directory": REPO_ROOT, "command": f"c++ -c {name}", "file": name}
+          for name in files]
+    with open(os.path.join(build_dir, "compile_commands.json"), "w",
+              encoding="utf-8") as f:
+        json.dump(db, f)
+
+
 class RunClangTidyTest(unittest.TestCase):
+    # Each case gets a fresh compile DB in a temp dir: compile_commands.json
+    # is git-ignored, so a fixture DB in the tree would be missing from a
+    # clean checkout.
+    def setUp(self):
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+        self.build_dir = tmp.name
+        write_compile_db(self.build_dir,
+                         ["tests/lint/fixtures/tidy/src/fake.cc"])
+
     def tidy(self, baseline, clean=False, extra=None):
         env = {"FAKE_TIDY_CLEAN": "1"} if clean else {"FAKE_TIDY_CLEAN": "0"}
-        argv = [RUN_TIDY, "--build-dir", TIDY_FIXTURE,
+        argv = [RUN_TIDY, "--build-dir", self.build_dir,
                 "--clang-tidy", FAKE_TIDY,
                 "--baseline", os.path.join(TIDY_FIXTURE, baseline),
                 "tests/lint/fixtures/tidy/src"]
@@ -117,7 +138,7 @@ class RunClangTidyTest(unittest.TestCase):
             shutil.copy(os.path.join(TIDY_FIXTURE, "baseline_empty.txt"),
                         baseline)
             env = {"FAKE_TIDY_CLEAN": "0"}
-            proc = run([RUN_TIDY, "--build-dir", TIDY_FIXTURE,
+            proc = run([RUN_TIDY, "--build-dir", self.build_dir,
                         "--clang-tidy", FAKE_TIDY, "--baseline", baseline,
                         "--update-baseline",
                         "tests/lint/fixtures/tidy/src"], env=env)
@@ -126,7 +147,7 @@ class RunClangTidyTest(unittest.TestCase):
                 content = f.read()
             self.assertIn("bugprone-fixture", content)
             # The updated baseline now grandfathers the diagnostic.
-            proc = run([RUN_TIDY, "--build-dir", TIDY_FIXTURE,
+            proc = run([RUN_TIDY, "--build-dir", self.build_dir,
                         "--clang-tidy", FAKE_TIDY, "--baseline", baseline,
                         "tests/lint/fixtures/tidy/src"], env=env)
             self.assertEqual(proc.returncode, 0, proc.stdout)
@@ -138,13 +159,7 @@ class RunClangTidyTest(unittest.TestCase):
         # with the unmodified repo config. The fake tidy echoes the filter
         # it received back as a diagnostic so both cases are observable.
         with tempfile.TemporaryDirectory() as tmp:
-            db = [{"directory": REPO_ROOT,
-                   "command": f"c++ -c src/core/{name}",
-                   "file": f"src/core/{name}"}
-                  for name in ("simd.cc", "ipps.cc")]
-            with open(os.path.join(tmp, "compile_commands.json"), "w",
-                      encoding="utf-8") as f:
-                json.dump(db, f)
+            write_compile_db(tmp, ["src/core/simd.cc", "src/core/ipps.cc"])
             proc = run([RUN_TIDY, "--build-dir", tmp,
                         "--clang-tidy", FAKE_TIDY,
                         "--baseline",
@@ -164,7 +179,7 @@ class RunClangTidyTest(unittest.TestCase):
             self.assertIn("checks none", ipps_lines[0])
 
     def test_missing_tool_skips_by_default_fails_when_required(self):
-        argv = [RUN_TIDY, "--build-dir", TIDY_FIXTURE,
+        argv = [RUN_TIDY, "--build-dir", self.build_dir,
                 "--clang-tidy", "/nonexistent/clang-tidy",
                 "--baseline",
                 os.path.join(TIDY_FIXTURE, "baseline_empty.txt"),

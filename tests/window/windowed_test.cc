@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "core/fault.h"
 #include "core/random.h"
 #include "../api/test_util.h"
 
@@ -621,6 +622,249 @@ TEST(Windowed, AddCoordsUnsupported) {
   EXPECT_THROW(builder->AddCoords(coords, 2, 1.0), std::logic_error);
   builder->Add({0, 1.0, {1, 2}});  // the Add path works
   EXPECT_EQ(builder->Finalize()->SizeInElements(), 1u);
+}
+
+// --- Two-stack aggregation (front suffix aggregates, back running merge,
+// flips) -------------------------------------------------------------------
+
+void ExpectSameSample(const Sample& a, const Sample& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.tau(), b.tau());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.entries()[i].id, b.entries()[i].id) << i;
+    EXPECT_EQ(a.entries()[i].weight, b.entries()[i].weight) << i;
+  }
+}
+
+TEST(WindowedStacks, RandomClockSchedulesKeepTotalsSizesAndRingRule) {
+  // Clock jumps of 0..2B epochs drive every stack path: steady pushes and
+  // pops, flips of a full back stack, flips that drop expired back samples,
+  // and jumps that expire both stacks at once. After every step the window
+  // must preserve the exact live weight, hold at most s entries, and count
+  // exactly the epochs the ring rule keeps.
+  const double s = 20.0;
+  for (const int B : {1, 2, 3, 60}) {
+    SummarizerConfig cfg;
+    cfg.s = s;
+    cfg.seed = 300 + static_cast<std::uint64_t>(B);
+    // Span 1: epoch e covers [e, e+1).
+    auto wb = MakeWindowed(
+        "windowed:" + std::to_string(B) + ":" + std::to_string(B) + ":obliv",
+        cfg);
+    Rng rng(400 + static_cast<std::uint64_t>(B));
+    struct Fed {
+      std::int64_t epoch;
+      Weight weight;
+    };
+    std::vector<Fed> fed;
+    double now = 0.0;
+    KeyId id = 0;
+    for (int step = 0; step < 600; ++step) {
+      // Mostly short hops (the flip cadence), sometimes a long jump.
+      const std::uint64_t jump = rng.NextBounded(5) == 0
+                                     ? rng.NextBounded(2 * B + 1)
+                                     : rng.NextBounded(3);
+      now += static_cast<double>(jump) + 0.5 * rng.NextDouble();
+      const std::size_t n = rng.NextBounded(40);
+      for (std::size_t i = 0; i < n; ++i) {
+        const WeightedKey item{id++, rng.NextPareto(1.3),
+                               {static_cast<Coord>(rng.NextBounded(1024)),
+                                static_cast<Coord>(rng.NextBounded(1024))}};
+        wb.win->AddTimed(now, item);
+        fed.push_back({wb.win->EpochOf(now), item.weight});
+      }
+      const Sample& window = wb.win->QueryAt(now);
+      const std::int64_t cur = wb.win->EpochOf(now);
+      Weight live = 0.0;
+      std::vector<std::int64_t> live_epochs;
+      for (const Fed& f : fed) {
+        if (f.epoch <= cur - B) continue;
+        live += f.weight;
+        if (live_epochs.empty() || live_epochs.back() != f.epoch) {
+          live_epochs.push_back(f.epoch);
+        }
+      }
+      ASSERT_NEAR(window.EstimateTotal(), live, 1e-9 * live)
+          << "B=" << B << " step " << step;
+      ASSERT_LE(window.size(), static_cast<std::size_t>(s))
+          << "B=" << B << " step " << step;
+      ASSERT_EQ(wb.win->live_buckets(), static_cast<int>(live_epochs.size()))
+          << "B=" << B << " step " << step;
+    }
+  }
+}
+
+TEST(WindowedStacks, SixtyBucketWindowMatchesBatchBuildWithinHtTolerance) {
+  // The B=60 counterpart of MatchesBatchBuildOverWindowWithinHtTolerance.
+  // Timestamps run to 119.5 with span 1: the flip at epoch 60 folds epochs
+  // 1..59 into the front, whose aggregates then expire one per crossing,
+  // so at the query the whole live window (epochs 60..119) sits on the back
+  // stack — a running merge 58 two-way merges deep, plus the partial bucket.
+  Rng data_rng(58);
+  const auto items = RandomItems(20000, 1 << 14, &data_rng);
+  const double horizon = 119.5;
+  const auto ts = SpreadTimestamps(items.size(), horizon);
+  const int B = 60;
+
+  SummarizerConfig probe_cfg;
+  probe_cfg.s = 1000.0;
+  auto probe = MakeWindowed("windowed:60:60:obliv", probe_cfg);
+  const std::int64_t cur = probe.win->EpochOf(horizon);
+  std::vector<WeightedKey> window_items;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (probe.win->EpochOf(ts[i]) > cur - B) window_items.push_back(items[i]);
+  }
+  ASSERT_GT(window_items.size(), items.size() / 3);
+  ASSERT_LT(window_items.size(), items.size());
+
+  // RandomItems come out sorted by x, so the live window (the later half
+  // of the stream) is the upper half of x: the box takes half of it.
+  const Box box{{0, 3 << 12}, {0, 1 << 14}};
+  const Weight exact = ExactBox(window_items, box);
+  ASSERT_GT(exact, 0.0);
+
+  for (const std::string inner :
+       {std::string("obliv"), std::string("product"), std::string("aware")}) {
+    double windowed_mean = 0.0, batch_mean = 0.0;
+    const int seeds = 10;
+    for (int t = 0; t < seeds; ++t) {
+      SummarizerConfig cfg;
+      cfg.s = 1000.0;
+      cfg.seed = 1234 + static_cast<std::uint64_t>(t);
+      auto wb = MakeWindowed("windowed:60:60:" + inner, cfg);
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        wb.win->AddTimed(ts[i], items[i]);
+      }
+      EXPECT_EQ(wb.win->live_buckets(), B) << inner;
+      windowed_mean += wb.win->QueryAt(horizon).EstimateBox(box);
+
+      auto batch = MakeSummarizer(inner, cfg);
+      batch->AddBatch(window_items);
+      batch_mean += batch->Finalize()->EstimateBox(box);
+    }
+    windowed_mean /= seeds;
+    batch_mean /= seeds;
+    EXPECT_NEAR(windowed_mean / exact, 1.0, 0.03) << inner;
+    EXPECT_NEAR(batch_mean / exact, 1.0, 0.03) << inner;
+    EXPECT_NEAR(windowed_mean / batch_mean, 1.0, 0.05) << inner;
+  }
+}
+
+/// Streams items over [0, horizon) into "windowed:16:8:obliv" with a
+/// publish hook and returns every published sample; with `query_each`,
+/// QueryAt runs after every item.
+std::vector<Sample> PublishedSamples(const std::vector<WeightedKey>& items,
+                                     double horizon, bool query_each) {
+  SummarizerConfig cfg;
+  cfg.s = 150.0;
+  cfg.seed = 4711;
+  auto wb = MakeWindowed("windowed:16:8:obliv", cfg);
+  std::vector<Sample> published;
+  wb.win->SetPublishHook(
+      [&](const Sample& merged) { published.push_back(merged); });
+  const auto ts = SpreadTimestamps(items.size(), horizon);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    wb.win->AddTimed(ts[i], items[i]);
+    if (query_each) (void)wb.win->QueryAt(ts[i]);
+  }
+  wb.win->Advance(horizon + 1.0);
+  return published;
+}
+
+TEST(WindowedStacks, QueriesNeverChangeLaterSamples) {
+  // Queries build the partial bucket and merge the window, but never touch
+  // the stacks: a run queried after every item publishes exactly what a
+  // never-queried run publishes, through several flips (B=8, 40 epochs).
+  Rng data_rng(59);
+  const auto items = RandomItems(4000, 1 << 12, &data_rng);
+  const std::vector<Sample> plain = PublishedSamples(items, 40.0, false);
+  const std::vector<Sample> queried = PublishedSamples(items, 40.0, true);
+  ASSERT_EQ(plain.size(), 20u);
+  ASSERT_EQ(queried.size(), plain.size());
+  for (std::size_t p = 0; p < plain.size(); ++p) {
+    SCOPED_TRACE(p);
+    ExpectSameSample(plain[p], queried[p]);
+  }
+}
+
+TEST(WindowedStacks, MergeFaultDuringFlipPoisonsAndResetReproducesFresh) {
+  // W=8, B=4, span 2, timestamps rising through [0, 16): the crossings into
+  // epochs 2 and 3 each fold their new bucket into the back stack's running
+  // merge (hits 1, 2), the crossing into epoch 4 does too (hit 3) and then
+  // flips the back, expiring epoch 0 and folding epochs 3, 2, 1 — its first
+  // two-way fold is hit 4.
+  Rng data_rng(60);
+  const auto items = RandomItems(4000, 1 << 12, &data_rng);
+  const auto ts = SpreadTimestamps(items.size(), 16.0);
+  SummarizerConfig cfg;
+  cfg.s = 64.0;
+  cfg.seed = 8080;
+  cfg.faults = std::make_shared<FaultInjector>();
+  cfg.faults->Configure("window.query.merge=fail@4");
+  auto wb = MakeWindowed("windowed:8:4:obliv", cfg);
+
+  std::size_t failed_at = items.size();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    try {
+      wb.win->AddTimed(ts[i], items[i]);
+    } catch (const FaultInjectionError&) {
+      failed_at = i;
+      break;
+    }
+  }
+  ASSERT_LT(failed_at, items.size());
+  EXPECT_EQ(wb.win->EpochOf(ts[failed_at]), 4);  // the flip crossing
+  EXPECT_TRUE(wb.win->poisoned());
+  EXPECT_THROW(wb.win->QueryAt(16.0), std::runtime_error);
+  EXPECT_THROW(wb.builder->Finalize(), std::runtime_error);
+
+  cfg.faults->Clear();
+  const std::uint64_t recovery_seed = 9090;
+  ASSERT_TRUE(wb.builder->Reset(recovery_seed));
+  EXPECT_FALSE(wb.win->poisoned());
+
+  SummarizerConfig fresh_cfg;
+  fresh_cfg.s = cfg.s;
+  fresh_cfg.seed = recovery_seed;
+  auto fresh = MakeWindowed("windowed:8:4:obliv", fresh_cfg);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    wb.win->AddTimed(ts[i], items[i]);
+    fresh.win->AddTimed(ts[i], items[i]);
+    if (i % 500 == 0) {
+      SCOPED_TRACE(i);
+      ExpectSameSample(wb.win->QueryAt(ts[i]), fresh.win->QueryAt(ts[i]));
+    }
+  }
+  ExpectSameSample(wb.win->QueryAt(16.0), fresh.win->QueryAt(16.0));
+}
+
+TEST(WindowedStacks, BudgetHalvingMidWindowResamplesOldAggregates) {
+  // s=256, span 1, B=8. Each held sample is budgeted at s * 64 bytes = 16
+  // KiB; an 80 KiB budget fits (back samples + back merge + new bucket) up
+  // to the fourth seal and halves s at the fifth, when the back stack's raw
+  // samples and running merge still hold 256 entries each. The window
+  // merge must bring them down to the new s without losing total weight.
+  Rng data_rng(61);
+  const auto items = RandomItems(6000, 1 << 12, &data_rng);
+  const auto ts = SpreadTimestamps(items.size(), 5.0);  // epochs 0..4
+  SummarizerConfig cfg;
+  cfg.s = 256.0;
+  cfg.seed = 77;
+  cfg.max_bytes = 80 * 1024;
+  auto wb = MakeWindowed("windowed:8:8:obliv", cfg);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    wb.win->AddTimed(ts[i], items[i]);
+  }
+  EXPECT_EQ(wb.win->effective_s(), 256.0);
+  EXPECT_EQ(wb.builder->Describe().degradations, 0u);
+  wb.win->Advance(5.0);  // fifth seal: the back holds 4 samples + merge
+  EXPECT_EQ(wb.win->effective_s(), 128.0);
+  EXPECT_EQ(wb.builder->Describe().degradations, 1u);
+
+  const Sample& window = wb.win->QueryAt(5.0);
+  EXPECT_LE(window.size(), 128u);
+  EXPECT_GT(window.size(), 0u);
+  EXPECT_NEAR(window.EstimateTotal() / ExactTotal(items), 1.0, 1e-9);
 }
 
 }  // namespace
