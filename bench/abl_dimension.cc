@@ -9,9 +9,9 @@
 #include <set>
 
 #include "api/registry.h"
-#include "aware/kd_nd.h"  // BoxN / BoxNContains helpers
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
+#include "core/types.h"  // BoxN / BoxNContains
 #include "eval/table.h"
 
 int main(int argc, char** argv) {

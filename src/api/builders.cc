@@ -20,7 +20,6 @@
 #include "api/summarizer.h"
 #include "aware/disjoint_summarizer.h"
 #include "aware/hierarchy_summarizer.h"
-#include "aware/kd_nd.h"
 #include "aware/order_summarizer.h"
 #include "aware/product_summarizer.h"
 #include "aware/summarize_scratch.h"

@@ -117,28 +117,18 @@ std::vector<std::string> RegisteredSummarizers() {
 
 bool IsRegisteredSummarizer(const std::string& key) {
   EnsureBuiltins();
-  if (IsShardedKey(key)) {
+  if (IsShardedKey(key) || IsWindowedKey(key) || IsServeKey(key)) {
     // A composed key is "registered" when it parses and its inner key is.
     // As with any registered key, MakeSummarizer can still reject it for
-    // config-dependent reasons — a non-mergeable inner method here, just
-    // like "hierarchy" without cfg.structure.hierarchy set (mergeability
-    // is an instance capability, only known once a builder exists).
+    // config-dependent reasons — a non-mergeable inner method under
+    // sharded:, just like "hierarchy" without cfg.structure.hierarchy set
+    // (mergeability is an instance capability, only known once a builder
+    // exists).
     try {
-      return IsRegisteredSummarizer(ParseShardedKey(key).inner);
-    } catch (const std::invalid_argument&) {
-      return false;
-    }
-  }
-  if (IsWindowedKey(key)) {
-    try {
-      return IsRegisteredSummarizer(ParseWindowedKey(key).inner);
-    } catch (const std::invalid_argument&) {
-      return false;
-    }
-  }
-  if (IsServeKey(key)) {
-    try {
-      return IsRegisteredSummarizer(ParseServeKey(key));
+      return IsRegisteredSummarizer(
+          IsShardedKey(key)    ? ParseShardedKey(key).inner
+          : IsWindowedKey(key) ? ParseWindowedKey(key).inner
+                               : ParseServeKey(key));
     } catch (const std::invalid_argument&) {
       return false;
     }

@@ -26,12 +26,6 @@ constexpr std::size_t kMaxQueueDepth = 4;
 
 constexpr std::uint64_t kPartitionSaltTag = 0x5A5DED5A17E1F00DULL;
 
-/// Rough bytes one retained sample entry costs across the build (the entry
-/// itself plus reservoir/prob bookkeeping). Deliberately coarse: the
-/// max_bytes budget is a soft brake on sample-driven growth, not an
-/// allocator audit.
-constexpr std::size_t kBytesPerSampleEntry = 64;
-
 [[noreturn]] void BadKey(const std::string& key, const std::string& why) {
   throw std::invalid_argument("MakeSummarizer(\"" + key + "\"): " + why);
 }

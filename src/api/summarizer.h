@@ -123,6 +123,12 @@ enum class HierarchyPartition {
   kAncestors,  // cells = lowest guide-selected ancestors; Delta < 1 w.h.p.
 };
 
+/// Rough bytes one retained sample entry costs (the entry itself plus
+/// reservoir/prob bookkeeping): the unit of the SummarizerConfig::max_bytes
+/// estimates of the sharded and windowed wrappers. Deliberately coarse: the
+/// budget is a soft brake on sample-driven growth, not an allocator audit.
+inline constexpr std::size_t kBytesPerSampleEntry = 64;
+
 /// One configuration struct for every method: target size, seed, structure
 /// descriptor, and per-method options. Unused fields are ignored by methods
 /// they do not apply to.

@@ -1,12 +1,17 @@
-// KD-HIERARCHY (Algorithm 2): a kd-tree over weighted 2-D keys used both as
-// the aggregation hierarchy of the product-structure summarizer (Section 4)
-// and as the space partition of the two-pass algorithm (Section 5).
+// KD-HIERARCHY (Algorithm 2): a kd-tree over weighted d-dimensional keys
+// used both as the aggregation hierarchy of the product-structure
+// summarizer (Section 4, any d) and as the space partition of the two-pass
+// algorithm (Section 5).
 //
 // Axes are split round-robin; the split point on the current axis is the
 // weighted median (the position minimizing |left mass - right mass|). For
 // hierarchy axes the datasets lay leaf coordinates out in DFS order, so the
 // coordinate median is a split over the hierarchy's canonical linearization
 // (see DESIGN.md, substitution 3).
+//
+// Points are flat: point i occupies coords[i*dims .. i*dims+dims). The 2-D
+// datasets' Point2D arrays enter through the flat-coords facade
+// (aware/flat_coords.h) without a copy.
 
 #ifndef SAS_AWARE_KD_HIERARCHY_H_
 #define SAS_AWARE_KD_HIERARCHY_H_
@@ -27,7 +32,7 @@ class KdHierarchy {
     int parent = kNull;
     int left = kNull;
     int right = kNull;
-    int axis = 0;       // 0 = x, 1 = y (split axis; leaves: unused)
+    int axis = 0;       // split axis (leaves: unused)
     Coord split = 0;    // points with axis-coord < split go left
     double mass = 0.0;  // total mass under this node
     // Leaves hold a contiguous run [begin, end) of item_order() (a single
@@ -38,52 +43,53 @@ class KdHierarchy {
     bool IsLeaf() const { return left == kNull; }
   };
 
-  /// Builds the tree over points with per-point mass (IPPS probabilities or
-  /// uniform 1s). Points should be distinct; exact duplicates are kept
-  /// together in one leaf.
+  /// Builds the tree over n = mass.size() flat points of `dims` coordinates
+  /// with per-point mass (IPPS probabilities or uniform 1s). Points should
+  /// be distinct; exact duplicates are kept together in one leaf.
   ///
-  /// The build is a thin wrapper over the shared dims-parameterized
-  /// KdBuildCore (aware/kd_build_core.h) with dims = 2, the Point2D array
-  /// routed through its flat-coords facade: each axis is sorted once up
-  /// front and both axis orders are maintained through stable partitions,
-  /// so the per-level work is linear (the classic per-node re-sort made it
-  /// O(n log^2 n)). All working memory — axis orders, partition buffer,
-  /// task stack, and the SoA node accumulators — comes from the scratch
-  /// arena; builds against a warm scratch allocate only the returned tree.
-  /// The overload without a scratch uses an internal thread-local
+  /// Each axis is sorted once up front and the d axis orders are maintained
+  /// through stable partitions, so the per-level work is linear. All
+  /// working memory — axis orders, partition buffer, task stack — comes
+  /// from the scratch arena; builds against a warm scratch allocate only
+  /// the returned tree. A null scratch uses an internal thread-local
   /// workspace.
-  static KdHierarchy Build(const std::vector<Point2D>& pts,
-                           const std::vector<double>& mass);
+  static KdHierarchy Build(const std::vector<Coord>& coords, int dims,
+                           const std::vector<double>& mass,
+                           KdBuildScratch* scratch = nullptr);
+
+  /// The 2-D build: `pts` viewed as flat coordinates with dims = 2.
   static KdHierarchy Build(const std::vector<Point2D>& pts,
                            const std::vector<double>& mass,
-                           KdBuildScratch* scratch);
+                           KdBuildScratch* scratch = nullptr);
 
   /// Rebuilds *out in place, reusing its node and item-order storage in
   /// addition to the scratch arena: a warm (scratch, out) pair makes the
   /// whole build allocation-free. Produces exactly the tree Build returns.
-  static void BuildInto(const std::vector<Point2D>& pts,
+  static void BuildInto(const std::vector<Coord>& coords, int dims,
                         const std::vector<double>& mass,
                         KdBuildScratch* scratch, KdHierarchy* out);
 
   const std::vector<Node>& nodes() const { return nodes_; }
   int root() const { return nodes_.empty() ? kNull : 0; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  int dims() const { return dims_; }
 
   /// Item indices (into the build vectors) in kd DFS-leaf order.
   const std::vector<std::size_t>& item_order() const { return item_order_; }
 
-  /// Descends by split coordinates to the leaf region containing pt. Works
-  /// for arbitrary points, not only build points. Returns kNull on an empty
-  /// tree.
+  /// Descends by split coordinates to the leaf region containing the flat
+  /// point `pt` (dims() coordinates). Works for arbitrary points, not only
+  /// build points. Returns kNull on an empty tree.
+  int LocateLeaf(const Coord* pt) const;
+  /// LocateLeaf for a tree built with dims = 2.
   int LocateLeaf(const Point2D& pt) const;
 
-  /// Minimal-depth nodes with mass <= limit ("s-leaves" of Appendix E).
-  std::vector<int> SuperLeaves(double limit) const;
-
-  /// Maximum leaf depth (root = 0).
-  int MaxDepth() const;
-
  private:
+  static void BuildFlat(const Coord* coords, int dims, const double* mass,
+                        std::size_t n, KdBuildScratch* scratch,
+                        KdHierarchy* out);
+
+  int dims_ = 0;
   std::vector<Node> nodes_;
   std::vector<std::size_t> item_order_;
 };

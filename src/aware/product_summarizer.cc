@@ -1,7 +1,10 @@
 #include "aware/product_summarizer.h"
 
 #include <cassert>
+#include <cstddef>
+#include <cstdint>
 
+#include "aware/flat_coords.h"
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 
@@ -46,6 +49,59 @@ void KdAggregate(std::vector<double>* probs, const KdHierarchy& tree,
   KdAggregate(probs, tree, rng, &scratch);
 }
 
+namespace {
+
+/// The one summarize body behind ProductSummarizeInto and
+/// ProductSummarizeNdInto. `coords_of(i)` points at item i's `dims`
+/// coordinates, so the open-subset gather reads the caller's storage
+/// directly. Out is SummarizeOutput or ResultNd.
+template <class CoordsOf, class Out>
+void SummarizeProduct(const std::vector<Weight>& weights, int dims,
+                      CoordsOf coords_of, double s, Rng* rng,
+                      SummarizeScratch* scratch, Out* out) {
+  using Index = typename decltype(out->chosen)::value_type;
+  out->tau = SolveTau(weights, s, &scratch->ipps);
+  IppsProbabilities(weights, out->tau, &out->probs);
+  for (auto& q : out->probs) q = SnapProbability(q);
+
+  // Keys with p == 1 are always in the sample (they lead it, in index
+  // order); the kd-tree is built over the open keys only, with their
+  // probabilities as mass.
+  out->chosen.clear();
+  auto& open = scratch->open;
+  open.clear();
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (out->probs[i] == 1.0) {
+      out->chosen.push_back(static_cast<Index>(i));
+    } else if (!IsSet(out->probs[i])) {
+      open.push_back(i);
+    }
+  }
+  const std::size_t ud = static_cast<std::size_t>(dims);
+  auto& coords = scratch->coords;
+  auto& mass = scratch->mass;
+  coords.clear();
+  mass.clear();
+  coords.reserve(open.size() * ud);
+  mass.reserve(open.size());
+  for (std::size_t i : open) {
+    const Coord* c = coords_of(i);
+    coords.insert(coords.end(), c, c + ud);
+    mass.push_back(out->probs[i]);
+  }
+  KdHierarchy::BuildInto(coords, dims, mass, &scratch->kd, &scratch->tree);
+
+  // Aggregate over local (open-subset) indices, then map back.
+  auto& work = scratch->work;
+  work.assign(mass.begin(), mass.end());
+  KdAggregate(&work, scratch->tree, rng, scratch);
+  for (std::size_t j = 0; j < open.size(); ++j) {
+    if (work[j] == 1.0) out->chosen.push_back(static_cast<Index>(open[j]));
+  }
+}
+
+}  // namespace
+
 void ProductSummarizeInto(const std::vector<WeightedKey>& items, double s,
                           Rng* rng, SummarizeScratch* scratch,
                           SummarizeOutput* out) {
@@ -53,47 +109,22 @@ void ProductSummarizeInto(const std::vector<WeightedKey>& items, double s,
   weights.clear();
   weights.reserve(items.size());
   for (const auto& it : items) weights.push_back(it.weight);
-  const double tau = SolveTau(weights, s, &scratch->ipps);
+  SummarizeProduct(
+      weights, /*dims=*/2,
+      [&](std::size_t i) { return AsFlatCoords(&items[i].pt); }, s, rng,
+      scratch, out);
+}
 
-  out->tau = tau;
-  IppsProbabilities(weights, tau, &out->probs);
-  for (auto& q : out->probs) q = SnapProbability(q);
-
-  // Keys with p == 1 are always in the sample; the kd-tree is built over
-  // the open keys only, with their probabilities as mass.
-  auto& open = scratch->open;
-  open.clear();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!IsSet(out->probs[i])) open.push_back(i);
-  }
-  auto& pts = scratch->pts;
-  auto& mass = scratch->mass;
-  pts.clear();
-  mass.clear();
-  pts.reserve(open.size());
-  mass.reserve(open.size());
-  for (std::size_t i : open) {
-    pts.push_back(items[i].pt);
-    mass.push_back(out->probs[i]);
-  }
-  KdHierarchy::BuildInto(pts, mass, &scratch->kd, &scratch->tree);
-
-  // Aggregate over local (open-subset) indices, then map back.
-  auto& work = scratch->work;
-  work.assign(mass.begin(), mass.end());
-  KdAggregate(&work, scratch->tree, rng, scratch);
-
-  out->chosen.clear();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (out->probs[i] == 1.0) {
-      out->chosen.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  for (std::size_t j = 0; j < open.size(); ++j) {
-    if (work[j] == 1.0) {
-      out->chosen.push_back(static_cast<std::uint32_t>(open[j]));
-    }
-  }
+void ProductSummarizeNdInto(const std::vector<Coord>& coords, int dims,
+                            const std::vector<Weight>& weights, double s,
+                            Rng* rng, SummarizeScratch* scratch,
+                            ResultNd* out) {
+  assert(dims >= 1);
+  assert(coords.size() == weights.size() * static_cast<std::size_t>(dims));
+  const std::size_t ud = static_cast<std::size_t>(dims);
+  SummarizeProduct(
+      weights, dims, [&](std::size_t i) { return coords.data() + i * ud; },
+      s, rng, scratch, out);
 }
 
 SummarizeResult ProductSummarize(const std::vector<WeightedKey>& items,
@@ -110,6 +141,15 @@ SummarizeResult ProductSummarize(const std::vector<WeightedKey>& items,
   for (std::uint32_t i : out.chosen) chosen.push_back(items[i]);
   r.sample = Sample(out.tau, std::move(chosen));
   return r;
+}
+
+ResultNd ProductSummarizeNd(const std::vector<Coord>& coords, int dims,
+                            const std::vector<Weight>& weights, double s,
+                            Rng* rng) {
+  thread_local SummarizeScratch scratch;
+  ResultNd out;
+  ProductSummarizeNdInto(coords, dims, weights, s, rng, &scratch, &out);
+  return out;
 }
 
 }  // namespace sas

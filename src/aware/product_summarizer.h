@@ -6,10 +6,16 @@
 //
 // The discrepancy on an axis-parallel box R behaves like a VarOpt sample on
 // a subset of expected size mu <= min{p(R), 2d s^((d-1)/d)} (Appendix E).
+//
+// One summarize body serves both entry points: ProductSummarize* over the
+// 2-D points of WeightedKey items (the evaluation datasets) and
+// ProductSummarizeNd* over flat d-dimensional coordinates. On the same
+// points the two are the same draw for draw.
 
 #ifndef SAS_AWARE_PRODUCT_SUMMARIZER_H_
 #define SAS_AWARE_PRODUCT_SUMMARIZER_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "aware/kd_hierarchy.h"
@@ -42,6 +48,27 @@ SummarizeResult ProductSummarize(const std::vector<WeightedKey>& items,
 void ProductSummarizeInto(const std::vector<WeightedKey>& items, double s,
                           Rng* rng, SummarizeScratch* scratch,
                           SummarizeOutput* out);
+
+/// Result of the d-dimensional summarizer.
+struct ResultNd {
+  double tau = 0.0;
+  std::vector<double> probs;        // snapped initial IPPS probabilities
+  std::vector<std::size_t> chosen;  // indices of sampled keys
+};
+
+/// Structure-aware VarOpt sample of (expected) size s over d-dimensional
+/// points (flat coords, point i at coords[i*dims .. i*dims+dims), one
+/// weight per point).
+ResultNd ProductSummarizeNd(const std::vector<Coord>& coords, int dims,
+                            const std::vector<Weight>& weights, double s,
+                            Rng* rng);
+
+/// Scratch-backed core of ProductSummarizeNd, with the same sample order
+/// and reuse contract as ProductSummarizeInto.
+void ProductSummarizeNdInto(const std::vector<Coord>& coords, int dims,
+                            const std::vector<Weight>& weights, double s,
+                            Rng* rng, SummarizeScratch* scratch,
+                            ResultNd* out);
 
 }  // namespace sas
 

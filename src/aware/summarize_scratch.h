@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "aware/kd_hierarchy.h"
-#include "aware/kd_nd.h"
 #include "aware/kd_scratch.h"
 #include "core/ipps.h"
 #include "core/types.h"
@@ -34,15 +33,13 @@ namespace sas {
 struct SummarizeScratch {
   IppsScratch ipps;      // SolveTau partition buffer
   KdBuildScratch kd;     // kd build arena (product / nd)
-  KdHierarchy tree;      // recycled 2-D tree storage (product)
-  KdHierarchyNd tree_nd; // recycled d-dim tree storage (nd)
+  KdHierarchy tree;      // recycled kd tree storage (product / nd)
 
   std::vector<Weight> weights;        // extracted item weights
   std::vector<double> work;           // aggregated probabilities
   std::vector<double> mass;           // open-subset masses (product / nd)
   std::vector<Coord> xs;              // order: sort coordinates
-  std::vector<Coord> coords;          // nd: open-subset flat coordinates
-  std::vector<Point2D> pts;           // product: open-subset points
+  std::vector<Coord> coords;          // open-subset flat coordinates
   std::vector<std::size_t> order;     // order: sorted positions
   std::vector<std::size_t> open;      // open item indices (product / nd)
   std::vector<std::size_t> leftover;  // per-node chain carries
@@ -52,7 +49,7 @@ struct SummarizeScratch {
 };
 
 /// Caller-owned result of an Into-style summarization; reusable across
-/// builds the same way the scratch is (the d-dim summarizer reuses its
+/// builds the same way the scratch is (ProductSummarizeNdInto reuses its
 /// ResultNd likewise). Indices refer to the build input.
 struct SummarizeOutput {
   double tau = 0.0;

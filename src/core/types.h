@@ -7,6 +7,7 @@
 #ifndef SAS_CORE_TYPES_H_
 #define SAS_CORE_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +62,17 @@ struct Box {
 
   friend bool operator==(const Box&, const Box&) = default;
 };
+
+/// An axis-parallel box in d dimensions: one interval per axis.
+using BoxN = std::vector<Interval>;
+
+/// True if the flat point `pt` (box.size() coordinates) lies in the box.
+inline bool BoxNContains(const BoxN& box, const Coord* pt) {
+  for (std::size_t a = 0; a < box.size(); ++a) {
+    if (!box[a].Contains(pt[a])) return false;
+  }
+  return true;
+}
 
 /// A query that spans several disjoint boxes (Section 6.1: "each query is
 /// produced as a collection of non-overlapping rectangles").

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "aware/kd_nd.h"
 #include "core/random.h"
 #include "core/types.h"
 

@@ -4,6 +4,7 @@
 
 #include "api/keys.h"
 #include "core/random.h"
+#include "core/types.h"
 
 namespace sas {
 

@@ -28,10 +28,6 @@ constexpr std::uint64_t kMergeSeedTag = 0x3E6E5A1AD3A9F0B5ULL;
 constexpr std::uint64_t kBackPushTag = 0x7C1D2B9E4F86A03DULL;
 constexpr std::uint64_t kFlipFoldTag = 0xA5B4C3D2E1F00917ULL;
 
-/// Rough bytes one retained sample entry costs (entry + reservoir
-/// bookkeeping); the same coarse constant the sharded wrapper budgets with.
-constexpr std::size_t kBytesPerSampleEntry = 64;
-
 [[noreturn]] void BadKey(const std::string& key, const std::string& why) {
   throw std::invalid_argument("MakeSummarizer(\"" + key + "\"): " + why);
 }

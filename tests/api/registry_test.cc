@@ -13,7 +13,6 @@
 #include "api/registry.h"
 #include "aware/disjoint_summarizer.h"
 #include "aware/hierarchy_summarizer.h"
-#include "aware/kd_nd.h"
 #include "aware/order_summarizer.h"
 #include "aware/product_summarizer.h"
 #include "core/random.h"
@@ -185,6 +184,50 @@ TEST(RegistryEquivalence, NdMatchesLegacyFreeFunction) {
       EXPECT_DOUBLE_EQ(got.probs()[i], want.probs[i]);
     }
     EXPECT_EQ(got.Name(), keys::kNd);
+  }
+}
+
+TEST(RegistryEquivalence, ProductMatchesNdDims2) {
+  // `product` is `nd` at d = 2: the same tau, probs and sample, entry for
+  // entry in sample order, on empty and single-item inputs, duplicate
+  // points, and s >= n (every key certain).
+  Rng data_rng(16);
+  std::vector<WeightedKey> dups = RandomItems(40, 1 << 10, &data_rng);
+  for (std::size_t i = 0; i < 40; ++i) {
+    WeightedKey copy = dups[i];  // same point, new id and weight
+    copy.id = static_cast<KeyId>(40 + i);
+    copy.weight = data_rng.NextPareto(1.3);
+    dups.push_back(copy);
+  }
+  const std::vector<std::vector<WeightedKey>> inputs{
+      {}, RandomItems(1, 1 << 10, &data_rng),
+      RandomItems(300, 1 << 10, &data_rng), dups};
+  for (const auto& items : inputs) {
+    for (double s : {1.0, 8.0, 35.0, 500.0}) {
+      for (std::uint64_t seed : {3u, 33u}) {
+        SummarizerConfig cfg;
+        cfg.s = s;
+        cfg.seed = seed;
+        cfg.structure = StructureSpec::Product();
+        std::unique_ptr<RangeSummary> product_holder;
+        const SampleSummary& product =
+            BuildSample(keys::kProduct, cfg, items, &product_holder);
+        cfg.structure = StructureSpec::Nd(2);
+        std::unique_ptr<RangeSummary> nd_holder;
+        const SampleSummary& nd = BuildSample(keys::kNd, cfg, items, &nd_holder);
+
+        SCOPED_TRACE(testing::Message() << "n=" << items.size() << " s=" << s
+                                        << " seed=" << seed);
+        EXPECT_EQ(product.tau(), nd.tau());
+        EXPECT_EQ(product.probs(), nd.probs());
+        std::vector<KeyId> product_ids, nd_ids;
+        for (const auto& e : product.sample().entries()) {
+          product_ids.push_back(e.id);
+        }
+        for (const auto& e : nd.sample().entries()) nd_ids.push_back(e.id);
+        EXPECT_EQ(product_ids, nd_ids);
+      }
+    }
   }
 }
 

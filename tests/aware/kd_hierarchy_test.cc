@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/random.h"
@@ -24,6 +26,65 @@ std::pair<std::vector<Point2D>, std::vector<double>> RandomPoints(
     mass.push_back(uniform_mass ? 1.0 : 0.01 + rng->NextDouble());
   }
   return {pts, mass};
+}
+
+/// n distinct flat 3-D points with unit mass.
+std::pair<std::vector<Coord>, std::vector<double>> RandomPoints3D(
+    std::size_t n, Coord domain, Rng* rng) {
+  std::set<std::vector<Coord>> seen;
+  while (seen.size() < n) {
+    seen.insert({rng->NextBounded(domain), rng->NextBounded(domain),
+                 rng->NextBounded(domain)});
+  }
+  std::vector<Coord> coords;
+  for (const auto& pt : seen) coords.insert(coords.end(), pt.begin(), pt.end());
+  return {coords, std::vector<double>(n, 1.0)};
+}
+
+/// True if the located leaf of tree `t` holds build item i.
+bool LeafHoldsItem(const KdHierarchy& t, int leaf, std::size_t i) {
+  const auto& node = t.nodes()[leaf];
+  for (std::size_t j = node.begin; j < node.end; ++j) {
+    if (t.item_order()[j] == i) return true;
+  }
+  return false;
+}
+
+/// Minimal-depth nodes with mass <= limit ("s-leaves" of Appendix E).
+std::vector<int> SuperLeaves(const KdHierarchy& t, double limit) {
+  std::vector<int> out;
+  if (t.nodes().empty()) return out;
+  std::vector<int> stack{t.root()};
+  while (!stack.empty()) {
+    const int v = stack.back();
+    stack.pop_back();
+    const auto& node = t.nodes()[v];
+    if (node.mass <= limit || node.IsLeaf()) {
+      out.push_back(v);
+      continue;
+    }
+    stack.push_back(node.right);
+    stack.push_back(node.left);
+  }
+  return out;
+}
+
+/// Maximum leaf depth (root = 0).
+int MaxDepth(const KdHierarchy& t) {
+  if (t.nodes().empty()) return 0;
+  std::vector<std::pair<int, int>> stack{{t.root(), 0}};
+  int best = 0;
+  while (!stack.empty()) {
+    const auto [v, d] = stack.back();
+    stack.pop_back();
+    best = std::max(best, d);
+    const auto& node = t.nodes()[v];
+    if (!node.IsLeaf()) {
+      stack.push_back({node.left, d + 1});
+      stack.push_back({node.right, d + 1});
+    }
+  }
+  return best;
 }
 
 TEST(KdHierarchy, EmptyInput) {
@@ -71,7 +132,7 @@ TEST(KdHierarchy, BalancedSplits) {
   Rng rng(3);
   const auto [pts, mass] = RandomPoints(1024, 1 << 20, &rng);
   const KdHierarchy t = KdHierarchy::Build(pts, mass);
-  EXPECT_LE(t.MaxDepth(), 16);  // log2(1024) = 10, generous slack
+  EXPECT_LE(MaxDepth(t), 16);  // log2(1024) = 10, generous slack
 }
 
 TEST(KdHierarchy, LocateLeafFindsBuildPoints) {
@@ -81,14 +142,20 @@ TEST(KdHierarchy, LocateLeafFindsBuildPoints) {
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const int leaf = t.LocateLeaf(pts[i]);
     ASSERT_NE(leaf, KdHierarchy::kNull);
-    const auto& node = t.nodes()[leaf];
-    ASSERT_TRUE(node.IsLeaf());
+    ASSERT_TRUE(t.nodes()[leaf].IsLeaf());
     // The located leaf's item run must contain point i.
-    bool found = false;
-    for (std::size_t j = node.begin; j < node.end; ++j) {
-      found |= t.item_order()[j] == i;
-    }
-    EXPECT_TRUE(found) << "point " << i;
+    EXPECT_TRUE(LeafHoldsItem(t, leaf, i)) << "point " << i;
+  }
+
+  // The same on a 3-D build, descending by flat coordinates.
+  const auto [coords, mass3] = RandomPoints3D(300, 1 << 14, &rng);
+  const KdHierarchy t3 = KdHierarchy::Build(coords, 3, mass3);
+  ASSERT_EQ(t3.dims(), 3);
+  for (std::size_t i = 0; i < mass3.size(); ++i) {
+    const int leaf = t3.LocateLeaf(&coords[i * 3]);
+    ASSERT_NE(leaf, KdHierarchy::kNull);
+    ASSERT_TRUE(t3.nodes()[leaf].IsLeaf());
+    EXPECT_TRUE(LeafHoldsItem(t3, leaf, i)) << "3-D point " << i;
   }
 }
 
@@ -103,13 +170,38 @@ TEST(KdHierarchy, LocateLeafTotalFunction) {
     ASSERT_NE(leaf, KdHierarchy::kNull);
     EXPECT_TRUE(t.nodes()[leaf].IsLeaf());
   }
+
+  // 3-D: every query point lands in a leaf whose region (the split
+  // constraints on its root path) contains it.
+  const auto [coords, mass3] = RandomPoints3D(100, 1 << 10, &rng);
+  const KdHierarchy t3 = KdHierarchy::Build(coords, 3, mass3);
+  std::vector<int> parent(t3.nodes().size(), KdHierarchy::kNull);
+  for (std::size_t v = 0; v < t3.nodes().size(); ++v) {
+    EXPECT_EQ(t3.nodes()[v].parent, parent[v]);
+    if (!t3.nodes()[v].IsLeaf()) {
+      parent[t3.nodes()[v].left] = parent[t3.nodes()[v].right] =
+          static_cast<int>(v);
+    }
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const Coord q[3] = {rng.NextBounded(1 << 10), rng.NextBounded(1 << 10),
+                        rng.NextBounded(1 << 10)};
+    const int leaf = t3.LocateLeaf(q);
+    ASSERT_NE(leaf, KdHierarchy::kNull);
+    EXPECT_TRUE(t3.nodes()[leaf].IsLeaf());
+    for (int v = leaf; t3.nodes()[v].parent != KdHierarchy::kNull;
+         v = t3.nodes()[v].parent) {
+      const auto& up = t3.nodes()[t3.nodes()[v].parent];
+      EXPECT_EQ(q[up.axis] < up.split, v == up.left);
+    }
+  }
 }
 
 TEST(KdHierarchy, SuperLeavesPartitionItems) {
   Rng rng(6);
   const auto [pts, mass] = RandomPoints(500, 1 << 16, &rng);
   const KdHierarchy t = KdHierarchy::Build(pts, mass);
-  const auto sleaves = t.SuperLeaves(8.0);
+  const auto sleaves = SuperLeaves(t, 8.0);
   // Super-leaves cover disjoint item ranges whose union is everything.
   std::vector<char> covered(pts.size(), 0);
   for (int v : sleaves) {
@@ -128,7 +220,7 @@ TEST(KdHierarchy, SuperLeafCountScales) {
   Rng rng(7);
   const auto [pts, mass] = RandomPoints(1024, 1 << 18, &rng);
   const KdHierarchy t = KdHierarchy::Build(pts, mass);
-  const auto sleaves = t.SuperLeaves(16.0);
+  const auto sleaves = SuperLeaves(t, 16.0);
   EXPECT_GE(sleaves.size(), 1024u / 16u);
   EXPECT_LE(sleaves.size(), 4u * 1024u / 16u);
 }
@@ -162,7 +254,7 @@ TEST(KdHierarchy, HyperplaneCrossingBound) {
     }
   }
   const KdHierarchy t = KdHierarchy::Build(pts, mass);
-  const auto sleaves = t.SuperLeaves(1.0);  // unit cells: s = 1024
+  const auto sleaves = SuperLeaves(t, 1.0);  // unit cells: s = 1024
   // Compute each super-leaf's x-extent from its items.
   const Coord line = 16 * 64 + 1;  // vertical line x = line
   int crossing = 0;

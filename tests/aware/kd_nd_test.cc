@@ -1,4 +1,4 @@
-#include "aware/kd_nd.h"
+#include "aware/product_summarizer.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "core/random.h"
+#include "core/types.h"
 
 namespace sas {
 namespace {
@@ -45,7 +46,7 @@ TEST(KdHierarchyNd, MassConservation3D) {
   Rng rng(1);
   const auto data = RandomNd(300, 3, 1 << 10, &rng);
   std::vector<double> mass(data.weights.begin(), data.weights.end());
-  const KdHierarchyNd tree = KdHierarchyNd::Build(data.coords, 3, mass);
+  const KdHierarchy tree = KdHierarchy::Build(data.coords, 3, mass);
   double total = 0.0;
   for (double m : mass) total += m;
   EXPECT_NEAR(tree.nodes()[tree.root()].mass, total, 1e-9);
@@ -62,7 +63,7 @@ TEST(KdHierarchyNd, OneLeafPerPoint) {
   Rng rng(2);
   const auto data = RandomNd(200, 4, 1 << 12, &rng);
   std::vector<double> mass(data.weights.size(), 1.0);
-  const KdHierarchyNd tree = KdHierarchyNd::Build(data.coords, 4, mass);
+  const KdHierarchy tree = KdHierarchy::Build(data.coords, 4, mass);
   int leaves = 0;
   for (const auto& node : tree.nodes()) leaves += node.IsLeaf();
   EXPECT_EQ(leaves, 200);

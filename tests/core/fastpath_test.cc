@@ -10,15 +10,14 @@
 //    repositioning of the source generator on Flush.
 //  * ChainAggregateRange: bit-identical probability vectors, leftover
 //    entries, and post-call rng state.
-//  * Kd builds (2-D and N-d, both thin wrappers over the shared
-//    dims-parameterized KdBuildCore since the unification): bit-identical
-//    node arrays and item orders on duplicate-free inputs (duplicate
-//    handling is property-checked; the tie order inside an all-duplicate
-//    leaf is index-based where the classic build inherited std::sort's
-//    unspecified tie order). These tests double as the proof that the
-//    unified core — including the 2-D path's flat-coords facade over
-//    Point2D — reproduces the pre-unification builds exactly, so the
-//    golden seeds did not need re-recording.
+//  * Kd builds (2-D and N-d, both one d-dimensional KdHierarchy build,
+//    the 2-D path through the flat-coords facade over Point2D):
+//    bit-identical node arrays and item orders on duplicate-free inputs
+//    (duplicate handling is property-checked; the tie order inside an
+//    all-duplicate leaf is index-based where the classic build inherited
+//    std::sort's unspecified tie order). These tests double as the proof
+//    that the one build reproduces the classic 2-D and N-d builds exactly,
+//    so the golden seeds did not need re-recording.
 //  * Aggregation passes of every summarizer family (order / hierarchy /
 //    product / disjoint / nd), run against the reference chain given the
 //    same inputs.
@@ -41,7 +40,6 @@
 #include "aware/disjoint_summarizer.h"
 #include "aware/hierarchy_summarizer.h"
 #include "aware/kd_hierarchy.h"
-#include "aware/kd_nd.h"
 #include "aware/order_summarizer.h"
 #include "aware/product_summarizer.h"
 #include "core/ipps.h"
@@ -230,7 +228,7 @@ KdTree2D KdBuild(const std::vector<Point2D>& pts,
 }
 
 struct KdTreeNd {
-  std::vector<KdHierarchyNd::Node> nodes;
+  std::vector<KdHierarchy::Node> nodes;
   std::vector<std::size_t> item_order;
 };
 
@@ -258,7 +256,7 @@ KdTreeNd KdBuildNd(const std::vector<Coord>& coords, int dims,
     stack.pop_back();
     auto& order = tree.item_order;
     {
-      KdHierarchyNd::Node& node = tree.nodes[t.node];
+      KdHierarchy::Node& node = tree.nodes[t.node];
       node.begin = t.begin;
       node.end = t.end;
       node.mass = 0.0;
@@ -304,7 +302,7 @@ KdTreeNd KdBuildNd(const std::vector<Coord>& coords, int dims,
     tree.nodes.push_back({});
     const int right = static_cast<int>(tree.nodes.size());
     tree.nodes.push_back({});
-    KdHierarchyNd::Node& nd = tree.nodes[t.node];
+    KdHierarchy::Node& nd = tree.nodes[t.node];
     nd.axis = used_axis;
     nd.split = split_val;
     nd.left = left;
@@ -826,7 +824,7 @@ TEST(FastKdBuildNd, BitIdenticalToReferenceOnDistinctPoints) {
       Rng rng(100 + n + dims);
       std::vector<double> mass(n);
       for (auto& m : mass) m = 0.01 + 0.98 * rng.NextDouble();
-      const KdHierarchyNd got = KdHierarchyNd::Build(coords, dims, mass);
+      const KdHierarchy got = KdHierarchy::Build(coords, dims, mass);
       const ref::KdTreeNd want = ref::KdBuildNd(coords, dims, mass);
       ASSERT_EQ(got.nodes().size(), want.nodes.size())
           << "dims=" << dims << " n=" << n;

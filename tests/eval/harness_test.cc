@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "aware/product_summarizer.h"
 #include "data/network_gen.h"
 
 namespace sas {
