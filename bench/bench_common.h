@@ -1,6 +1,7 @@
 // Shared setup for the per-figure bench binaries: scaled-down default
 // workloads (so the full suite runs in minutes on a laptop) and a tiny
-// key=value argument parser for overriding scale.
+// key=value argument parser for overriding scale; plus the main() of the
+// google-benchmark micro_* drivers (SAS_BENCHMARK_MAIN).
 //
 // Every binary prints the series of one figure of the paper; absolute
 // numbers differ from the paper (synthetic data, C++ vs Python, 2026
@@ -14,8 +15,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/simd.h"
 #include "data/network_gen.h"
 #include "data/techticket_gen.h"
 
@@ -80,6 +83,30 @@ inline std::vector<std::size_t> SizeSweep(const Args& args) {
   return sizes;
 }
 
+/// Single-binary SIMD A/B: SAS_SIMD_LEVEL=scalar pins the core/simd
+/// dispatcher to the scalar reference (SAS_SIMD_LEVEL=avx2 asks for AVX2
+/// and silently keeps the best supported level when unavailable); unset,
+/// the dispatcher stays at simd::DetectLevel(), the fastest level this
+/// binary and host have.
+inline void ApplySimdLevelFromEnv() {
+  if (const char* level = std::getenv("SAS_SIMD_LEVEL")) {
+    simd::SetLevel(std::string_view(level) == "scalar" ? simd::Level::kScalar
+                                                       : simd::Level::kAvx2);
+  }
+}
+
 }  // namespace sas::bench
+
+/// main() of the google-benchmark micro_* drivers, used in place of
+/// BENCHMARK_MAIN(): applies SAS_SIMD_LEVEL before any benchmark runs.
+#define SAS_BENCHMARK_MAIN()                                          \
+  int main(int argc, char** argv) {                                   \
+    sas::bench::ApplySimdLevelFromEnv();                              \
+    benchmark::Initialize(&argc, argv);                               \
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
+    benchmark::RunSpecifiedBenchmarks();                              \
+    benchmark::Shutdown();                                            \
+    return 0;                                                         \
+  }
 
 #endif  // SAS_BENCH_BENCH_COMMON_H_

@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <new>
 #include <numeric>
-#include <string_view>
 #include <vector>
 
 #include "api/registry.h"
@@ -18,6 +17,7 @@
 #include "aware/product_summarizer.h"
 #include "aware/summarize_scratch.h"
 #include "aware/two_pass.h"
+#include "bench/bench_common.h"
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "core/random.h"
@@ -281,6 +281,37 @@ void BM_SampleBoxScan(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleBoxScan)->Arg(100)->Arg(10000);
 
+// A Fig. 3(c)-shaped query: 8 disjoint boxes (a 4 x 2 grid of cells, each
+// 1/8 of the domain wide in x) answered by one scan of the sample —
+// Sample::EstimateQuery's block-wise simd::InBoxesMask pass.
+void BM_SampleQueryScan(benchmark::State& state) {
+  Rng rng(9);
+  const std::size_t s = static_cast<std::size_t>(state.range(0));
+  std::vector<WeightedKey> entries(s);
+  for (std::size_t i = 0; i < s; ++i) {
+    entries[i] = {static_cast<KeyId>(i), rng.NextPareto(1.2),
+                  {rng.NextBounded(1 << 20), rng.NextBounded(1 << 20)}};
+  }
+  const Sample sample(1.0, std::move(entries));
+  MultiRangeQuery q;
+  constexpr Coord kCellX = Coord{1} << 17;
+  constexpr Coord kCellY = Coord{1} << 16;
+  for (Coord cx = 0; cx < 4; ++cx) {
+    for (Coord cy = 0; cy < 2; ++cy) {
+      const Coord x0 = 2 * cx * kCellX;
+      const Coord y0 = 3 * cy * kCellY;
+      q.boxes.push_back({{x0, x0 + kCellX}, {y0, y0 + kCellY}});
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sample.EstimateQuery(q));
+  }
+  state.SetItemsProcessed(state.iterations() * s);
+  state.counters["simd"] =
+      simd::ActiveLevel() == simd::Level::kAvx2 ? 1.0 : 0.0;
+}
+BENCHMARK(BM_SampleQueryScan)->Arg(1024)->Arg(10000);
+
 void BM_TwoPassBuild(benchmark::State& state) {
   Rng rng(8);
   const std::size_t n = 20000;
@@ -408,20 +439,4 @@ BENCHMARK(BM_RegistryMake);
 }  // namespace
 }  // namespace sas
 
-// Custom main instead of BENCHMARK_MAIN: single-binary SIMD A/B.
-// SAS_SIMD_LEVEL=scalar pins the dispatcher to the scalar reference before
-// any benchmark runs (SAS_SIMD_LEVEL=avx2 asks for AVX2 and silently keeps
-// the best supported level when unavailable); the default is
-// simd::DetectLevel(), i.e. the fastest level this binary/host has.
-int main(int argc, char** argv) {
-  if (const char* level = std::getenv("SAS_SIMD_LEVEL")) {
-    sas::simd::SetLevel(std::string_view(level) == "scalar"
-                            ? sas::simd::Level::kScalar
-                            : sas::simd::Level::kAvx2);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+SAS_BENCHMARK_MAIN()

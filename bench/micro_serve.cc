@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/random.h"
 #include "core/sample.h"
 #include "serve/query_service.h"
@@ -208,4 +209,4 @@ BENCHMARK(BM_ServeMixed)->Unit(benchmark::kMicrosecond)->UseRealTime();
 }  // namespace
 }  // namespace sas
 
-BENCHMARK_MAIN();
+SAS_BENCHMARK_MAIN()

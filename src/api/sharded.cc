@@ -219,6 +219,7 @@ ShardedSummarizer::ShardedSummarizer(std::string key,
 ShardedSummarizer::~ShardedSummarizer() { CloseAndJoin(); }
 
 void ShardedSummarizer::SpawnWorkers() {
+  workers_started_.store(0, std::memory_order_relaxed);
   try {
     for (auto& sh : shards_) {
       sh->worker = std::thread(&ShardedSummarizer::WorkerLoop, this,
@@ -230,8 +231,18 @@ void ShardedSummarizer::SpawnWorkers() {
   } catch (...) {
     // Thread creation failed partway (e.g. RLIMIT_NPROC): close and join
     // the workers already running before the Shard structs are destroyed.
+    // No start-latch wait here: the workers that never started would
+    // never bump it.
     CloseAndJoin();
     throw;
+  }
+  // Start latch: return only once every worker is inside WorkerLoop, so a
+  // caller's first batches (and its clock) never absorb thread start-up.
+  const int n = static_cast<int>(shards_.size());
+  for (int started = workers_started_.load(std::memory_order_acquire);
+       started < n;
+       started = workers_started_.load(std::memory_order_acquire)) {
+    workers_started_.wait(started, std::memory_order_acquire);
   }
 }
 
@@ -328,6 +339,8 @@ void ShardedSummarizer::Enqueue(Shard& sh, Batch batch) {
 }
 
 void ShardedSummarizer::WorkerLoop(Shard* sh) {
+  workers_started_.fetch_add(1, std::memory_order_release);
+  workers_started_.notify_all();
   try {
     for (;;) {
       Batch batch;

@@ -101,9 +101,10 @@ std::unique_ptr<Summarizer> MakeShardedSummarizer(const std::string& key,
 class ShardedSummarizer : public Summarizer {
  public:
   /// `key` is the composed key reported by the finalized summary's Name().
-  /// Spawns one worker thread per shard. Throws std::invalid_argument if
-  /// the inner method is unknown, its config invalid, or it is not
-  /// Mergeable.
+  /// Spawns one worker thread per shard and returns once every worker is
+  /// running, so the first Add meets a live pool rather than racing the
+  /// threads' start-up. Throws std::invalid_argument if the inner method
+  /// is unknown, its config invalid, or it is not Mergeable.
   ShardedSummarizer(std::string key, const ShardedKeySpec& spec,
                     const SummarizerConfig& cfg);
   ~ShardedSummarizer() override;
@@ -137,7 +138,8 @@ class ShardedSummarizer : public Summarizer {
 
   /// Full recovery, including from the poisoned and finalized states:
   /// joins any workers, resets every inner builder under ForkSeed(seed, i),
-  /// clears errors/results/counters, and respawns the worker pool. After a
+  /// clears errors/results/counters, and respawns the worker pool (waiting,
+  /// as the constructor does, until every worker is running). After a
   /// successful Reset the builder is bit-identical to a freshly constructed
   /// one with cfg.seed = seed. Returns false (leaving the builder spent)
   /// when the inner method is not recyclable.
@@ -174,6 +176,9 @@ class ShardedSummarizer : public Summarizer {
   bool finalized_ = false;  // a summary was produced; Finalize re-entry throws
   std::uint32_t degrade_steps_ = 0;  // max_bytes halvings of the inner s
   std::atomic<bool> poisoned_{false};
+  // Start latch: each worker bumps it on entering WorkerLoop, and
+  // SpawnWorkers waits until all of the pool has (see SpawnWorkers).
+  std::atomic<int> workers_started_{0};
 
   // Telemetry instruments (core/telemetry.h), resolved once at
   // construction (registry pointers are process-stable). Per-shard

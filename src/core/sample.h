@@ -42,8 +42,9 @@ class Sample {
   /// Unbiased estimate of the total weight inside an axis-parallel box.
   Weight EstimateBox(const Box& box) const;
 
-  /// Unbiased estimate for a multi-rectangle query (rectangles assumed
-  /// disjoint, as produced by the query generators).
+  /// Unbiased estimate for a multi-rectangle query (the query generators
+  /// produce disjoint rectangles; an entry in several overlapping ones is
+  /// counted once).
   Weight EstimateQuery(const MultiRangeQuery& q) const;
 
   /// Unbiased estimate of the total data weight.
@@ -64,6 +65,10 @@ class Sample {
   }
 
  private:
+  /// Sum of adjusted weights of the entries in any of boxes[0, nb), in
+  /// entry order (the body of EstimateBox and EstimateQuery).
+  Weight SumInBoxes(const Box* boxes, std::size_t nb) const;
+
   double tau_ = 0.0;
   std::vector<WeightedKey> entries_;
 };

@@ -1,5 +1,6 @@
 #include "core/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -61,6 +62,25 @@ void U64ToUnitDoublesScalar(const std::uint64_t* raw, double* out,
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = static_cast<double>(raw[i] >> 11) * 0x1.0p-53;
   }
+}
+
+// The branchless form of the Sample scans' `box.Contains(pt)` loop (which
+// stopped at the first matching box): the same boolean, without the
+// data-dependent branches.
+std::uint64_t InBoxesMaskScalar(const WeightedKey* entries, std::size_t n,
+                                const Box* boxes, std::size_t nb) {
+  std::uint64_t mask = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Coord x = entries[j].pt.x;
+    const Coord y = entries[j].pt.y;
+    bool in = false;
+    for (std::size_t b = 0; b < nb; ++b) {
+      in |= (x >= boxes[b].x.lo) & (x < boxes[b].x.hi) &
+            (y >= boxes[b].y.lo) & (y < boxes[b].y.hi);
+    }
+    mask |= static_cast<std::uint64_t>(in) << j;
+  }
+  return mask;
 }
 
 // -------------------------------------------------------------------------
@@ -237,6 +257,104 @@ __attribute__((target("avx2,fma"))) void U64ToUnitDoublesAvx2(
   }
 }
 
+// Coordinates of entries e[0..3] with the sign bit flipped, in entry
+// order: e[0] and e[2] fill the low/high halves of one register, e[1] and
+// e[3] of the other, and unpacking their 64-bit halves yields x0..x3 and
+// y0..y3. The flip maps unsigned order onto the signed order that
+// _mm256_cmpgt_epi64 compares in.
+__attribute__((target("avx2,fma"))) inline void LoadFlippedXY(
+    const WeightedKey* e, __m256i sign, __m256i* xs, __m256i* ys) {
+  const __m256i p02 = _mm256_inserti128_si256(
+      _mm256_castsi128_si256(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&e[0].pt))),
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&e[2].pt)), 1);
+  const __m256i p13 = _mm256_inserti128_si256(
+      _mm256_castsi128_si256(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&e[1].pt))),
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&e[3].pt)), 1);
+  *xs = _mm256_xor_si256(_mm256_unpacklo_epi64(p02, p13), sign);
+  *ys = _mm256_xor_si256(_mm256_unpackhi_epi64(p02, p13), sign);
+}
+
+// One box as (lo_x, len_x ^ sign, lo_y, len_y ^ sign), len = hi - lo for a
+// non-empty axis and 0 otherwise. Then c in [lo, hi) iff the wrapped
+// difference c - lo is unsigned-below len, and (c - lo) ^ sign equals
+// (c ^ sign) - lo, so one subtract and one signed compare per axis test a
+// flipped coordinate exactly; len 0 (an empty box) matches nothing.
+struct FlippedBox {
+  std::int64_t lo_x, len_x, lo_y, len_y;
+};
+
+// Lanes (all-ones / zero) of the flipped coordinates inside the box.
+__attribute__((target("avx2,fma"))) inline __m256i InBoxLanes(
+    __m256i xs, __m256i ys, const FlippedBox& b) {
+  const __m256i in_x =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(b.len_x),
+                         _mm256_sub_epi64(xs, _mm256_set1_epi64x(b.lo_x)));
+  const __m256i in_y =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(b.len_y),
+                         _mm256_sub_epi64(ys, _mm256_set1_epi64x(b.lo_y)));
+  return _mm256_and_si256(in_x, in_y);
+}
+
+// One bit per 64-bit lane, lane 0 in bit 0.
+__attribute__((target("avx2,fma"))) inline std::uint64_t LaneBits(
+    __m256i lanes) {
+  return static_cast<std::uint64_t>(
+      _mm256_movemask_pd(_mm256_castsi256_pd(lanes)));
+}
+
+__attribute__((target("avx2,fma"))) std::uint64_t InBoxesMaskAvx2(
+    const WeightedKey* entries, std::size_t n, const Box* boxes,
+    std::size_t nb) {
+  const std::int64_t smin = std::numeric_limits<std::int64_t>::min();
+  const __m256i sign = _mm256_set1_epi64x(smin);
+  const auto flipped_len = [smin](const Interval& iv) {
+    return static_cast<std::int64_t>(iv.hi > iv.lo ? iv.hi - iv.lo : 0) ^
+           smin;
+  };
+  // Boxes go through in chunks set up once per block, so any nb works
+  // without holding every box in registers.
+  constexpr std::size_t kChunk = 16;
+  FlippedBox chunk[kChunk];
+  const std::size_t n8 = n & ~std::size_t{7};
+  const std::size_t n4 = n & ~std::size_t{3};
+  std::uint64_t mask = 0;
+  for (std::size_t b0 = 0; b0 < nb; b0 += kChunk) {
+    const std::size_t nc = std::min(kChunk, nb - b0);
+    for (std::size_t c = 0; c < nc; ++c) {
+      const Box& box = boxes[b0 + c];
+      chunk[c] = {static_cast<std::int64_t>(box.x.lo), flipped_len(box.x),
+                  static_cast<std::int64_t>(box.y.lo), flipped_len(box.y)};
+    }
+    // Eight entries per pass over the boxes: each box's bounds are
+    // broadcast once for two independent groups of four.
+    for (std::size_t j = 0; j < n8; j += 8) {
+      __m256i xs0, ys0, xs1, ys1;
+      LoadFlippedXY(entries + j, sign, &xs0, &ys0);
+      LoadFlippedXY(entries + j + 4, sign, &xs1, &ys1);
+      __m256i in0 = _mm256_setzero_si256();
+      __m256i in1 = _mm256_setzero_si256();
+      for (std::size_t c = 0; c < nc; ++c) {
+        in0 = _mm256_or_si256(in0, InBoxLanes(xs0, ys0, chunk[c]));
+        in1 = _mm256_or_si256(in1, InBoxLanes(xs1, ys1, chunk[c]));
+      }
+      mask |= (LaneBits(in0) | LaneBits(in1) << 4) << j;
+    }
+    if (n8 < n4) {
+      __m256i xs, ys;
+      LoadFlippedXY(entries + n8, sign, &xs, &ys);
+      __m256i in = _mm256_setzero_si256();
+      for (std::size_t c = 0; c < nc; ++c) {
+        in = _mm256_or_si256(in, InBoxLanes(xs, ys, chunk[c]));
+      }
+      mask |= LaneBits(in) << n8;
+    }
+  }
+  if (n4 < n) mask |= InBoxesMaskScalar(entries + n4, n - n4, boxes, nb) << n4;
+  return mask;
+}
+
 #endif  // SAS_SIMD_X86
 
 std::atomic<int> g_level{-1};
@@ -309,6 +427,16 @@ void U64ToUnitDoubles(const std::uint64_t* raw, double* out, std::size_t n) {
   }
 #endif
   U64ToUnitDoublesScalar(raw, out, n);
+}
+
+std::uint64_t InBoxesMask(const WeightedKey* entries, std::size_t n,
+                          const Box* boxes, std::size_t nb) {
+#if defined(SAS_SIMD_X86)
+  if (ActiveLevel() == Level::kAvx2) {
+    return InBoxesMaskAvx2(entries, n, boxes, nb);
+  }
+#endif
+  return InBoxesMaskScalar(entries, n, boxes, nb);
 }
 
 }  // namespace simd

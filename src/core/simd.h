@@ -1,4 +1,4 @@
-// Runtime-dispatched SIMD kernels for the build-engine hot paths.
+// Runtime-dispatched SIMD kernels for the build-engine and query hot paths.
 //
 // This header is the only sanctioned boundary between the library and raw
 // vector intrinsics: every kernel below has a scalar implementation that IS
@@ -15,14 +15,14 @@
 //    built with SAS_SIMD=ON still runs correctly on a non-AVX2 host — it
 //    just stays on the scalar path.
 //  * Equivalence: kernels whose outputs are pure per-lane operations
-//    (FillIppsProbabilities elements, U64ToUnitDoubles, MinGapScan) return
-//    bit-identical results on every level. Kernels that reduce over floats
-//    (the probability *sum*, SuffixSum) may differ from the scalar path in
-//    the last few ulps because vector lanes re-associate the additions; the
-//    documented bound is |simd - scalar| <= 4 * eps * n * max|term| and the
-//    equivalence tests in tests/core/simd_test.cc pin a 1e-12 relative
-//    tolerance. The scalar results never change: they are the golden-seed
-//    reference.
+//    (FillIppsProbabilities elements, U64ToUnitDoubles, MinGapScan,
+//    InBoxesMask) return bit-identical results on every level. Kernels
+//    that reduce over floats (the probability *sum*, SuffixSum) may differ
+//    from the scalar path in the last few ulps because vector lanes
+//    re-associate the additions; the documented bound is
+//    |simd - scalar| <= 4 * eps * n * max|term| and the equivalence tests
+//    in tests/core/simd_test.cc pin a 1e-12 relative tolerance. The scalar
+//    results never change: they are the golden-seed reference.
 //
 // Adding a kernel: declare it here, implement <Name>Scalar in simd.cc (this
 // becomes the reference — copy the loop you are replacing verbatim), add an
@@ -93,6 +93,16 @@ std::size_t MinGapScan(const double* prefix, const Coord* vals,
 /// Bit-identical on every level (the shifted value fits 53 bits, so the
 /// convert and the power-of-two scale are both exact).
 void U64ToUnitDoubles(const std::uint64_t* raw, double* out, std::size_t n);
+
+/// Box membership of one block of sample entries: bit j of the result is
+/// set iff entries[j].pt lies in at least one of boxes[0, nb) under
+/// Box::Contains (half-open on both axes; an entry in several overlapping
+/// boxes sets its bit once; empty boxes match nothing). Requires
+/// n <= kInBoxesBlock; bits n..63 are zero. Any nb, including 0.
+/// Bit-identical on every level: membership is a per-lane boolean.
+inline constexpr std::size_t kInBoxesBlock = 64;
+std::uint64_t InBoxesMask(const WeightedKey* entries, std::size_t n,
+                          const Box* boxes, std::size_t nb);
 
 }  // namespace simd
 }  // namespace sas

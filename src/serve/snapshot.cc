@@ -125,14 +125,11 @@ Weight ServingSnapshot::EstimateBox(const Box& box,
 }
 
 Weight ServingSnapshot::EstimateQuery(const MultiRangeQuery& q,
-                                      QueryScratch* scratch) const {
-  auto& pos = scratch->positions;
-  pos.clear();
-  // Rectangles are disjoint (the MultiRangeQuery contract), so the per-box
-  // position sets are too — the union needs no dedup and the final
-  // entry-order sort reproduces the linear scan's addition order exactly.
-  for (const Box& box : q.boxes) CollectBox(box, &pos);
-  return SumInEntryOrder(&pos);
+                                      QueryScratch* /*scratch*/) const {
+  // Multi-box queries are one vector scan of the sample: kd-cell boxes
+  // each span a wide x range, so the x-index would visit about s
+  // candidates per query and then re-sort them.
+  return sample_.EstimateQuery(q);
 }
 
 std::size_t ServingSnapshot::CountInBox(const Box& box) const {

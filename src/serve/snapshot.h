@@ -18,15 +18,20 @@
 // EstimateBox / EstimateQuery) return bit-identical doubles to the linear
 // Sample scans (Sample::EstimateSubset / EstimateBox / EstimateQuery).
 // Floating-point addition is not associative, so this is only possible by
-// preserving the linear scan's addition order: the accelerated path binary-
-// searches the sorted index to find the matching positions (O(log s + k)
-// for k matches), then sorts those positions back into original entry
-// order in caller-provided scratch and sums sequentially from zero —
-// O(log s + k log k), output-sensitive instead of O(s), and exactly the
-// same additions in exactly the same order. The *Fast variants skip the
-// re-ordering and difference prefix sums instead — true O(log s), but
-// re-associated: equal to the linear scan only up to ulp-level error (the
-// same contract as the SIMD reductions, docs/simd.md).
+// preserving the linear scan's addition order. EstimateIdRange and the
+// single-box EstimateBox binary-search a sorted index to find the matching
+// positions (O(log s + k) for k matches), then sort those positions back
+// into original entry order in caller-provided scratch and sum
+// sequentially from zero — O(log s + k log k), output-sensitive instead of
+// O(s), and exactly the same additions in exactly the same order.
+// Multi-box EstimateQuery is the linear scan itself: Sample::EstimateQuery
+// tests each block of 64 entries against every box in one vector pass
+// (simd::InBoxesMask), which beats the x-index on unions of kd cells, whose
+// wide x ranges make the index visit about s candidates anyway. The *Fast
+// variants skip the re-ordering and difference prefix sums instead — true
+// O(log s), but re-associated: equal to the linear scan only up to
+// ulp-level error (the same contract as the SIMD reductions,
+// docs/architecture.md "SIMD dispatch").
 //
 // Thread-safety: every method is const and the object is deeply immutable
 // after construction; any number of threads may query one snapshot
@@ -82,8 +87,9 @@ class ServingSnapshot {
   /// x interval.
   Weight EstimateBox(const Box& box, QueryScratch* scratch) const;
 
-  /// HT estimate of a disjoint multi-rectangle query. Bit-identical to
-  /// sample().EstimateQuery(q).
+  /// HT estimate of a multi-rectangle query: sample().EstimateQuery(q)
+  /// itself, a vector linear scan (see the file comment for why it does
+  /// not use the x-index). `scratch` is not used.
   Weight EstimateQuery(const MultiRangeQuery& q, QueryScratch* scratch) const;
 
   /// Sampled keys inside the box (exact count, accelerated like

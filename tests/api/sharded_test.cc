@@ -399,6 +399,28 @@ TEST(Sharded, ResetAfterFinalizeAllowsSecondBuild) {
   }
 }
 
+TEST(Sharded, RepeatedResetCyclesRespawnAndStayExact) {
+  // Every Reset tears the pool down and spawns it again, waiting on the
+  // start latch; 200 cycles must neither hang nor lose items, and each
+  // cycle's VarOpt sample must preserve the data total.
+  Rng rng(91);
+  const auto items = RandomItems(64, 1 << 10, &rng);
+  Weight data_total = 0.0;
+  for (const auto& it : items) data_total += it.weight;
+  SummarizerConfig cfg;
+  cfg.s = 16.0;
+  cfg.seed = 3;
+  auto builder = MakeSummarizer("sharded:4:obliv", cfg);
+  for (std::uint64_t cycle = 0; cycle < 200; ++cycle) {
+    ASSERT_TRUE(builder->Reset(cycle));
+    builder->AddBatch(items);
+    const auto summary = builder->Finalize();
+    ASSERT_NEAR(summary->AsSample()->sample().EstimateTotal(), data_total,
+                1e-9 * data_total)
+        << "cycle=" << cycle;
+  }
+}
+
 TEST(Sharded, BackPressureWaitLandsInTelemetryHistogram) {
   // One shard with a delay schedule on the worker's batch drain: the
   // bounded hand-off queue fills, the producer blocks in Enqueue, and the

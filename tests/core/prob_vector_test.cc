@@ -1,4 +1,4 @@
-#include "core/prob_vector.h"
+#include "oracles/prob_vector.h"
 
 #include <gtest/gtest.h>
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <vector>
+
+#include "core/random.h"
+#include "core/simd.h"
 
 namespace sas {
 namespace {
@@ -75,6 +79,84 @@ TEST(Sample, ZeroTauActsAsExact) {
   std::vector<WeightedKey> entries{{0, 1.5, {1, 1}}, {1, 2.5, {2, 2}}};
   const Sample s(0.0, std::move(entries));
   EXPECT_DOUBLE_EQ(s.EstimateTotal(), 4.0);
+}
+
+// The Sample scans before the block-wise InBoxesMask kernel, verbatim:
+// the oracles the kernel-backed scans must match bit for bit.
+Weight ClassicEstimateBox(const Sample& s, const Box& box) {
+  Weight total = 0.0;
+  for (const auto& k : s.entries()) {
+    if (box.Contains(k.pt)) total += s.AdjustedWeight(k);
+  }
+  return total;
+}
+
+Weight ClassicEstimateQuery(const Sample& s, const MultiRangeQuery& q) {
+  Weight total = 0.0;
+  for (const auto& k : s.entries()) {
+    for (const auto& box : q.boxes) {
+      if (box.Contains(k.pt)) {
+        total += s.AdjustedWeight(k);
+        break;  // rectangles are disjoint
+      }
+    }
+  }
+  return total;
+}
+
+std::size_t ClassicCountInBox(const Sample& s, const Box& box) {
+  std::size_t c = 0;
+  for (const auto& k : s.entries()) {
+    if (box.Contains(k.pt)) ++c;
+  }
+  return c;
+}
+
+TEST(Sample, BoxScansBitIdenticalToClassicLoopsOnEveryLevel) {
+  const simd::Level saved = simd::ActiveLevel();
+  Rng rng(2024);
+  constexpr Coord kDomain = 1 << 12;
+  const auto random_box = [&] {
+    const Coord x0 = rng.NextBounded(kDomain);
+    const Coord y0 = rng.NextBounded(kDomain);
+    return Box{{x0, x0 + rng.NextBounded(kDomain / 2)},
+               {y0, y0 + rng.NextBounded(kDomain / 2)}};
+  };
+  for (std::size_t size : {1u, 1000u, 1001u}) {
+    const double tau = 2.0;
+    std::vector<WeightedKey> entries(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      // Pareto weights around tau, with weights exactly tau and exactly 0
+      // mixed in (both adjust to tau).
+      const std::uint64_t kind = rng.NextBounded(8);
+      const double w = kind == 0 ? tau : kind == 1 ? 0.0 : rng.NextPareto(1.2);
+      entries[i] = {static_cast<KeyId>(i), w,
+                    {rng.NextBounded(kDomain), rng.NextBounded(kDomain)}};
+    }
+    const Sample sample(tau, std::move(entries));
+    for (int trial = 0; trial < 40; ++trial) {
+      MultiRangeQuery q;
+      const std::size_t nb = trial % 4 == 0 ? 0 : 1 + rng.NextBounded(25);
+      for (std::size_t b = 0; b < nb; ++b) q.boxes.push_back(random_box());
+      const Box box = random_box();
+      const Weight want_query = ClassicEstimateQuery(sample, q);
+      const Weight want_box = ClassicEstimateBox(sample, box);
+      const std::size_t want_count = ClassicCountInBox(sample, box);
+      for (simd::Level level : {simd::Level::kScalar, simd::DetectLevel()}) {
+        EXPECT_TRUE(simd::SetLevel(level));
+        EXPECT_EQ(sample.EstimateQuery(q), want_query)
+            << "s=" << size << " trial=" << trial
+            << " level=" << simd::LevelName(level);
+        EXPECT_EQ(sample.EstimateBox(box), want_box)
+            << "s=" << size << " trial=" << trial
+            << " level=" << simd::LevelName(level);
+        EXPECT_EQ(sample.CountInBox(box), want_count)
+            << "s=" << size << " trial=" << trial
+            << " level=" << simd::LevelName(level);
+      }
+    }
+  }
+  simd::SetLevel(saved);
 }
 
 }  // namespace

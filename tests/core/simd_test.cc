@@ -2,7 +2,8 @@
 // core/simd.h, pinning the contracts the header documents:
 //
 //  * per-lane kernels (FillIppsProbabilities elements, MinGapScan,
-//    U64ToUnitDoubles, Rng::FillDoubles) are bit-identical on every level;
+//    U64ToUnitDoubles, Rng::FillDoubles, InBoxesMask) are bit-identical on
+//    every level;
 //  * float reductions (the FillIppsProbabilities *sum*, SuffixSum) agree
 //    within a 1e-12 relative tolerance, with the scalar result fixed as the
 //    golden-seed reference;
@@ -20,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/random.h"
@@ -332,6 +334,96 @@ TEST(SimdFillDoubles, BitIdenticalAcrossLevelsAndToNextDouble) {
       ASSERT_EQ(scalar_rng.Next(), want);
       ASSERT_EQ(best_rng.Next(), want);
     }
+  }
+}
+
+// --- InBoxesMask -------------------------------------------------------------
+
+// The membership test of the Sample scans before the kernel existed,
+// verbatim: short-circuit Box::Contains per box, first match wins.
+std::uint64_t ClassicInBoxesMask(const WeightedKey* entries, std::size_t n,
+                                 const Box* boxes, std::size_t nb) {
+  std::uint64_t mask = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t b = 0; b < nb; ++b) {
+      if (boxes[b].Contains(entries[j].pt)) {
+        mask |= std::uint64_t{1} << j;
+        break;  // overlapping boxes count an entry once
+      }
+    }
+  }
+  return mask;
+}
+
+TEST(SimdInBoxesMask, BitIdenticalToClassicLoopOnEveryLevel) {
+  LevelGuard guard;
+  // Coordinates and box bounds share one pool, so entries sit exactly on
+  // box edges; it holds both sides of the 2^63 sign flip and the extremes.
+  constexpr Coord kMax = ~Coord{0};
+  constexpr Coord kHalf = Coord{1} << 63;
+  const std::vector<Coord> pool = {0,         1,    2,         3,
+                                   1000,      1001, kHalf - 2, kHalf - 1,
+                                   kHalf,     kHalf + 1,       kMax - 1,
+                                   kMax};
+  Rng rng(4242);
+  const auto coord = [&] {
+    // Mostly pool values; sometimes an arbitrary 64-bit value.
+    return rng.NextBounded(4) == 0 ? rng.Next()
+                                   : pool[rng.NextBounded(pool.size())];
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 63u, 64u}) {
+      std::vector<WeightedKey> entries(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        entries[j] = {static_cast<KeyId>(j), 1.0, {coord(), coord()}};
+      }
+      for (std::size_t nb : {0u, 1u, 8u, 25u}) {
+        std::vector<Box> boxes(nb);
+        for (Box& b : boxes) {
+          // Random bounds in either order: hi <= lo gives empty boxes, and
+          // independent boxes overlap freely.
+          b = {{coord(), coord()}, {coord(), coord()}};
+          if (rng.NextBounded(2) == 0) {
+            if (b.x.hi < b.x.lo) std::swap(b.x.lo, b.x.hi);
+            if (b.y.hi < b.y.lo) std::swap(b.y.lo, b.y.hi);
+          }
+        }
+        const std::uint64_t want =
+            ClassicInBoxesMask(entries.data(), n, boxes.data(), nb);
+        for (simd::Level level : {simd::Level::kScalar, simd::DetectLevel()}) {
+          ASSERT_TRUE(simd::SetLevel(level));
+          ASSERT_EQ(simd::InBoxesMask(entries.data(), n, boxes.data(), nb),
+                    want)
+              << "trial=" << trial << " n=" << n << " nb=" << nb
+              << " level=" << simd::LevelName(level);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdInBoxesMask, EdgesAreHalfOpenAcrossTheSignFlip) {
+  LevelGuard guard;
+  constexpr Coord kMax = ~Coord{0};
+  constexpr Coord kHalf = Coord{1} << 63;
+  // Box [2^63 - 1, 2^63 + 1) x [0, 2^64 - 1): the x edge straddles the
+  // sign bit, and the y range excludes only 2^64 - 1.
+  const Box box{{kHalf - 1, kHalf + 1}, {0, kMax}};
+  const std::vector<WeightedKey> entries = {
+      {0, 1.0, {kHalf - 2, 5}},  // x below lo
+      {1, 1.0, {kHalf - 1, 5}},  // x == lo: in
+      {2, 1.0, {kHalf, 0}},      // y == 0 == lo: in
+      {3, 1.0, {kHalf + 1, 5}},  // x == hi: out
+      {4, 1.0, {kHalf, kMax}},   // y == hi: out
+      {5, 1.0, {kMax, 5}},       // far above
+      {6, 1.0, {0, 5}},          // far below
+      {7, 1.0, {kHalf, kMax - 1}},  // in
+  };
+  for (simd::Level level : {simd::Level::kScalar, simd::DetectLevel()}) {
+    ASSERT_TRUE(simd::SetLevel(level));
+    EXPECT_EQ(simd::InBoxesMask(entries.data(), entries.size(), &box, 1),
+              0b10000110u)
+        << simd::LevelName(level);
   }
 }
 

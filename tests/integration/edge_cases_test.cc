@@ -11,8 +11,8 @@
 #include "aware/two_pass.h"
 #include "core/ipps.h"
 #include "core/random.h"
+#include "oracles/poisson.h"
 #include "structure/hierarchy.h"
-#include "sampling/poisson.h"
 #include "sampling/stream_varopt.h"
 #include "sampling/systematic.h"
 #include "sampling/varopt_offline.h"

@@ -1,4 +1,4 @@
-#include "sampling/poisson.h"
+#include "oracles/poisson.h"
 
 #include <gtest/gtest.h>
 

@@ -199,7 +199,8 @@ TEST(ServingSnapshotDifferential, FastPathsMatchToUlpLevel) {
     const ServingSnapshot snap(sample);
 
     // The prefix-difference paths re-associate the additions: near-equality
-    // only, the same contract as the SIMD reductions (docs/simd.md).
+    // only, the same contract as the SIMD reductions (docs/architecture.md,
+    // "SIMD dispatch").
     const Weight total = sample.EstimateTotal();
     EXPECT_NEAR(snap.EstimateIdRangeFast(0, kN + 1), total,
                 1e-9 * std::max(1.0, std::abs(total)));
