@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: pair
 // aggregation, streaming threshold, streaming VarOpt updates, kd-tree
-// construction, and sample query scans. These quantify the per-item costs
-// that drive the Figure 3 throughput comparisons.
+// construction (synthetic and network-shard-shaped), and sample query
+// scans. These quantify the per-item costs that drive the Figure 3
+// throughput comparisons.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "api/sharded.h"
 #include "aware/kd_hierarchy.h"
 #include "aware/order_summarizer.h"
 #include "aware/product_summarizer.h"
@@ -23,6 +25,7 @@
 #include "core/random.h"
 #include "core/simd.h"
 #include "core/telemetry.h"
+#include "data/network_gen.h"
 #include "sampling/stream_varopt.h"
 
 // Global allocation counter: every operator new in the process bumps it, so
@@ -227,7 +230,7 @@ void BM_KdBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_KdBuild)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_KdBuild)->Arg(64)->Arg(1000)->Arg(10000);
 
 void BM_KdBuildArena(benchmark::State& state) {
   // Same build as BM_KdBuild but reusing one caller-owned scratch workspace
@@ -246,6 +249,43 @@ void BM_KdBuildArena(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_KdBuildArena);
+
+void BM_KdBuildNetworkShard(benchmark::State& state) {
+  // The kd build inside one shard's Finalize of sharded:3:product over the
+  // Network dataset at s = 1000: ~65k open keys with IPPS masses and heavy
+  // per-axis coordinate ties, rebuilt into a warm scratch and tree.
+  const Dataset2D data = GenerateNetwork(NetworkConfig{});
+  std::vector<Weight> weights;
+  std::vector<Point2D> pts;
+  for (const auto& it : data.items) {
+    if (ShardIndex(it.id, /*seed=*/1, /*num_shards=*/3) != 0) continue;
+    weights.push_back(it.weight);
+    pts.push_back(it.pt);
+  }
+  std::vector<double> probs;
+  IppsProbabilities(weights, SolveTau(weights, 1000.0), &probs);
+  std::vector<Coord> coords;
+  std::vector<double> mass;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const double q = SnapProbability(probs[i]);
+    if (q == 1.0 || IsSet(q)) continue;
+    coords.push_back(pts[i].x);
+    coords.push_back(pts[i].y);
+    mass.push_back(q);
+  }
+  KdBuildScratch scratch;
+  KdHierarchy tree;
+  for (auto _ : state) {
+    KdHierarchy::BuildInto(coords, 2, mass, &scratch, &tree);
+    benchmark::DoNotOptimize(tree.nodes().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(mass.size()));
+  state.counters["open_keys"] = static_cast<double>(mass.size());
+  state.counters["simd"] =
+      static_cast<double>(static_cast<int>(simd::ActiveLevel()));
+}
+BENCHMARK(BM_KdBuildNetworkShard)->Unit(benchmark::kMillisecond);
 
 void BM_KdLocate(benchmark::State& state) {
   Rng rng(6);

@@ -1,6 +1,7 @@
 #include "aware/kd_hierarchy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -16,8 +17,57 @@ struct BuildTask {
   std::int32_t node;
   std::uint32_t begin, end;
   std::int32_t depth;
-  std::int32_t parent_axis;  // axis the parent split on; -1 for the root
+  // Order to sum the node's mass in: the axis the parent split on, or one
+  // of the two markers below.
+  std::int32_t mass_axis;
 };
+
+constexpr std::int32_t kInputOrder = -1;  // the root: sum in input order
+constexpr std::int32_t kMassSet = -2;     // mass already set by the parent
+
+// Widest presort digit: a 2^11-entry histogram stays in L1.
+constexpr int kMaxDigitBits = 11;
+
+// Stable LSD radix sort of (key, index) pairs on the low `width` key bits,
+// which must be the only bits on which the keys differ. On entry keys[i]
+// is the key of idx[i]; on return idx is in ascending key order, ties in
+// entry order. Passes ping-pong between (keys, idx) and (keys_tmp,
+// idx_tmp); digits are at most `max_digit` bits wide, spread evenly over
+// the passes, and `count` holds 2^max_digit entries. keys and keys_tmp
+// are clobbered.
+void RadixSortByKey(std::size_t n, int width, int max_digit, Coord* keys,
+                    Coord* keys_tmp, std::uint32_t* idx,
+                    std::uint32_t* idx_tmp, std::uint32_t* count) {
+  if (width == 0) return;  // all keys equal: already in order
+  const int passes = (width + max_digit - 1) / max_digit;
+  const int digit = (width + passes - 1) / passes;
+  const std::size_t buckets = std::size_t{1} << digit;
+  const Coord mask = buckets - 1;
+  Coord* src_k = keys;
+  Coord* dst_k = keys_tmp;
+  std::uint32_t* src_i = idx;
+  std::uint32_t* dst_i = idx_tmp;
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = pass * digit;
+    std::fill(count, count + buckets, 0u);
+    for (std::size_t i = 0; i < n; ++i) ++count[(src_k[i] >> shift) & mask];
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+      const std::uint32_t c = count[b];
+      count[b] = sum;
+      sum += c;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const Coord k = src_k[i];
+      const std::uint32_t at = count[(k >> shift) & mask]++;
+      dst_k[at] = k;
+      dst_i[at] = src_i[i];
+    }
+    std::swap(src_k, dst_k);
+    std::swap(src_i, dst_i);
+  }
+  if (src_i != idx) std::copy(src_i, src_i + n, idx);
+}
 
 }  // namespace
 
@@ -73,20 +123,32 @@ void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
   std::uint32_t** ord = arena.AllocateArray<std::uint32_t*>(dims);
   for (int axis = 0; axis < dims; ++axis) {
     ord[axis] = arena.AllocateArray<std::uint32_t>(n);
-    std::uint32_t* o = ord[axis];
-    for (std::size_t i = 0; i < n; ++i) o[i] = static_cast<std::uint32_t>(i);
-    std::sort(o, o + n, [&](std::uint32_t a, std::uint32_t b) {
-      const Coord ca = axis_coord(a, axis);
-      const Coord cb = axis_coord(b, axis);
-      return ca != cb ? ca < cb : a < b;
-    });
   }
   std::uint32_t* part_tmp = arena.AllocateArray<std::uint32_t>(n);
   // Median-scan working arrays (one node range at a time): gathered axis
   // coordinates and the running weighted prefix, consumed by the dispatched
-  // min-gap kernel.
+  // min-gap kernel. `vals` and `keys_tmp` double as the presort's key
+  // ping-pong buffers, `part_tmp` as its index buffer.
   double* pref = arena.AllocateArray<double>(n);
   Coord* vals = arena.AllocateArray<Coord>(n);
+  Coord* keys_tmp = arena.AllocateArray<Coord>(n);
+  // Presort digit: about log2(n) bits, so a pass costs O(n) and tiny builds
+  // keep a tiny histogram.
+  const int max_digit =
+      std::clamp(static_cast<int>(std::bit_width(n)), 4, kMaxDigitBits);
+  std::uint32_t* count =
+      arena.AllocateArray<std::uint32_t>(std::size_t{1} << max_digit);
+  for (int axis = 0; axis < dims; ++axis) {
+    std::uint32_t* o = ord[axis];
+    Coord diff = 0;  // bits on which some coordinate differs from the first
+    for (std::size_t i = 0; i < n; ++i) {
+      o[i] = static_cast<std::uint32_t>(i);
+      vals[i] = axis_coord(static_cast<std::uint32_t>(i), axis);
+      diff |= vals[i] ^ vals[0];
+    }
+    RadixSortByKey(n, static_cast<int>(std::bit_width(diff)), max_digit, vals,
+                   keys_tmp, o, part_tmp, count);
+  }
 
   const std::size_t node_cap = 2 * n;  // at most 2n - 1 nodes
   std::vector<Node>& nodes = out->nodes_;
@@ -100,7 +162,7 @@ void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
   std::vector<std::size_t>& item_order = out->item_order_;
   item_order.resize(n);
   nodes.emplace_back();
-  stack[stack_size++] = {0, 0, static_cast<std::uint32_t>(n), 0, -1};
+  stack[stack_size++] = {0, 0, static_cast<std::uint32_t>(n), 0, kInputOrder};
   while (stack_size > 0) {
     const BuildTask t = stack[--stack_size];
     Node& node = nodes[static_cast<std::size_t>(t.node)];
@@ -108,12 +170,16 @@ void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
     node.end = t.end;
     // Sum the node mass in the order inherited from the parent's split axis
     // (the root sums input order), matching the classic build's summation
-    // sequence so masses agree bit-for-bit on duplicate-free inputs.
+    // sequence so masses agree bit-for-bit on duplicate-free inputs. A left
+    // child's sum is already known: the parent's split scan added the same
+    // items in the same order from 0.0.
     double total = 0.0;
-    if (t.parent_axis < 0) {
+    if (t.mass_axis == kMassSet) {
+      total = node.mass;
+    } else if (t.mass_axis == kInputOrder) {
       for (std::uint32_t i = t.begin; i < t.end; ++i) total += mass[i];
     } else {
-      const std::uint32_t* po = ord[t.parent_axis];
+      const std::uint32_t* po = ord[t.mass_axis];
       for (std::uint32_t i = t.begin; i < t.end; ++i) total += mass[po[i]];
     }
     node.mass = total;
@@ -170,21 +236,21 @@ void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
     }
     // The used axis' order is already partitioned by position; stable-
     // partition every other axis' order around the split coordinate so both
-    // children again see all orders sorted.
+    // children again see all orders sorted. The partition is branch-free:
+    // each item is stored at both destinations and the left cursor advances
+    // by its side flag (the right cursor is i - nl).
     for (int a = 0; a < dims; ++a) {
       if (a == used_axis) continue;
       std::uint32_t* o2 = ord[a];
-      std::uint32_t nl = t.begin, nr = 0;
+      std::uint32_t nl = t.begin;
       for (std::uint32_t i = t.begin; i < t.end; ++i) {
         const std::uint32_t item = o2[i];
-        if (axis_coord(item, used_axis) < split_val) {
-          o2[nl++] = item;
-        } else {
-          part_tmp[nr++] = item;
-        }
+        o2[nl] = item;  // nl <= i: overwrites only consumed slots
+        part_tmp[i - nl] = item;
+        nl += axis_coord(item, used_axis) < split_val;
       }
       assert(nl == split_pos);
-      std::copy(part_tmp, part_tmp + nr, o2 + nl);
+      std::copy(part_tmp, part_tmp + (t.end - nl), o2 + nl);
     }
 
     const int left = static_cast<int>(nodes.size());
@@ -195,8 +261,9 @@ void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
     node.right = right;
     nodes.emplace_back().parent = t.node;
     nodes.emplace_back().parent = t.node;
+    nodes[static_cast<std::size_t>(left)].mass = pref[split_pos - t.begin - 1];
     stack[stack_size++] = {right, split_pos, t.end, t.depth + 1, used_axis};
-    stack[stack_size++] = {left, t.begin, split_pos, t.depth + 1, used_axis};
+    stack[stack_size++] = {left, t.begin, split_pos, t.depth + 1, kMassSet};
   }
 
   assert(nodes.size() < node_cap);

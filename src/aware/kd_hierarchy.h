@@ -47,12 +47,16 @@ class KdHierarchy {
   /// with per-point mass (IPPS probabilities or uniform 1s). Points should
   /// be distinct; exact duplicates are kept together in one leaf.
   ///
-  /// Each axis is sorted once up front and the d axis orders are maintained
-  /// through stable partitions, so the per-level work is linear. All
-  /// working memory — axis orders, partition buffer, task stack — comes
-  /// from the scratch arena; builds against a warm scratch allocate only
-  /// the returned tree. A null scratch uses an internal thread-local
-  /// workspace.
+  /// Each axis' item order is presorted once by a stable LSD radix sort of
+  /// the indices on that axis' coordinate, over only the bits on which
+  /// the coordinates differ (none for a constant axis), so ties stay in
+  /// index order. Each split keeps the other d - 1 orders sorted by a
+  /// branch-free stable partition around the split coordinate, so the
+  /// per-level work is linear; a left child takes its mass from the split
+  /// scan's prefix sum instead of re-summing. All working memory — axis
+  /// orders, radix buffers, partition buffer, task stack — comes from the
+  /// scratch arena; builds against a warm scratch allocate only the
+  /// returned tree. A null scratch uses an internal thread-local workspace.
   static KdHierarchy Build(const std::vector<Coord>& coords, int dims,
                            const std::vector<double>& mass,
                            KdBuildScratch* scratch = nullptr);

@@ -3,10 +3,12 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "aware/flat_coords.h"
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
+#include "core/telemetry.h"
 
 namespace sas {
 
@@ -60,6 +62,17 @@ void SummarizeProduct(const std::vector<Weight>& weights, int dims,
                       CoordsOf coords_of, double s, Rng* rng,
                       SummarizeScratch* scratch, Out* out) {
   using Index = typename decltype(out->chosen)::value_type;
+  // Phase spans, one each per build, so a Finalize's time splits into the
+  // tau solve, the kd build and the aggregation; they only observe. The
+  // histograms are resolved once: the registry is cold, the spans are not.
+  static telemetry::Histogram* const solve_tau_ns =
+      telemetry::GetHistogram("sas.aware.solve_tau_ns");
+  static telemetry::Histogram* const kd_build_ns =
+      telemetry::GetHistogram("sas.aware.kd_build_ns");
+  static telemetry::Histogram* const kd_aggregate_ns =
+      telemetry::GetHistogram("sas.aware.kd_aggregate_ns");
+  std::optional<telemetry::Span> phase;
+  phase.emplace("aware.solve_tau", solve_tau_ns);
   out->tau = SolveTau(weights, s, &scratch->ipps);
   IppsProbabilities(weights, out->tau, &out->probs);
   for (auto& q : out->probs) q = SnapProbability(q);
@@ -77,6 +90,7 @@ void SummarizeProduct(const std::vector<Weight>& weights, int dims,
       open.push_back(i);
     }
   }
+  phase.emplace("aware.kd_build", kd_build_ns);
   const std::size_t ud = static_cast<std::size_t>(dims);
   auto& coords = scratch->coords;
   auto& mass = scratch->mass;
@@ -92,6 +106,7 @@ void SummarizeProduct(const std::vector<Weight>& weights, int dims,
   KdHierarchy::BuildInto(coords, dims, mass, &scratch->kd, &scratch->tree);
 
   // Aggregate over local (open-subset) indices, then map back.
+  phase.emplace("aware.kd_aggregate", kd_aggregate_ns);
   auto& work = scratch->work;
   work.assign(mass.begin(), mass.end());
   KdAggregate(&work, scratch->tree, rng, scratch);

@@ -40,7 +40,7 @@ std::uint64_t NowNs() {
 int Histogram::BucketOf(std::uint64_t value) {
   // bit_width(0) == 0, bit_width(2^k) == k+1: bucket b >= 1 spans
   // [2^(b-1), 2^b), bucket 0 holds exactly the value 0.
-  return std::bit_width(value);
+  return static_cast<int>(std::bit_width(value));
 }
 
 std::uint64_t Histogram::BucketFloor(int b) {

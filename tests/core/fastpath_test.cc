@@ -17,7 +17,14 @@
 //    all-duplicate leaf is index-based where the classic build inherited
 //    std::sort's unspecified tie order). These tests double as the proof
 //    that the one build reproduces the classic 2-D and N-d builds exactly,
-//    so the golden seeds did not need re-recording.
+//    so the golden seeds did not need re-recording. The reference
+//    comparators break coordinate ties by item index — the only change to
+//    the classic code, a no-op on the per-axis-distinct inputs, and what
+//    makes the references deterministic on tie-heavy data (network shard
+//    inputs, small coordinate ranges, constant axes), where the classic
+//    builds left tie order, and so mass summation order, to std::sort.
+//    The radix presort is checked at every digit width and at both
+//    parities of its pass count, on full 64-bit coordinates.
 //  * Aggregation passes of every summarizer family (order / hierarchy /
 //    product / disjoint / nd), run against the reference chain given the
 //    same inputs.
@@ -37,6 +44,7 @@
 #include <numeric>
 #include <vector>
 
+#include "api/sharded.h"
 #include "aware/disjoint_summarizer.h"
 #include "aware/hierarchy_summarizer.h"
 #include "aware/kd_hierarchy.h"
@@ -46,6 +54,7 @@
 #include "core/pair_aggregate.h"
 #include "core/random.h"
 #include "core/simd.h"
+#include "data/network_gen.h"
 #include "structure/hierarchy.h"
 
 namespace sas {
@@ -185,7 +194,9 @@ KdTree2D KdBuild(const std::vector<Point2D>& pts,
     for (int attempt = 0; attempt < 2 && !split_found; ++attempt, axis ^= 1) {
       std::sort(order.begin() + t.begin, order.begin() + t.end,
                 [&](std::size_t a, std::size_t b) {
-                  return AxisCoord(pts[a], axis) < AxisCoord(pts[b], axis);
+                  const Coord ca = AxisCoord(pts[a], axis);
+                  const Coord cb = AxisCoord(pts[b], axis);
+                  return ca != cb ? ca < cb : a < b;
                 });
       if (AxisCoord(pts[order[t.begin]], axis) ==
           AxisCoord(pts[order[t.end - 1]], axis)) {
@@ -274,7 +285,9 @@ KdTreeNd KdBuildNd(const std::vector<Coord>& coords, int dims,
          ++attempt, axis = (axis + 1) % dims) {
       std::sort(order.begin() + t.begin, order.begin() + t.end,
                 [&](std::size_t a, std::size_t b) {
-                  return axis_coord(a, axis) < axis_coord(b, axis);
+                  const Coord ca = axis_coord(a, axis);
+                  const Coord cb = axis_coord(b, axis);
+                  return ca != cb ? ca < cb : a < b;
                 });
       if (axis_coord(order[t.begin], axis) ==
           axis_coord(order[t.end - 1], axis)) {
@@ -754,6 +767,23 @@ void ExpectSameTree2D(const KdHierarchy& got, const ref::KdTree2D& want) {
   ASSERT_EQ(got.item_order(), want.item_order);
 }
 
+void ExpectSameTreeNd(const KdHierarchy& got, const ref::KdTreeNd& want) {
+  // The N-d reference does not record parents.
+  ASSERT_EQ(got.nodes().size(), want.nodes.size());
+  for (std::size_t v = 0; v < want.nodes.size(); ++v) {
+    const auto& a = got.nodes()[v];
+    const auto& b = want.nodes[v];
+    ASSERT_EQ(a.left, b.left) << "node " << v;
+    ASSERT_EQ(a.right, b.right) << "node " << v;
+    ASSERT_EQ(a.axis, b.axis) << "node " << v;
+    ASSERT_EQ(a.split, b.split) << "node " << v;
+    ASSERT_EQ(a.begin, b.begin) << "node " << v;
+    ASSERT_EQ(a.end, b.end) << "node " << v;
+    ASSERT_EQ(a.mass, b.mass) << "node " << v;
+  }
+  ASSERT_EQ(got.item_order(), want.item_order);
+}
+
 TEST(FastKdBuild, BitIdenticalToReferenceOnDistinctPoints) {
   for (std::size_t n : {1u, 2u, 3u, 7u, 64u, 501u, 2000u}) {
     const std::vector<Point2D> pts = DistinctPoints(n);
@@ -824,23 +854,114 @@ TEST(FastKdBuildNd, BitIdenticalToReferenceOnDistinctPoints) {
       Rng rng(100 + n + dims);
       std::vector<double> mass(n);
       for (auto& m : mass) m = 0.01 + 0.98 * rng.NextDouble();
-      const KdHierarchy got = KdHierarchy::Build(coords, dims, mass);
-      const ref::KdTreeNd want = ref::KdBuildNd(coords, dims, mass);
-      ASSERT_EQ(got.nodes().size(), want.nodes.size())
-          << "dims=" << dims << " n=" << n;
-      for (std::size_t v = 0; v < want.nodes.size(); ++v) {
-        const auto& a = got.nodes()[v];
-        const auto& b = want.nodes[v];
-        ASSERT_EQ(a.left, b.left);
-        ASSERT_EQ(a.right, b.right);
-        ASSERT_EQ(a.axis, b.axis);
-        ASSERT_EQ(a.split, b.split);
-        ASSERT_EQ(a.begin, b.begin);
-        ASSERT_EQ(a.end, b.end);
-        ASSERT_EQ(a.mass, b.mass);
-      }
-      ASSERT_EQ(got.item_order(), want.item_order);
+      SCOPED_TRACE(testing::Message() << "dims=" << dims << " n=" << n);
+      ExpectSameTreeNd(KdHierarchy::Build(coords, dims, mass),
+                       ref::KdBuildNd(coords, dims, mass));
     }
+  }
+}
+
+// The presort digit is at most clamp(bit_width(n), 4, 11) bits, spread
+// evenly over the passes; these sizes hit the 4-bit floor (2), widths in
+// between (16: 5, 64: 7, 256: 9) and the 11-bit cap (4096, 65536).
+TEST(FastKdBuild, BitIdenticalAtEveryDigitWidth) {
+  for (std::size_t n : {2u, 16u, 64u, 256u, 4096u, 65536u}) {
+    const std::vector<Point2D> pts = DistinctPoints(n);
+    Rng rng(7 * n);
+    std::vector<double> mass(n);
+    for (auto& m : mass) m = 0.01 + 0.98 * rng.NextDouble();
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    ExpectSameTree2D(KdHierarchy::Build(pts, mass), ref::KdBuild(pts, mass));
+  }
+}
+
+TEST(FastKdBuild, FullWidthCoordinatesMatchReference) {
+  // Keys differ in all 64 bits: the top bit is set on every odd item and
+  // clear on every even one. Pass counts: n = 40 sorts in 11 passes of 6
+  // bits, 700 in 7 of 10 (odd: the result lands in the ping-pong buffer
+  // and is copied back), 64 in 10 of 7 and 4096 in 6 of 11 (even). Axis 1
+  // mixes in ties on a 3-bit range at the top of the domain.
+  constexpr Coord kTop = Coord{1} << 63;
+  for (std::size_t n : {40u, 64u, 700u, 4096u}) {
+    Rng rng(n + 1);
+    std::vector<Coord> coords(2 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Coord top = (i % 2 == 1) ? kTop : 0;
+      coords[2 * i] = (rng.Next() & ~kTop) | top;
+      coords[2 * i + 1] =
+          (i % 3 == 0) ? ~rng.NextBounded(8) : (rng.Next() & ~kTop) | top;
+    }
+    std::vector<double> mass(n);
+    for (auto& m : mass) m = 0.01 + 0.98 * rng.NextDouble();
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    ExpectSameTreeNd(KdHierarchy::Build(coords, 2, mass),
+                     ref::KdBuildNd(coords, 2, mass));
+  }
+}
+
+TEST(FastKdBuild, AllZeroAxisMatchesReference) {
+  // Axis 1 is identically zero (zero presort passes, never a split axis);
+  // axes 0 and 2 carry heavy ties.
+  const std::size_t n = 3000;
+  const int dims = 3;
+  Rng rng(11);
+  std::vector<Coord> coords(n * dims);
+  for (std::size_t i = 0; i < n; ++i) {
+    coords[i * dims] = rng.NextBounded(40);
+    coords[i * dims + 1] = 0;
+    coords[i * dims + 2] = rng.NextBounded(1 << 12);
+  }
+  std::vector<double> mass(n);
+  for (auto& m : mass) m = 0.01 + 0.98 * rng.NextDouble();
+  const KdHierarchy got = KdHierarchy::Build(coords, dims, mass);
+  ExpectSameTreeNd(got, ref::KdBuildNd(coords, dims, mass));
+  for (const auto& nd : got.nodes()) {
+    if (!nd.IsLeaf()) EXPECT_NE(nd.axis, 1);
+  }
+}
+
+TEST(FastKdBuild, NetworkShardIppsMassesMatchReference) {
+  // One shard of the Network dataset as sharded:3:product sees it at
+  // s = 1000: ~65k open keys, IPPS masses under a Pareto tail, and heavy
+  // per-axis coordinate ties (popular sources and destinations).
+  const Dataset2D data = GenerateNetwork(NetworkConfig{});
+  std::vector<Point2D> pts;
+  std::vector<Weight> weights;
+  for (const auto& it : data.items) {
+    if (ShardIndex(it.id, /*seed=*/1, /*num_shards=*/3) != 0) continue;
+    pts.push_back(it.pt);
+    weights.push_back(it.weight);
+  }
+  std::vector<double> probs;
+  IppsProbabilities(weights, SolveTau(weights, 1000.0), &probs);
+  std::vector<Point2D> open_pts;
+  std::vector<double> mass;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const double q = SnapProbability(probs[i]);
+    if (q == 1.0 || IsSet(q)) continue;
+    open_pts.push_back(pts[i]);
+    mass.push_back(q);
+  }
+  ASSERT_GE(open_pts.size(), 65000u);
+  ExpectSameTree2D(KdHierarchy::Build(open_pts, mass),
+                   ref::KdBuild(open_pts, mass));
+}
+
+TEST(FastKdBuildNd, HighDimsMatchReferenceAtScale) {
+  for (int dims : {3, 4}) {
+    const std::size_t n = 12000;
+    Rng rng(300 + dims);
+    std::vector<Coord> coords(n * dims);
+    for (std::size_t i = 0; i < coords.size(); ++i) {
+      // Even axes: 32-bit keys; odd axes: a 10-bit range with ties.
+      coords[i] = (i % dims) % 2 == 0 ? rng.NextBounded(Coord{1} << 32)
+                                      : rng.NextBounded(1 << 10);
+    }
+    std::vector<double> mass(n);
+    for (auto& m : mass) m = 0.001 + 0.998 * rng.NextDouble();
+    SCOPED_TRACE(testing::Message() << "dims=" << dims);
+    ExpectSameTreeNd(KdHierarchy::Build(coords, dims, mass),
+                     ref::KdBuildNd(coords, dims, mass));
   }
 }
 

@@ -308,6 +308,42 @@ TEST(TelemetryConfig, GlobalDisableIsTheDefaultOffSwitch) {
   EXPECT_EQ(accepted->value(), before);
 }
 
+TEST(TelemetrySpan, ProductBuildPhasesObserveOncePerFinalize) {
+  // The product build's three phase spans record exactly once per
+  // Finalize, and arming them leaves the sample bit-identical.
+  Histogram* phases[] = {GetHistogram("sas.aware.solve_tau_ns"),
+                         GetHistogram("sas.aware.kd_build_ns"),
+                         GetHistogram("sas.aware.kd_aggregate_ns")};
+  std::vector<WeightedKey> items;
+  for (KeyId i = 0; i < 500; ++i) {
+    items.push_back({i, 1.0 + static_cast<double>(i % 17),
+                     {(i * 2654435761ULL) & 0xFFFF, (i * 40503ULL) & 0xFFFF}});
+  }
+  SummarizerConfig cfg;
+  cfg.s = 50.0;
+  cfg.seed = 9;
+  auto build = [&](bool armed) {
+    ScopedEnabled scope(armed);
+    auto builder = MakeSummarizer("product", cfg);
+    builder->AddBatch(items);
+    return builder->Finalize();
+  };
+  std::uint64_t before[3];
+  for (int k = 0; k < 3; ++k) before[k] = phases[k]->count();
+  const auto quiet = build(false);
+  for (int k = 0; k < 3; ++k) EXPECT_EQ(phases[k]->count(), before[k]);
+  const auto traced = build(true);
+  for (int k = 0; k < 3; ++k) EXPECT_EQ(phases[k]->count(), before[k] + 1);
+
+  const auto& a = quiet->AsSample()->sample().entries();
+  const auto& b = traced->AsSample()->sample().entries();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].weight, b[i].weight);
+  }
+}
+
 }  // namespace
 }  // namespace telemetry
 }  // namespace sas
