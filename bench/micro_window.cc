@@ -1,17 +1,25 @@
 // Micro-benchmarks (google-benchmark) for the time-windowed backend
 // (window/windowed.h): timestamped ingest throughput, the cost of an epoch
 // advance (bucket seal + back-stack merge + expiry, amortized flips), and
-// window queries with and without the cached merged sample. Baselines are checked into
-// BENCH_window.json and gated by bench/compare_bench.py in CI.
+// window queries with and without the cached merged sample, and the CSV
+// trace parse (data/trace_reader.h) that feeds a windowed ingest. Baselines
+// are checked into BENCH_window.json and gated by bench/compare_bench.py in
+// CI.
 
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <istream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
 #include "api/registry.h"
 #include "core/random.h"
+#include "data/trace_reader.h"
 #include "window/windowed.h"
 
 namespace sas {
@@ -144,6 +152,55 @@ void BM_WindowQueryUncached(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WindowQueryUncached)->Unit(benchmark::kMillisecond);
+
+/// Read-only streambuf over a string, so the parse is timed without a copy
+/// into a stringstream.
+class TextBuf : public std::streambuf {
+ public:
+  explicit TextBuf(const std::string& text) {
+    char* p = const_cast<char*>(text.data());
+    setg(p, p, p + text.size());
+  }
+};
+
+/// ~100k five-column rows (timestamp,key,weight,x,y) shaped like a flow
+/// trace export: a header, increasing timestamps with six decimals,
+/// Pareto weights with three, 32-bit coordinates.
+std::string SyntheticTrace(std::size_t rows, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string csv = "timestamp,key,weight,x,y\n";
+  char line[128];
+  double ts = 0.0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    ts += rng.NextExp() / 64.0;
+    const int n = std::snprintf(
+        line, sizeof(line), "%.6f,%llu,%.3f,%llu,%llu\n", ts,
+        static_cast<unsigned long long>(rng.NextBounded(1 << 20)),
+        rng.NextPareto(1.2),
+        static_cast<unsigned long long>(rng.NextBounded(1ULL << 32)),
+        static_cast<unsigned long long>(rng.NextBounded(1ULL << 32)));
+    csv.append(line, static_cast<std::size_t>(n));
+  }
+  return csv;
+}
+
+/// CSV bytes to TimedItem batches through TraceReader: the parse layer of
+/// a streamed windowed ingest, reported as rows/s.
+void BM_TraceParse(benchmark::State& state) {
+  constexpr std::size_t kRows = 100000;
+  static const std::string csv = SyntheticTrace(kRows, 68);
+  std::vector<TimedItem> batch;
+  for (auto _ : state) {
+    TextBuf text(csv);
+    std::istream in(&text);
+    TraceReader reader(in);
+    while (reader.NextBatch(&batch)) benchmark::DoNotOptimize(batch.data());
+    if (reader.records_read() != kRows) std::abort();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRows));
+}
+BENCHMARK(BM_TraceParse)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sas

@@ -4,11 +4,24 @@
 //   timestamp,key,weight[,x[,y]]
 //
 // One record per line. `timestamp` is a decimal time in the caller's units,
-// `key` the integer key id, `weight` the item weight; the optional `x`/`y`
-// columns place the key in the 2-D domain (default: x = key, y = 0). Blank
-// lines and lines starting with '#' are skipped; a leading header line is
-// detected (first field not numeric) and skipped; malformed lines are
-// counted and skipped rather than aborting a long ingest.
+// `key` the integer key id (at most UINT32_MAX), `weight` the item weight;
+// the optional `x`/`y` columns place the key in the 2-D domain (default:
+// x = key, y = 0; at most UINT64_MAX). Blank lines and lines starting with
+// '#' are skipped; a leading header line is detected (first field not
+// numeric) and skipped; malformed lines are counted and skipped rather than
+// aborting a long ingest.
+//
+// Accepted field syntax: after trimming surrounding spaces/tabs (and a
+// trailing '\r', for CRLF input), a timestamp or weight is what `strtod`
+// accepts as a whole field, and a key or coordinate is what `strtoull`
+// (base 10) accepts as a whole field, minus a leading '-'. Fields beyond
+// the fifth are ignored. Plain decimal fields take a `std::from_chars`
+// fast path; every other spelling falls back to the C call, so both paths
+// classify and round a field the same way.
+//
+// The reader reads its stream in 64 KiB blocks and splits lines in place,
+// so it reads ahead of the rows it has emitted: the stream belongs to the
+// reader until it is destroyed.
 //
 // The reader emits batches sized for Summarizer::AddBatch hand-off, so a
 // driver loop is:
@@ -24,7 +37,7 @@
 
 #include <cstddef>
 #include <istream>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/types.h"
@@ -47,11 +60,13 @@ struct TraceStats {
   /// Lines parsed into a TimedItem and emitted.
   std::size_t parsed = 0;
   /// Lines dropped because they do not parse: too few fields, non-numeric
-  /// timestamp/key/weight, bad coordinate columns (also counts rows
-  /// corrupted by the `trace.row` fault site).
+  /// timestamp/key/weight, a key above UINT32_MAX, bad or out-of-range
+  /// coordinate columns (also counts rows corrupted by the `trace.row`
+  /// fault site).
   std::size_t malformed = 0;
   /// Lines dropped because they parse numerically but carry a non-finite
-  /// timestamp or weight ("inf"/"nan" are valid strtod inputs).
+  /// timestamp or weight (an "inf"/"nan" spelling, or a decimal beyond the
+  /// double range such as "1e400").
   std::size_t nonfinite = 0;
 };
 
@@ -69,7 +84,8 @@ class TraceReader {
     FaultInjector* faults = nullptr;
   };
 
-  /// The stream must outlive the reader.
+  /// The stream must outlive the reader, which reads ahead of the rows it
+  /// has emitted (see the file comment).
   explicit TraceReader(std::istream& in) : TraceReader(in, Options()) {}
   TraceReader(std::istream& in, Options opt);
 
@@ -92,12 +108,25 @@ class TraceReader {
   /// How ParseLine classified one data line.
   enum class RowStatus { kOk, kMalformed, kNonFinite };
 
-  RowStatus ParseLine(const std::string& line, TimedItem* out) const;
+  RowStatus ParseLine(std::string_view line, TimedItem* out) const;
+
+  /// Points `*line` at the next line in the buffer, without its '\n'
+  /// (valid until the next call); false at end of input. A final line with
+  /// no '\n' is still a line.
+  bool NextLine(std::string_view* line);
+
+  /// Moves the unconsumed tail to the front of the buffer (doubling the
+  /// buffer when the tail fills it) and reads the stream into the rest.
+  void Refill();
 
   std::istream& in_;
   Options opt_;
   TraceStats stats_;
   bool first_data_line_ = true;
+  std::vector<char> buf_;
+  std::size_t pos_ = 0;  // first unconsumed byte of buf_
+  std::size_t end_ = 0;  // one past the last byte read into buf_
+  bool eof_ = false;     // the stream has no more bytes
 };
 
 }  // namespace sas
