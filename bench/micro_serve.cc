@@ -1,7 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the lock-free serving tier
-// (src/serve/): snapshot build cost at publish time, the accelerated
-// bit-identical box/subset estimates against the linear Sample scans they
-// replace, O(1) alias-table draws, and the mixed workload the tier exists
+// (src/serve/): snapshot build cost at publish time, the linear Sample box
+// scan every reader query runs, and the mixed workload the tier exists
 // for — concurrent reader threads acquiring and querying snapshots while
 // one publisher keeps republishing. The mixed benchmark reports reader
 // acquire+query latency percentiles (p50/p95/p99, nanoseconds) as
@@ -42,9 +41,7 @@ Sample ParetoSample(std::size_t s, std::uint64_t seed) {
 }
 
 /// A selective box: uniform corner, sides up to 1/16 of each axis — the
-/// drill-down shape a serving dashboard issues (the accelerated path is
-/// output-sensitive; a box covering most of the domain degenerates to the
-/// linear scan plus a sort, which is not the regime the tier serves).
+/// drill-down shape a serving dashboard issues.
 Box RandomBox(Rng* rng) {
   const Coord x0 = rng->NextBounded(1 << 20);
   const Coord y0 = rng->NextBounded(1 << 20);
@@ -54,7 +51,7 @@ Box RandomBox(Rng* rng) {
 }
 
 /// Snapshot construction — the per-publish cost: one deep sample copy plus
-/// the sorted indexes, prefix sums, and the alias table, O(s log s).
+/// its total, O(s).
 void BM_SnapshotBuild(benchmark::State& state) {
   const std::size_t s = static_cast<std::size_t>(state.range(0));
   const Sample sample = ParetoSample(s, 71);
@@ -67,7 +64,8 @@ void BM_SnapshotBuild(benchmark::State& state) {
 BENCHMARK(BM_SnapshotBuild)->Arg(1 << 10)->Arg(1 << 14)
     ->Unit(benchmark::kMicrosecond);
 
-/// The linear reference: Sample::EstimateBox scans all s entries per query.
+/// Sample::EstimateBox scans all s entries per query — what a reader runs
+/// against a snapshot's sample.
 void BM_LinearBox(benchmark::State& state) {
   const std::size_t s = static_cast<std::size_t>(state.range(0));
   const Sample sample = ParetoSample(s, 72);
@@ -81,61 +79,6 @@ void BM_LinearBox(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LinearBox)->Arg(1 << 10)->Arg(1 << 14);
-
-/// The accelerated bit-identical path over the same boxes: x-localized
-/// binary search plus the entry-order re-sort (O(log s + k log k)); returns
-/// the same bits as BM_LinearBox query for query.
-void BM_ServeQueryBox(benchmark::State& state) {
-  const std::size_t s = static_cast<std::size_t>(state.range(0));
-  const Sample sample = ParetoSample(s, 72);
-  const ServingSnapshot snap(sample);
-  Rng rng(73);
-  std::vector<Box> boxes(256);
-  for (auto& b : boxes) b = RandomBox(&rng);
-  QueryScratch scratch;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        snap.EstimateBox(boxes[i++ % boxes.size()], &scratch));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ServeQueryBox)->Arg(1 << 10)->Arg(1 << 14);
-
-/// The O(log s) prefix-difference subset estimate (re-associated ulp-level
-/// variant) — the flat-cost path for id-range drilldowns.
-void BM_ServeIdRangeFast(benchmark::State& state) {
-  const std::size_t s = static_cast<std::size_t>(state.range(0));
-  const Sample sample = ParetoSample(s, 74);
-  const ServingSnapshot snap(sample);
-  Rng rng(75);
-  std::vector<std::pair<KeyId, KeyId>> ranges(256);
-  for (auto& r : ranges) {
-    const KeyId a = static_cast<KeyId>(rng.NextBounded(1u << 24));
-    const KeyId b = static_cast<KeyId>(rng.NextBounded(1u << 24));
-    r = {std::min(a, b), std::max(a, b)};
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& r = ranges[i++ % ranges.size()];
-    benchmark::DoNotOptimize(snap.EstimateIdRangeFast(r.first, r.second));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ServeIdRangeFast)->Arg(1 << 10)->Arg(1 << 14);
-
-/// One sample-proportional entry draw — the Vose alias table's O(1)
-/// promise (one bounded draw, one uniform, one comparison).
-void BM_AliasDraw(benchmark::State& state) {
-  const Sample sample = ParetoSample(1 << 14, 76);
-  const ServingSnapshot snap(sample);
-  Rng rng(77);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(snap.DrawIndex(&rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AliasDraw);
 
 /// The mixed workload: four reader threads acquire/query continuously
 /// (zero locks on their path) while the main thread republishes a fresh
@@ -169,8 +112,7 @@ void BM_ServeMixed(benchmark::State& state) {
         const auto t0 = std::chrono::steady_clock::now();
         {
           SnapshotHandle snap = reader.Acquire();
-          benchmark::DoNotOptimize(
-              snap->EstimateBox(box, &reader.scratch()));
+          benchmark::DoNotOptimize(snap->sample().EstimateBox(box));
         }
         const auto t1 = std::chrono::steady_clock::now();
         lat.push_back(static_cast<std::uint64_t>(

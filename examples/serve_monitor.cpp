@@ -10,10 +10,12 @@
 // QueryService. Four reader threads acquire snapshot handles and issue
 // drill-down queries continuously (each read is one epoch pin + one atomic
 // load — no locks, no waiting on ingest), checking on every read that the
-// snapshot they hold is internally consistent: the accelerated
-// EstimateIdRange must reproduce the snapshot sample's linear
-// EstimateSubset bit for bit, and the alias table must draw entries that
-// exist. Exits non-zero if any reader ever observes an inconsistency.
+// snapshot they hold is internally consistent: the total precomputed at
+// publish must equal the sample's own EstimateTotal bit for bit (a torn
+// snapshot would pair one publish's entries with another's total), an id
+// drill-down must land between 0 and that total, and a sample-proportional
+// draw must pick an entry that exists. Exits non-zero if any reader ever
+// observes an inconsistency.
 //
 //   $ ./serve_monitor [pairs=30000] [s=1500] [hours=4] [--telemetry[=prom|json]]
 //
@@ -49,7 +51,22 @@ struct ReaderStats {
   bool mismatch = false;
 };
 
-/// Reader loop: acquire, drill down, verify bit-identity, draw. Runs until
+/// Sample-proportional pick: the entry where the running adjusted weight
+/// first exceeds u * total (a linear inverse-CDF walk; the reader already
+/// scans O(s) per read). Rounding can leave the walk short of u * total,
+/// so it falls back to the last entry. `sample` must be non-empty.
+const WeightedKey& DrawProportional(const Sample& sample, double total,
+                                    Rng* rng) {
+  const double target = rng->NextDouble() * total;
+  double running = 0.0;
+  for (const WeightedKey& e : sample.entries()) {
+    running += sample.AdjustedWeight(e);
+    if (running > target) return e;
+  }
+  return sample.entries().back();
+}
+
+/// Reader loop: acquire, check the snapshot, drill down, draw. Runs until
 /// `stop`; one Reader (epoch slot) per thread.
 void ReaderLoop(QueryService* svc, std::atomic<bool>* stop,
                 std::uint64_t seed, ReaderStats* out) {
@@ -60,22 +77,24 @@ void ReaderLoop(QueryService* svc, std::atomic<bool>* stop,
     SnapshotHandle snap = reader.TryAcquire();
     if (!snap) continue;  // nothing published yet
     ++out->reads;
+    const Sample& sample = snap->sample();
 
-    // A random id drill-down: the accelerated estimate must be
-    // bit-identical to the linear scan over the same snapshot.
+    // Torn-snapshot check: the total precomputed at publish must be the
+    // sum over exactly these entries.
+    const Weight total = snap->TotalWeight();
+    if (sample.EstimateTotal() != total) out->mismatch = true;
+
+    // A random id drill-down: a subset of the same non-negative terms,
+    // summed in the same order, cannot leave [0, total].
     const KeyId lo = static_cast<KeyId>(rng.NextBounded(1u << 16));
     const KeyId hi = lo + 1 + static_cast<KeyId>(rng.NextBounded(1u << 14));
-    const Weight fast =
-        snap->EstimateIdRange(lo, hi, &reader.scratch());
-    Weight linear = 0.0;
-    for (const WeightedKey& e : snap->sample().entries()) {
-      if (e.id >= lo && e.id < hi) linear += snap->sample().AdjustedWeight(e);
-    }
-    if (fast != linear) out->mismatch = true;
+    const Weight drill = sample.EstimateSubset(
+        [lo, hi](const WeightedKey& k) { return k.id >= lo && k.id < hi; });
+    if (!(drill >= 0.0 && drill <= total)) out->mismatch = true;
 
     // Sample-proportional drawdown: the drawn entry must exist.
     if (snap->size() > 0) {
-      const WeightedKey& drawn = snap->Draw(&rng);
+      const WeightedKey& drawn = DrawProportional(sample, total, &rng);
       if (!(drawn.weight >= 0.0)) out->mismatch = true;
       ++out->draws;
     }
@@ -196,7 +215,7 @@ int main(int argc, char** argv) {
   }
 
   if (mismatch) {
-    std::fprintf(stderr, "FAIL: a reader observed a bit-identity mismatch\n");
+    std::fprintf(stderr, "FAIL: a reader observed an inconsistent snapshot\n");
     return 1;
   }
   if (service->publishes() == 0) {

@@ -81,8 +81,8 @@ inline constexpr const char kWindowedPrefix[] = "windowed:";
 /// Composed-key prefix of the lock-free serving wrapper: the key
 /// "serve:<inner-key>" wraps any sample-backed method in a QueryService
 /// (src/serve/query_service.h) — Finalize (and, for a windowed inner,
-/// every ring advance) publishes the sample as an immutable accelerated
-/// snapshot that any number of reader threads query concurrently without
+/// every ring advance) publishes an immutable copy of the sample (the
+/// snapshot) that any number of reader threads query concurrently without
 /// locks. Parsed by MakeSummarizer (api/registry.cc); reach the service via
 /// Summarizer::AsServable(). Outermost-only: the wrapper is not mergeable,
 /// so it cannot sit under "sharded:"/"windowed:".

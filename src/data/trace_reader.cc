@@ -62,14 +62,19 @@ bool ParseDouble(std::string_view s, double* out) {
 }
 
 /// Non-negative decimal integer; a value above UINT64_MAX is malformed
-/// rather than clamped. Fallback as in ParseDouble, through strtoull.
+/// rather than clamped. Fallback as in ParseDouble, through strtoull —
+/// which skips leading whitespace (e.g. '\v', '\f') and then accepts a
+/// '-' by wrapping the value, so a '-' after that whitespace is rejected
+/// first.
 bool ParseCoord(std::string_view s, Coord* out) {
-  if (s.empty() || s[0] == '-') return false;
+  if (s.empty()) return false;
   const char* last = s.data() + s.size();
   Coord v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), last, v);
   if (ec != std::errc() || ptr != last) {
     const std::string copy(s);
+    const std::size_t first = copy.find_first_not_of(" \t\n\v\f\r");
+    if (first != std::string::npos && copy[first] == '-') return false;
     char* end = nullptr;
     errno = 0;
     v = std::strtoull(copy.c_str(), &end, 10);

@@ -14,7 +14,8 @@
 // Accepted field syntax: after trimming surrounding spaces/tabs (and a
 // trailing '\r', for CRLF input), a timestamp or weight is what `strtod`
 // accepts as a whole field, and a key or coordinate is what `strtoull`
-// (base 10) accepts as a whole field, minus a leading '-'. Fields beyond
+// (base 10) accepts as a whole field, minus any field whose first
+// non-whitespace character is '-' (strtoull would wrap it). Fields beyond
 // the fifth are ignored. Plain decimal fields take a `std::from_chars`
 // fast path; every other spelling falls back to the C call, so both paths
 // classify and round a field the same way.

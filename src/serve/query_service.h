@@ -10,7 +10,7 @@
 //   QueryService::Reader reader(svc);      // registers an epoch slot once
 //   {
 //     SnapshotHandle snap = reader.Acquire();           // pin, no lock
-//     Weight w = snap->EstimateBox(box, &reader.scratch());
+//     Weight w = snap->sample().EstimateBox(box);
 //   }                                      // handle drops -> unpin
 //
 // Publication protocol (docs/serving.md walks through the memory-ordering
@@ -129,9 +129,8 @@ class QueryService {
   ~QueryService();
 
   /// Per-reader-thread registration: claims an epoch slot for the thread's
-  /// lifetime (throws std::runtime_error past EpochDomain::kMaxReaders)
-  /// and carries the thread's QueryScratch. One Reader per thread; a
-  /// Reader must not outlive its QueryService.
+  /// lifetime (throws std::runtime_error past EpochDomain::kMaxReaders).
+  /// One Reader per thread; a Reader must not outlive its QueryService.
   class Reader {
    public:
     explicit Reader(QueryService& svc);
@@ -150,7 +149,9 @@ class QueryService {
     /// instead of throwing. Still throws on a doubled Acquire.
     SnapshotHandle TryAcquire();
 
-    /// This reader's reusable scratch for the bit-identical estimate paths.
+    /// An empty QueryScratch. Kept only because perfbench/ (the end-to-end
+    /// benchmark) passes it to ServingSnapshot::EstimateQuery, and
+    /// perfbench/ changes only together with a benchmark re-baseline.
     QueryScratch& scratch() { return scratch_; }
 
    private:

@@ -11,16 +11,17 @@
 
 namespace sas {
 
-namespace {
-constexpr std::size_t kServePrefixLen = 6;  // strlen("serve:")
-}  // namespace
-
 bool IsServeKey(const std::string& key) {
   return key.rfind(keys::kServePrefix, 0) == 0;
 }
 
 std::string ParseServeKey(const std::string& key) {
-  std::string inner = key.substr(kServePrefixLen);
+  if (!IsServeKey(key)) {
+    throw std::invalid_argument("serve key \"" + key +
+                                "\": not a serve key (grammar: "
+                                "serve:<inner-key>)");
+  }
+  std::string inner = key.substr(std::string(keys::kServePrefix).size());
   if (inner.empty()) {
     throw std::invalid_argument("serve key \"" + key +
                                 "\": missing inner method key (grammar: "

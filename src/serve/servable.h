@@ -12,7 +12,7 @@
 //   std::thread reader([service] {
 //     QueryService::Reader r(*service);
 //     auto snap = r.Acquire();
-//     Weight w = snap->EstimateBox(box, &r.scratch());
+//     Weight w = snap->sample().EstimateBox(box);
 //   });
 //   builder->AsWindowed()->AddTimed(ts, item);        // ingest + republish
 //
@@ -45,8 +45,9 @@ namespace sas {
 bool IsServeKey(const std::string& key);
 
 /// Parses "serve:<inner-key>" and returns the inner key. Throws
-/// std::invalid_argument on an empty inner key. Does not check that the
-/// inner key is registered — MakeSummarizer does.
+/// std::invalid_argument on a key without the serve prefix or with an
+/// empty inner key. Does not check that the inner key is registered —
+/// MakeSummarizer does.
 std::string ParseServeKey(const std::string& key);
 
 /// Factory used by MakeSummarizer for serve keys: parses the key and

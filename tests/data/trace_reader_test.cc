@@ -134,6 +134,30 @@ TEST(TraceReader, StatsClassifyEveryMalformedRowClass) {
   EXPECT_EQ(reader.lines_skipped(), 7u);
 }
 
+TEST(TraceReader, MinusAfterLeadingWhitespaceInCoordinateIsMalformed) {
+  // strtoull skips '\v'/'\f' and would wrap "-5" to 2^64-5; the reader
+  // rejects the sign instead. Whitespace before a digit still parses.
+  const std::string csv = std::string("1.0,1,2.0,\v5,\f7\n") +  // good
+                          "2.0,2,1.0,\v-5,3\n" +   // x: malformed
+                          "3.0,3,1.0,4,\v-5\n" +   // y: malformed
+                          "4.0,4,1.0,\f-1,3\n" +   // x: malformed
+                          "5.0,5,1.0,4,\f-1\n" +   // y: malformed
+                          "6.0,6,1.0,\v 5,6\n";    // good
+  std::istringstream in(csv);
+  TraceReader reader(in);
+  std::vector<TimedItem> batch;
+  std::vector<TimedItem> all;
+  while (reader.NextBatch(&batch)) {
+    all.insert(all.end(), batch.begin(), batch.end());
+  }
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].item.pt.x, 5u);
+  EXPECT_EQ(all[0].item.pt.y, 7u);
+  EXPECT_EQ(all[1].item.pt.x, 5u);
+  EXPECT_EQ(reader.stats().parsed, 2u);
+  EXPECT_EQ(reader.stats().malformed, 4u);
+}
+
 TEST(TraceReader, HeaderLineIsNotCountedAgainstStats) {
   std::istringstream in("ts,key,weight\n1.0,1,2.0\n");
   TraceReader reader(in);
@@ -321,11 +345,14 @@ void ExpectSameOutput(const Drained& got, const Drained& want,
   }
 }
 
-/// True for a data line in one of the two classes TraceReader rejects on
-/// purpose while the getline reader accepted them: a key above UINT32_MAX
-/// (truncated into KeyId) or an x/y coordinate above UINT64_MAX (clamped
-/// by strtoull). These are the only rows the differential test drops.
-bool OutOfRangeRow(const std::string& line) {
+/// True for a data line in one of the three classes TraceReader rejects
+/// on purpose while the getline reader accepted them: a key above
+/// UINT32_MAX (truncated into KeyId), an x/y coordinate above UINT64_MAX
+/// (clamped by strtoull), or a key/x/y field whose '-' follows leading
+/// whitespace, such as "\v-5" (strtoull skips the whitespace and then
+/// wraps the negative value to 2^64-5). These are the only rows the
+/// differential test drops.
+bool IntentionallyRejectedRow(const std::string& line) {
   std::size_t first = line.find_first_not_of(" \t\r");
   if (first == std::string::npos || line[first] == '#') return false;
   std::string fields[5];
@@ -334,6 +361,15 @@ bool OutOfRangeRow(const std::string& line) {
   if (n >= 2 && oracle::ParseCoord(fields[1], &key) &&
       key > std::numeric_limits<KeyId>::max()) {
     return true;
+  }
+  for (std::size_t c = 1; c < n; ++c) {
+    if (c == 2) continue;  // the weight is a double
+    const std::size_t sign = fields[c].find_first_not_of(" \t\n\v\f\r");
+    Coord wrapped = 0;
+    if (sign != std::string::npos && sign > 0 && fields[c][sign] == '-' &&
+        oracle::ParseCoord(fields[c], &wrapped)) {
+      return true;
+    }
   }
   for (std::size_t c = 3; c < n; ++c) {
     if (fields[c].empty() || fields[c][0] == '-') continue;
@@ -392,7 +428,7 @@ TEST(TraceReaderDifferential, MatchesGetlineReaderOnMutatedRows) {
     std::string text = "#" + std::string(rng.NextBounded(512), 'p') + "\n";
     for (int i = 0; i < 3000; ++i) {
       const std::string row = mutator.NextRow();
-      if (OutOfRangeRow(row)) {
+      if (IntentionallyRejectedRow(row)) {
         ++excluded;
         continue;
       }

@@ -1,7 +1,7 @@
 // Serving-tier concurrency tests (tsan-labeled suite): N reader threads
 // against one publisher, every reader must observe fully consistent
 // snapshots (total-weight invariant — a torn read would break the
-// entries/prefix/total agreement), a handle held across republishes stays
+// entries/size/total agreement), a handle held across republishes stays
 // valid and bit-stable, retired snapshots are reclaimed only after the
 // last reader leaves, and the epoch domain's pin/advance protocol holds
 // under direct unit drive. The suite's ctest TIMEOUT is the no-livelock
@@ -119,7 +119,9 @@ TEST(QueryService, HandleHeldAcrossRepublishStaysValidAndBitStable) {
   // The held snapshot is untouched, bit-stable, fully queryable.
   EXPECT_EQ(held->TotalWeight(), 10.0);
   EXPECT_EQ(held->size(), 10u);
-  EXPECT_EQ(held->EstimateIdRange(0, 5, &reader.scratch()), 5.0);
+  EXPECT_EQ(held->sample().EstimateSubset(
+                [](const WeightedKey& k) { return k.id < 5; }),
+            5.0);
   EXPECT_EQ(held->sample().EstimateTotal(), 10.0);
 
   // Release, republish once more: with no reader pinned, that publish's
@@ -143,6 +145,7 @@ TEST(QueryService, ConcurrentReadersSeeOnlyConsistentSnapshots) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total_reads{0};
+  std::atomic<int> readers_reading{0};
   std::atomic<bool> torn{false};
 
   std::vector<std::thread> readers;
@@ -150,26 +153,42 @@ TEST(QueryService, ConcurrentReadersSeeOnlyConsistentSnapshots) {
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       QueryService::Reader reader(svc);
+      bool first_read = true;
       while (!stop.load(std::memory_order_acquire)) {
         SnapshotHandle snap = reader.Acquire();
         // Consistency invariant of CountingSample(n): every view of the
         // snapshot agrees on n. A torn snapshot (entries from one publish,
-        // prefix array or total from another) breaks at least one
+        // size or precomputed total from another) breaks at least one
         // equality.
         const double total = snap->TotalWeight();
-        const double n = static_cast<double>(snap->size());
+        const std::size_t size = snap->size();
+        const Sample& sample = snap->sample();
         const bool consistent =
-            total == n && total >= 1.0 &&
+            total == static_cast<double>(size) && total >= 1.0 &&
             total <= static_cast<double>(kPublishes) &&
-            snap->EstimateIdRangeFast(0, ~KeyId{0}) == total &&
-            snap->EstimateIdRange(0, ~KeyId{0}, &reader.scratch()) == total &&
-            snap->sample().EstimateTotal() == total;
+            sample.EstimateTotal() == total &&
+            sample.EstimateSubset([size](const WeightedKey& k) {
+              return k.id < size;
+            }) == total &&
+            sample.EstimateSubset([size](const WeightedKey& k) {
+              return k.id + 1 == size;
+            }) == 1.0;
         if (!consistent) torn.store(true, std::memory_order_release);
         total_reads.fetch_add(1, std::memory_order_relaxed);
+        if (first_read) {
+          first_read = false;
+          readers_reading.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
 
+  // Republish only once every reader is in its read loop: a publish is a
+  // small sample copy, so the whole run can otherwise end before a
+  // reader thread is first scheduled.
+  while (readers_reading.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
   for (std::uint32_t n = 2; n <= kPublishes; ++n) {
     svc.Publish(CountingSample(n));
     if (n % 16 == 0) std::this_thread::yield();
@@ -193,6 +212,10 @@ TEST(Servable, ServeKeyParsesAndRegisters) {
   EXPECT_FALSE(IsServeKey("obliv"));
   EXPECT_EQ(ParseServeKey("serve:windowed:10:2:obliv"), "windowed:10:2:obliv");
   EXPECT_THROW(ParseServeKey("serve:"), std::invalid_argument);
+  // Keys without the serve prefix are rejected, not cut at a fixed offset.
+  for (const char* key : {"obliv", "order-2p", "sharded:2:obliv", ""}) {
+    EXPECT_THROW(ParseServeKey(key), std::invalid_argument) << key;
+  }
 
   EXPECT_TRUE(IsRegisteredSummarizer("serve:obliv"));
   EXPECT_TRUE(IsRegisteredSummarizer("serve:sharded:2:obliv"));

@@ -1,20 +1,17 @@
-// ServingSnapshot differential tests: the accelerated estimate paths must
-// be BIT-IDENTICAL (EXPECT_EQ on doubles, not near) to the linear Sample
-// scans across every sample-backed registry key family — the accelerated
-// path reproduces the linear scan's addition order exactly. The *Fast
-// prefix-difference paths are re-associated and are held to ulp-level
-// relative tolerance instead (the SIMD reduction contract). Plus: alias
-// table draw frequencies pass a chi-square test at fixed seed, and
-// degenerate snapshots (empty, duplicate ids, zero weights) behave.
+// ServingSnapshot tests: across every sample-backed registry key family,
+// a snapshot is a bitwise copy of the published sample (tau and every
+// entry, owned by the snapshot), its precomputed total is the sample's
+// EstimateTotal, and EstimateQuery is the sample's own scan — compared as
+// bits, not within a tolerance. Plus the empty snapshot.
 
 #include "serve/snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -113,11 +110,10 @@ std::vector<Box> QueryBoxes(Rng* rng) {
   return boxes;
 }
 
-TEST(ServingSnapshotDifferential, BoxEstimatesBitIdenticalAcrossFamilies) {
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ServingSnapshot, SampleIsBitwiseCopyAcrossFamilies) {
   const Inputs in;
-  Rng box_rng(77);
-  const auto boxes = QueryBoxes(&box_rng);
-  QueryScratch scratch;
   for (const MethodCase& c : SampleBackedCases(in)) {
     SCOPED_TRACE(c.key);
     auto builder = MakeSummarizer(c.key, BaseConfig(c));
@@ -126,19 +122,26 @@ TEST(ServingSnapshotDifferential, BoxEstimatesBitIdenticalAcrossFamilies) {
     const SampleSummary* ss = summary->AsSample();
     ASSERT_NE(ss, nullptr);
     const Sample& sample = ss->sample();
-    const ServingSnapshot snap(sample);
 
-    EXPECT_EQ(snap.TotalWeight(), sample.EstimateTotal());
-    for (const Box& box : boxes) {
-      // EXPECT_EQ, not NEAR: the accelerated path must reproduce the
-      // linear scan's floating-point result bit for bit.
-      EXPECT_EQ(snap.EstimateBox(box, &scratch), sample.EstimateBox(box));
-      EXPECT_EQ(snap.CountInBox(box), sample.CountInBox(box));
+    // Build from a copy that dies first: the snapshot owns its entries.
+    auto source = std::make_unique<Sample>(sample);
+    const ServingSnapshot snap(*source);
+    source.reset();
+
+    EXPECT_EQ(Bits(snap.tau()), Bits(sample.tau()));
+    ASSERT_EQ(snap.size(), sample.size());
+    for (std::size_t i = 0; i < sample.size(); ++i) {
+      const WeightedKey& got = snap.sample().entries()[i];
+      const WeightedKey& want = sample.entries()[i];
+      EXPECT_EQ(got.id, want.id) << "entry " << i;
+      EXPECT_EQ(Bits(got.weight), Bits(want.weight)) << "entry " << i;
+      EXPECT_EQ(got.pt, want.pt) << "entry " << i;
     }
+    EXPECT_EQ(Bits(snap.TotalWeight()), Bits(sample.EstimateTotal()));
   }
 }
 
-TEST(ServingSnapshotDifferential, MultiBoxQueriesBitIdentical) {
+TEST(ServingSnapshot, EstimateQueryIsTheSampleScanAcrossFamilies) {
   const Inputs in;
   Rng box_rng(78);
   const auto boxes = QueryBoxes(&box_rng);
@@ -151,88 +154,21 @@ TEST(ServingSnapshotDifferential, MultiBoxQueriesBitIdentical) {
     const Sample& sample = summary->AsSample()->sample();
     const ServingSnapshot snap(sample);
 
+    for (const Box& box : boxes) {
+      MultiRangeQuery q;
+      q.boxes.push_back(box);
+      EXPECT_EQ(Bits(snap.EstimateQuery(q, &scratch)),
+                Bits(sample.EstimateQuery(q)));
+    }
     // Disjoint-by-construction rectangle pairs: split the domain on x.
     for (std::size_t i = 0; i + 1 < boxes.size(); i += 2) {
       MultiRangeQuery q;
       q.boxes.push_back({{0, kDomain / 2}, boxes[i].y});
       q.boxes.push_back({{kDomain / 2, kDomain}, boxes[i + 1].y});
-      EXPECT_EQ(snap.EstimateQuery(q, &scratch), sample.EstimateQuery(q));
+      EXPECT_EQ(Bits(snap.EstimateQuery(q, &scratch)),
+                Bits(sample.EstimateQuery(q)));
     }
   }
-}
-
-TEST(ServingSnapshotDifferential, IdRangeSubsetsBitIdentical) {
-  const Inputs in;
-  QueryScratch scratch;
-  for (const MethodCase& c : SampleBackedCases(in)) {
-    SCOPED_TRACE(c.key);
-    auto builder = MakeSummarizer(c.key, BaseConfig(c));
-    builder->AddBatch(*c.items);
-    const auto summary = builder->Finalize();
-    const Sample& sample = summary->AsSample()->sample();
-    const ServingSnapshot snap(sample);
-
-    Rng range_rng(99);
-    for (int i = 0; i < 50; ++i) {
-      const KeyId a = static_cast<KeyId>(range_rng.NextBounded(kN + 10));
-      const KeyId b = static_cast<KeyId>(range_rng.NextBounded(kN + 10));
-      const KeyId lo = std::min(a, b);
-      const KeyId hi = std::max(a, b);
-      const Weight linear = sample.EstimateSubset(
-          [&](const WeightedKey& k) { return k.id >= lo && k.id < hi; });
-      EXPECT_EQ(snap.EstimateIdRange(lo, hi, &scratch), linear)
-          << "[" << lo << ", " << hi << ")";
-    }
-  }
-}
-
-TEST(ServingSnapshotDifferential, FastPathsMatchToUlpLevel) {
-  const Inputs in;
-  Rng box_rng(79);
-  const auto boxes = QueryBoxes(&box_rng);
-  for (const MethodCase& c : SampleBackedCases(in)) {
-    SCOPED_TRACE(c.key);
-    auto builder = MakeSummarizer(c.key, BaseConfig(c));
-    builder->AddBatch(*c.items);
-    const auto summary = builder->Finalize();
-    const Sample& sample = summary->AsSample()->sample();
-    const ServingSnapshot snap(sample);
-
-    // The prefix-difference paths re-associate the additions: near-equality
-    // only, the same contract as the SIMD reductions (docs/architecture.md,
-    // "SIMD dispatch").
-    const Weight total = sample.EstimateTotal();
-    EXPECT_NEAR(snap.EstimateIdRangeFast(0, kN + 1), total,
-                1e-9 * std::max(1.0, std::abs(total)));
-    for (const Box& box : boxes) {
-      const Weight linear = sample.EstimateBox(box);
-      EXPECT_NEAR(snap.EstimateBoxFast(box), linear,
-                  1e-9 * std::max(1.0, std::abs(linear)));
-    }
-  }
-}
-
-TEST(ServingSnapshot, DuplicateIdsFromMergedWindowsAreHandled) {
-  // Merged windows can carry one key id twice (the same flow sampled in
-  // two buckets). The position indexes order duplicates by position, so
-  // the bit-identity contract must hold verbatim.
-  std::vector<WeightedKey> entries = {
-      {7, 3.0, {1, 1}}, {3, 1.0, {2, 2}}, {7, 2.0, {3, 3}},
-      {3, 5.0, {4, 4}}, {9, 1.5, {5, 5}},
-  };
-  const Sample sample(2.0, entries);
-  const ServingSnapshot snap(sample);
-  QueryScratch scratch;
-
-  EXPECT_EQ(snap.EstimateIdRange(3, 8, &scratch),
-            sample.EstimateSubset(
-                [](const WeightedKey& k) { return k.id >= 3 && k.id < 8; }));
-  EXPECT_EQ(snap.EstimateIdRange(7, 8, &scratch),
-            sample.EstimateSubset(
-                [](const WeightedKey& k) { return k.id == 7; }));
-  const Box all{{0, 10}, {0, 10}};
-  EXPECT_EQ(snap.EstimateBox(all, &scratch), sample.EstimateBox(all));
-  EXPECT_EQ(snap.TotalWeight(), sample.EstimateTotal());
 }
 
 TEST(ServingSnapshot, EmptySnapshot) {
@@ -240,58 +176,11 @@ TEST(ServingSnapshot, EmptySnapshot) {
   const ServingSnapshot snap(empty);
   QueryScratch scratch;
   EXPECT_EQ(snap.size(), 0u);
+  EXPECT_EQ(snap.tau(), 0.0);
   EXPECT_EQ(snap.TotalWeight(), 0.0);
-  EXPECT_EQ(snap.EstimateBox({{0, 10}, {0, 10}}, &scratch), 0.0);
-  EXPECT_EQ(snap.EstimateIdRange(0, 100, &scratch), 0.0);
-  EXPECT_EQ(snap.EstimateIdRangeFast(0, 100), 0.0);
-  Rng rng(1);
-  EXPECT_THROW(snap.DrawIndex(&rng), std::logic_error);
-}
-
-TEST(ServingSnapshot, AliasTableDrawFrequenciesPassChiSquare) {
-  // Adjusted weights under tau = 2: {2, 2, 3, 4, 5, 6, 7, 8} (the first
-  // two entries sit below the threshold). 200k draws at a fixed seed; the
-  // chi-square statistic against the proportional expectation must stay
-  // under the 99.9% quantile for df = 7 (24.32) with margin.
-  std::vector<WeightedKey> entries;
-  const double weights[] = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
-  for (KeyId i = 0; i < 8; ++i) {
-    entries.push_back({i, weights[i], {i, i}});
-  }
-  const Sample sample(2.0, entries);
-  const ServingSnapshot snap(sample);
-
-  constexpr std::size_t kDraws = 200000;
-  Rng rng(123456);
-  std::vector<std::uint64_t> observed(8, 0);
-  for (std::size_t d = 0; d < kDraws; ++d) {
-    const std::size_t idx = snap.DrawIndex(&rng);
-    ASSERT_LT(idx, observed.size());
-    ++observed[idx];
-  }
-
-  const double total = sample.EstimateTotal();  // 37
-  double chi2 = 0.0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    const double adjusted = sample.AdjustedWeight(entries[i]);
-    const double expected = static_cast<double>(kDraws) * adjusted / total;
-    const double delta = static_cast<double>(observed[i]) - expected;
-    chi2 += delta * delta / expected;
-  }
-  EXPECT_LT(chi2, 24.32) << "draw frequencies are off proportional";
-}
-
-TEST(ServingSnapshot, ZeroWeightSampleDegeneratesToUniformDraws) {
-  std::vector<WeightedKey> entries = {
-      {0, 0.0, {0, 0}}, {1, 0.0, {1, 1}}, {2, 0.0, {2, 2}}};
-  const Sample sample(0.0, entries);
-  const ServingSnapshot snap(sample);
-  Rng rng(7);
-  std::vector<std::uint64_t> seen(3, 0);
-  for (int i = 0; i < 3000; ++i) ++seen[snap.DrawIndex(&rng)];
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_GT(seen[i], 800u) << "column " << i;  // ~1000 expected each
-  }
+  MultiRangeQuery q;
+  q.boxes.push_back({{0, 10}, {0, 10}});
+  EXPECT_EQ(snap.EstimateQuery(q, &scratch), 0.0);
 }
 
 }  // namespace
