@@ -272,6 +272,27 @@ void ShardedSummarizer::Add(const WeightedKey& item) {
   if (sh.pending.size() >= kBatchSize) FlushPending(sh);
 }
 
+void ShardedSummarizer::AddBatch(std::span<const WeightedKey> items) {
+  RequireHealthy("AddBatch");
+  if (!AllFinite(items)) {
+    for (const WeightedKey& it : items) Add(it);
+    return;
+  }
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    Shard& sh = ShardOf(items[i].id);
+    sh.pending.items.push_back(items[i]);
+    if (sh.pending.size() >= kBatchSize) {
+      FlushPending(sh);
+      if (poisoned()) {
+        // Count what was routed, as the per-item loop would have.
+        CountAccepted(i + 1);
+        RequireHealthy("AddBatch");
+      }
+    }
+  }
+  CountAccepted(items.size());
+}
+
 void ShardedSummarizer::AddCoords(const Coord* coords, int dims, Weight w) {
   AddCoordsKeyed(next_coord_id_++, coords, dims, w);
 }

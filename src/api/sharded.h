@@ -32,6 +32,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -110,10 +111,20 @@ class ShardedSummarizer : public Summarizer {
   ~ShardedSummarizer() override;
 
   /// Routes the item to its shard's buffer (throws std::logic_error once
-  /// the builder is finalized/spent). Batches go through the inherited
-  /// AddBatch, which loops Add — the caller-side work is just the hash and
-  /// a buffer append; the heavy lifting happens on the workers.
+  /// the builder is finalized/spent, std::runtime_error once it is
+  /// poisoned). The caller-side work is just the hash and a buffer append;
+  /// the heavy lifting happens on the workers.
   void Add(const WeightedKey& item) override;
+
+  /// Routes a whole batch in one pass: one health check up front and one
+  /// after each buffer hand-off (so a failed worker still stops the
+  /// producer at the next hand-off), one bulk IngestStats bump, then a
+  /// hash and an append per item. A batch holding any non-finite or
+  /// negative weight falls back to the per-item Add loop, so strict and
+  /// quarantine ingest behave exactly as they do item by item. Routing is
+  /// the same ShardIndex partition as Add, so the summary is bit-identical
+  /// to adding the items one at a time.
+  void AddBatch(std::span<const WeightedKey> items) override;
 
   /// Routes one d-dimensional point. AddCoords assigns the point an id
   /// from a wrapper-global insertion counter (so ids are unique across

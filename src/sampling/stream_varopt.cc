@@ -31,7 +31,7 @@ WeightedKey StreamVarOpt::HeavyPopMin() {
 }
 
 void StreamVarOpt::Push(const WeightedKey& item) {
-  if (item.weight <= 0.0) return;
+  if (!(item.weight > 0.0)) return;  // also drops NaN
   ++seen_;
   if (heavy_.size() + light_.size() < s_) {
     // Warmup: the first s items are kept exactly.
@@ -42,14 +42,27 @@ void StreamVarOpt::Push(const WeightedKey& item) {
   // General step: s retained items plus the new one make s+1 candidates;
   // exactly one must be evicted with probability 1 - min(1, w/tau').
   const double tau_old = tau_;
-  HeavyPush(item);
+  auto& popped = popped_scratch_;
+  popped.clear();
+  double w_light = light_mass_;
+
+  // Light step: an item strictly lighter than every heavy one lands on top
+  // of the heap, and the loop below would pop it straight back on its first
+  // iteration. Start it popped instead. With distinct heavy weights the
+  // skipped push_heap + pop_heap leaves the heap array unchanged, so the
+  // result is bit-identical to pushing it.
+  const double denom0 = static_cast<double>(light_.size()) - 1.0;
+  if ((heavy_.empty() || item.weight < heavy_.front().weight) &&
+      (denom0 <= 0.0 || item.weight <= light_mass_ / denom0)) {
+    w_light += item.weight;
+    popped.push_back(item);
+  } else {
+    HeavyPush(item);
+  }
 
   // Determine the new threshold tau' by popping heap minima that fall on
   // the light side. Invariant: tau' = W / (#light candidates - 1) where W is
   // the total light stream mass including popped weights.
-  auto& popped = popped_scratch_;
-  popped.clear();
-  double w_light = light_mass_;
   double tau_new = 0.0;
   for (;;) {
     const double denom =
@@ -112,6 +125,10 @@ void StreamVarOpt::Push(const WeightedKey& item) {
   light_mass_ = w_light;
   tau_ = tau_new;
   assert(heavy_.size() + light_.size() == s_);
+}
+
+void StreamVarOpt::PushBatch(std::span<const WeightedKey> items) {
+  for (const WeightedKey& it : items) Push(it);
 }
 
 void StreamVarOpt::Absorb(const Sample& sample) {

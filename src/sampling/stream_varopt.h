@@ -6,8 +6,10 @@
 // State: a min-heap H of "heavy" items kept with their exact weights
 // (w > tau) and a pool L of "light" items that all share the adjusted
 // weight tau. The invariant is tau = (total weight of every stream item
-// that is not currently heavy) / |L|; processing an item costs amortized
-// O(log s).
+// that is not currently heavy) / |L|. After warm-up, an item that falls
+// straight into the light pool costs O(1) (it never touches the heap); an
+// item that enters the heap, or pushes heap minima into the pool, costs
+// O(log s) per heap operation.
 
 #ifndef SAS_SAMPLING_STREAM_VAROPT_H_
 #define SAS_SAMPLING_STREAM_VAROPT_H_
@@ -27,14 +29,15 @@ class StreamVarOpt {
   /// Reservoir capacity s >= 1.
   StreamVarOpt(std::size_t s, Rng rng);
 
-  /// Processes one stream item. Items with weight <= 0 are ignored.
+  /// Processes one stream item. Items whose weight is not > 0 (zero,
+  /// negative or NaN) are ignored: they change neither the sample, nor
+  /// tau, nor items_seen().
   void Push(const WeightedKey& item);
 
   /// Processes a contiguous batch (the non-virtual hot-loop entry point of
-  /// the registry's batched ingest fast path).
-  void PushBatch(std::span<const WeightedKey> items) {
-    for (const WeightedKey& it : items) Push(it);
-  }
+  /// the registry's batched ingest fast path). Equivalent to calling Push
+  /// on each item in order.
+  void PushBatch(std::span<const WeightedKey> items);
 
   /// Merge entry point: feeds every entry of a finished VarOpt sample at
   /// its *adjusted* weight, so a combiner sketch absorbing shard samples

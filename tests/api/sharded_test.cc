@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/registry.h"
@@ -168,6 +171,29 @@ TEST(Sharded, DeterministicForFixedSeedAndShardCount) {
   EXPECT_NE(r3->AsSample()->sample().tau(), s1.tau());
 }
 
+void ExpectSameBits(const Sample& a, const Sample& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.tau()),
+            std::bit_cast<std::uint64_t>(b.tau()));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const WeightedKey& x = a.entries()[i];
+    const WeightedKey& y = b.entries()[i];
+    EXPECT_EQ(x.id, y.id) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.weight),
+              std::bit_cast<std::uint64_t>(y.weight))
+        << i;
+    EXPECT_EQ(x.pt.x, y.pt.x) << i;
+    EXPECT_EQ(x.pt.y, y.pt.y) << i;
+  }
+}
+
+void ExpectSameStats(const IngestStats& a, const IngestStats& b) {
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.rejected_weight, b.rejected_weight);
+  EXPECT_EQ(a.rejected_coord, b.rejected_coord);
+  EXPECT_EQ(a.degradations, b.degradations);
+}
+
 TEST(Sharded, PerItemAddMatchesAddBatch) {
   Rng data_rng(44);
   const auto items = RandomItems(9000, 1 << 12, &data_rng);
@@ -182,13 +208,106 @@ TEST(Sharded, PerItemAddMatchesAddBatch) {
 
   const auto ra = one->Finalize();
   const auto rb = batch->Finalize();
-  const Sample& sa = ra->AsSample()->sample();
-  const Sample& sb = rb->AsSample()->sample();
-  ASSERT_EQ(sa.size(), sb.size());
-  EXPECT_DOUBLE_EQ(sa.tau(), sb.tau());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    EXPECT_EQ(sa.entries()[i].id, sb.entries()[i].id);
+  ExpectSameBits(ra->AsSample()->sample(), rb->AsSample()->sample());
+  ExpectSameStats(one->Describe(), batch->Describe());
+}
+
+std::vector<WeightedKey> MixedValidityItems() {
+  Rng data_rng(49);
+  auto items = RandomItems(12000, 1 << 12, &data_rng);
+  items[4500].weight = std::numeric_limits<Weight>::quiet_NaN();
+  items[7000].weight = -1.0;
+  items[9000].weight = std::numeric_limits<Weight>::infinity();
+  return items;
+}
+
+TEST(Sharded, StrictAddBatchThrowsWhereTheItemLoopDoes) {
+  // A NaN mid-batch: AddBatch must route exactly the items before it, as
+  // the per-item loop does, then throw; both builders stay usable.
+  const auto items = MixedValidityItems();
+  SummarizerConfig cfg;
+  cfg.s = 150.0;
+  cfg.seed = 8;
+
+  auto one = MakeSummarizer("sharded:3:obliv", cfg);
+  std::size_t thrown_at = items.size();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    try {
+      one->Add(items[i]);
+    } catch (const std::invalid_argument&) {
+      thrown_at = i;
+      break;
+    }
   }
+  ASSERT_EQ(thrown_at, 4500u);
+  auto batch = MakeSummarizer("sharded:3:obliv", cfg);
+  EXPECT_THROW(batch->AddBatch(items), std::invalid_argument);
+
+  ExpectSameStats(one->Describe(), batch->Describe());
+  EXPECT_EQ(batch->Describe().accepted, 4500u);
+  const auto ra = one->Finalize();
+  const auto rb = batch->Finalize();
+  ExpectSameBits(ra->AsSample()->sample(), rb->AsSample()->sample());
+}
+
+TEST(Sharded, QuarantineAddBatchMatchesItemLoop) {
+  const auto items = MixedValidityItems();
+  SummarizerConfig cfg;
+  cfg.s = 150.0;
+  cfg.seed = 8;
+  cfg.ingest_policy = IngestPolicy::kQuarantine;
+
+  auto one = MakeSummarizer("sharded:3:obliv", cfg);
+  for (const auto& it : items) one->Add(it);
+  auto batch = MakeSummarizer("sharded:3:obliv", cfg);
+  batch->AddBatch(items);
+
+  ExpectSameStats(one->Describe(), batch->Describe());
+  EXPECT_EQ(batch->Describe().rejected_weight, 3u);
+  EXPECT_EQ(batch->Describe().accepted, items.size() - 3);
+  const auto ra = one->Finalize();
+  const auto rb = batch->Finalize();
+  ExpectSameBits(ra->AsSample()->sample(), rb->AsSample()->sample());
+}
+
+TEST(Sharded, AddBatchOnPoisonedBuilderThrows) {
+  Rng data_rng(50);
+  const auto items = RandomItems(6000, 1 << 12, &data_rng);
+  SummarizerConfig cfg;
+  cfg.s = 50.0;
+  cfg.faults = std::make_shared<FaultInjector>();
+  cfg.faults->Configure("shard.worker.batch=fail@1/1");
+  auto builder = MakeSummarizer("sharded:1:obliv", cfg);
+  auto* sharded = static_cast<ShardedSummarizer*>(builder.get());
+  try {
+    builder->AddBatch(items);  // hands one full buffer to the worker
+  } catch (const std::runtime_error&) {
+    // The producer may already see the worker's death at the hand-off.
+  }
+  while (!sharded->poisoned()) std::this_thread::yield();
+  EXPECT_THROW(builder->AddBatch(items), std::runtime_error);
+  auto dirty = items;
+  dirty[10].weight = -1.0;  // the per-item fallback is guarded too
+  EXPECT_THROW(builder->AddBatch(dirty), std::runtime_error);
+  EXPECT_THROW(builder->Finalize(), ShardedIngestError);
+}
+
+TEST(Sharded, AddBatchStopsAtTheHandOffAfterAWorkerDies) {
+  // The worker stalls on its first buffer while the producer fills the
+  // bounded queue and blocks on back-pressure, then dies on its second.
+  // Its death unblocks the producer, whose next hand-off check must throw
+  // instead of routing the rest of the batch into a dead shard.
+  Rng data_rng(51);
+  const auto items = RandomItems(120000, 1 << 16, &data_rng);
+  SummarizerConfig cfg;
+  cfg.s = 50.0;
+  cfg.faults = std::make_shared<FaultInjector>();
+  cfg.faults->Configure(
+      "shard.worker.batch=delay@1:50000;shard.worker.batch=fail@2/1");
+  auto builder = MakeSummarizer("sharded:1:obliv", cfg);
+  EXPECT_THROW(builder->AddBatch(items), std::runtime_error);
+  EXPECT_LT(builder->Describe().accepted, items.size());
+  EXPECT_THROW(builder->Finalize(), ShardedIngestError);
 }
 
 TEST(Sharded, SingleShardStillGoesThroughWorker) {

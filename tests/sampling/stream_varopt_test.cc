@@ -2,10 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "api/sharded.h"
 #include "core/ipps.h"
 #include "core/random.h"
+#include "data/network_gen.h"
+#include "oracles/stream_varopt.h"
 
 namespace sas {
 namespace {
@@ -53,6 +64,46 @@ TEST(StreamVarOpt, ZeroWeightIgnored) {
   sv.Push({0, 0.0, {0, 0}});
   EXPECT_EQ(sv.size(), 0u);
   EXPECT_EQ(sv.items_seen(), 0u);
+}
+
+void ExpectSameBits(const Sample& got, const Sample& want,
+                    const std::string& what) {
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(got.tau()),
+            std::bit_cast<std::uint64_t>(want.tau()))
+      << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const WeightedKey& g = got.entries()[i];
+    const WeightedKey& r = want.entries()[i];
+    ASSERT_EQ(g.id, r.id) << what << " entry " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(g.weight),
+              std::bit_cast<std::uint64_t>(r.weight))
+        << what << " entry " << i;
+    ASSERT_EQ(g.pt.x, r.pt.x) << what << " entry " << i;
+    ASSERT_EQ(g.pt.y, r.pt.y) << what << " entry " << i;
+  }
+}
+
+TEST(StreamVarOpt, NanWeightIgnored) {
+  // NaN fails every comparison, so a `weight <= 0` guard lets it through
+  // and it poisons tau and the total for good. It must be dropped like a
+  // zero weight: the sketch ends exactly where it would without it.
+  Rng rng(30);
+  std::vector<Weight> w(200);
+  for (auto& x : w) x = rng.NextPareto(1.2);
+  const auto items = MakeItems(w);
+  StreamVarOpt clean(10, Rng(31));
+  StreamVarOpt dirty(10, Rng(31));
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i == 100) {
+      dirty.Push({999, std::numeric_limits<Weight>::quiet_NaN(), {0, 0}});
+    }
+    clean.Push(items[i]);
+    dirty.Push(items[i]);
+  }
+  EXPECT_EQ(dirty.items_seen(), 200u);
+  EXPECT_TRUE(std::isfinite(dirty.ToSample().EstimateTotal()));
+  ExpectSameBits(dirty.ToSample(), clean.ToSample(), "after a NaN");
 }
 
 TEST(StreamVarOpt, InclusionFrequencyMatchesIpps) {
@@ -248,6 +299,167 @@ TEST(StreamVarOpt, SampleSizeOneWorks) {
   }
   for (int h : hits) {
     EXPECT_NEAR(static_cast<double>(h) / trials, 0.25, 0.01);
+  }
+}
+
+bool DistinctWeights(const std::vector<WeightedKey>& items) {
+  std::set<Weight> seen;
+  for (const auto& it : items) seen.insert(it.weight);
+  return seen.size() == items.size();
+}
+
+/// The differential streams: Pareto draws of two tails, and the three shard
+/// streams of the Network data as sharded:3 routes them under seed 1.
+std::vector<std::vector<WeightedKey>> DifferentialStreams() {
+  std::vector<std::vector<WeightedKey>> streams;
+  for (const double alpha : {1.1, 2.5}) {
+    Rng rng(static_cast<std::uint64_t>(alpha * 100));
+    std::vector<Weight> w(20000);
+    for (auto& x : w) x = rng.NextPareto(alpha);
+    streams.push_back(MakeItems(w));
+  }
+  const Dataset2D network = GenerateNetwork(NetworkConfig{});
+  std::vector<std::vector<WeightedKey>> shards(3);
+  for (const auto& it : network.items) {
+    shards[ShardIndex(it.id, /*seed=*/1, /*num_shards=*/3)].push_back(it);
+  }
+  for (auto& shard : shards) streams.push_back(std::move(shard));
+  return streams;
+}
+
+TEST(StreamVarOptDifferential, PushMatchesHeapOnlyReferenceBitForBit) {
+  const auto streams = DifferentialStreams();
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    ASSERT_TRUE(DistinctWeights(streams[k])) << "stream " << k;
+    for (const std::size_t s : {1u, 10u, 100u, 1000u}) {
+      const std::string what =
+          "stream " + std::to_string(k) + " s=" + std::to_string(s);
+      StreamVarOpt got(s, Rng(900 + s));
+      ref::StreamVarOpt want(s, Rng(900 + s));
+      // Alternate the two entry points over the stream.
+      const std::span<const WeightedKey> all(streams[k]);
+      const std::size_t half = all.size() / 2;
+      got.PushBatch(all.first(half));
+      for (const auto& it : all.subspan(half)) got.Push(it);
+      for (const auto& it : all) want.Push(it);
+      ExpectSameBits(got.ToSample(), want.ToSample(), what);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(StreamVarOptDifferential, AbsorbMatchesHeapOnlyReferenceBitForBit) {
+  // A combiner absorbing exact parts: each differential stream cut into
+  // chunks of 2000 items, each chunk sampled at capacity 2000 (tau = 0), so
+  // every absorbed weight is a distinct original weight.
+  const auto streams = DifferentialStreams();
+  const std::size_t chunk = 2000;
+  std::vector<Sample> parts;
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    const std::span<const WeightedKey> all(streams[k]);
+    for (std::size_t at = 0; at < all.size(); at += chunk) {
+      StreamVarOpt part(chunk, Rng(700 + k));
+      part.PushBatch(all.subspan(at, std::min(chunk, all.size() - at)));
+      parts.push_back(part.ToSample());
+      ASSERT_EQ(parts.back().tau(), 0.0);
+    }
+  }
+  for (const std::size_t s : {1u, 10u, 100u, 1000u}) {
+    StreamVarOpt got(s, Rng(800 + s));
+    ref::StreamVarOpt want(s, Rng(800 + s));
+    for (const Sample& part : parts) {
+      got.Absorb(part);
+      want.Absorb(part);
+    }
+    ExpectSameBits(got.ToSample(), want.ToSample(),
+                   "combiner s=" + std::to_string(s));
+    if (HasFatalFailure()) return;
+  }
+}
+
+std::vector<std::uint64_t> SortedWeightBits(const Sample& sample) {
+  std::vector<std::uint64_t> bits;
+  for (const auto& e : sample.entries()) {
+    bits.push_back(std::bit_cast<std::uint64_t>(e.weight));
+  }
+  std::sort(bits.begin(), bits.end());
+  return bits;
+}
+
+TEST(StreamVarOptDifferential, TiedAbsorbMatchesReferenceUpToTiedIds) {
+  // Overflowed parts: every light entry of a part is absorbed at the same
+  // adjusted weight tau, so the heap holds ties and their order (and with
+  // it which of two equal-weight keys sits where) may differ from the
+  // reference. Heap minima still come off in the same weight order, so the
+  // threshold and the multiset of retained weights match bit for bit.
+  const auto streams = DifferentialStreams();
+  for (const std::size_t s : {1u, 10u, 100u, 1000u}) {
+    std::vector<Sample> parts;
+    for (std::size_t k = 0; k < streams.size(); ++k) {
+      StreamVarOpt shard(s, Rng(700 + k));
+      shard.PushBatch(streams[k]);
+      parts.push_back(shard.ToSample());
+    }
+    StreamVarOpt got(s, Rng(800 + s));
+    ref::StreamVarOpt want(s, Rng(800 + s));
+    for (const Sample& part : parts) {
+      got.Absorb(part);
+      want.Absorb(part);
+    }
+    const Sample g = got.ToSample();
+    const Sample r = want.ToSample();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.tau()),
+              std::bit_cast<std::uint64_t>(r.tau()))
+        << "s=" << s;
+    EXPECT_EQ(SortedWeightBits(g), SortedWeightBits(r)) << "s=" << s;
+  }
+}
+
+/// Two-sided standard-normal quantile: the z with P(|Z| > z) = alpha.
+double TwoSidedZ(double alpha) {
+  double lo = 0.0, hi = 40.0;
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (std::erfc(mid / std::sqrt(2.0)) > alpha ? lo : hi) = mid;
+  }
+  return hi;
+}
+
+TEST(StreamVarOpt, TieHeavyInclusionMatchesIpps) {
+  // Weights drawn from {1, 2, 4, 1000}: the heap holds many equal weights,
+  // so heap order (and with it the entry order) depends on tie-breaking,
+  // but each key's inclusion probability must still be min(1, w/tau).
+  // Each key's hit count is binomial; the bound has a false-alarm rate of
+  // 1e-6 for the whole test (Bonferroni over the keys).
+  const std::vector<Weight> levels{1.0, 2.0, 4.0, 1000.0};
+  Rng pick(40);
+  std::vector<Weight> w(48);
+  for (auto& x : w) x = levels[pick.NextBounded(levels.size())];
+  w[5] = 1000.0;  // at least one key that must always be kept
+  const std::size_t s = 12;
+  const double tau = SolveTau(w, static_cast<double>(s));
+  const auto items = MakeItems(w);
+  const int trials = 40000;
+  std::vector<int> hits(w.size(), 0);
+  Rng seeder(41);
+  for (int t = 0; t < trials; ++t) {
+    StreamVarOpt sv(s, seeder.Split());
+    sv.PushBatch(items);
+    ASSERT_EQ(sv.size(), s);
+    const Sample sample = sv.ToSample();
+    for (const auto& e : sample.entries()) hits[e.id]++;
+  }
+  const double z = TwoSidedZ(1e-6 / static_cast<double>(w.size()));
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const double p = IppsProbability(w[i], tau);
+    if (p >= 1.0) {
+      EXPECT_EQ(hits[i], trials) << "key " << i << " w=" << w[i];
+      continue;
+    }
+    const double mean = trials * p;
+    const double sd = std::sqrt(trials * p * (1.0 - p));
+    EXPECT_LE(std::abs(hits[i] - mean), z * sd)
+        << "key " << i << " w=" << w[i] << " p=" << p;
   }
 }
 
