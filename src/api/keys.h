@@ -60,32 +60,21 @@ inline constexpr const char kSketch[] = "sketch";
 /// Brute force over all retained data — testing/debug reference.
 inline constexpr const char kExact[] = "exact";
 
-/// Composed-key prefix of the shard-parallel ingest wrapper: the key
-/// "sharded:<N>:<inner-key>" (N in [1, 64]) hash-partitions the stream
-/// across N worker threads each feeding one <inner-key> summarizer, and
-/// VarOpt-merges the shard samples at Finalize. Parsed by MakeSummarizer
-/// (api/registry.cc); the inner method must be Mergeable
-/// (api/summarizer.h). Nests with itself and with "windowed:".
+// Composed-key prefixes. Each names one row of the wrapper grammar table
+// (api/composed.h), which holds the wrapper's fields, nesting rules and
+// factory; docs/keys.md has the full grammar.
+
+/// "sharded:<N>:<inner-key>": hash-partitions the stream across N worker
+/// threads, one <inner-key> builder each, and merges the shard samples
+/// (api/sharded.h).
 inline constexpr const char kShardedPrefix[] = "sharded:";
 
-/// Composed-key prefix of the time-windowed streaming wrapper: the key
-/// "windowed:<W>:<B>:<inner-key>" (W a positive decimal, B in [1, 4096])
-/// maintains a ring of B time buckets, each an <inner-key> summarizer over
-/// one span of W/B time units, and merges the live buckets' samples into a
-/// summary of the last W time units (timestamped surface via
-/// Summarizer::AsWindowed). Parsed by MakeSummarizer (api/registry.cc);
-/// the inner method must be Mergeable. Composes with "sharded:" in either
-/// order.
+/// "windowed:<W>:<B>:<inner-key>": a ring of B time buckets merged into a
+/// summary of the last W time units (window/windowed.h).
 inline constexpr const char kWindowedPrefix[] = "windowed:";
 
-/// Composed-key prefix of the lock-free serving wrapper: the key
-/// "serve:<inner-key>" wraps any sample-backed method in a QueryService
-/// (src/serve/query_service.h) — Finalize (and, for a windowed inner,
-/// every ring advance) publishes an immutable copy of the sample (the
-/// snapshot) that any number of reader threads query concurrently without
-/// locks. Parsed by MakeSummarizer (api/registry.cc); reach the service via
-/// Summarizer::AsServable(). Outermost-only: the wrapper is not mergeable,
-/// so it cannot sit under "sharded:"/"windowed:".
+/// "serve:<inner-key>": publishes the sample to a lock-free QueryService
+/// for concurrent readers (serve/servable.h). Outermost only.
 inline constexpr const char kServePrefix[] = "serve:";
 
 }  // namespace sas::keys

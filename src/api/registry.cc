@@ -1,15 +1,13 @@
 #include "api/registry.h"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "api/sharded.h"
-#include "serve/servable.h"
-#include "window/windowed.h"
+#include "api/composed.h"
 
 namespace sas {
 
@@ -53,6 +51,22 @@ void ValidateCommon(const std::string& key, const SummarizerConfig& cfg) {
   }
 }
 
+/// The factory of `key`'s method: the key itself, or for a composed key the
+/// innermost key under its layers, which the wrapper grammar table parses
+/// into `*composed` first. Throws std::invalid_argument naming `key`.
+SummarizerFactory Resolve(const std::string& key,
+                          std::optional<ComposedKey>* composed) {
+  *composed = ParseComposedKey(key);
+  const std::string& method = *composed ? (*composed)->innermost : key;
+  std::lock_guard<std::mutex> lock(RegistryMutex());
+  const auto it = Registry().find(method);
+  if (it == Registry().end()) {
+    throw std::invalid_argument("MakeSummarizer(\"" + key +
+                                "\"): unknown method key \"" + method + "\"");
+  }
+  return it->second;
+}
+
 }  // namespace
 
 bool RegisterSummarizer(const std::string& key, SummarizerFactory factory) {
@@ -64,38 +78,10 @@ bool RegisterSummarizer(const std::string& key, SummarizerFactory factory) {
 std::unique_ptr<Summarizer> MakeSummarizer(const std::string& key,
                                            const SummarizerConfig& cfg) {
   EnsureBuiltins();
-  // Composed keys: "sharded:<N>:<inner-key>" wraps any mergeable registered
-  // method in the shard-parallel ingest backend (api/sharded.h);
-  // "windowed:<W>:<B>:<inner-key>" wraps it in the sliding-window ring
-  // (window/windowed.h). The wrappers nest through this same entry point,
-  // so they compose with each other in either order.
-  if (IsShardedKey(key)) {
-    ValidateCommon(key, cfg);
-    return MakeShardedSummarizer(key, cfg);
-  }
-  if (IsWindowedKey(key)) {
-    ValidateCommon(key, cfg);
-    return MakeWindowedSummarizer(key, cfg);
-  }
-  // "serve:<inner-key>" wraps any sample-backed method in the lock-free
-  // serving tier (serve/servable.h): outermost-only (not mergeable), so it
-  // wraps the other composed keys but never nests under them.
-  if (IsServeKey(key)) {
-    ValidateCommon(key, cfg);
-    return MakeServableSummarizer(key, cfg);
-  }
-  SummarizerFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(RegistryMutex());
-    const auto it = Registry().find(key);
-    if (it == Registry().end()) {
-      throw std::invalid_argument("MakeSummarizer: unknown method key \"" +
-                                  key + "\"");
-    }
-    factory = it->second;
-  }
+  std::optional<ComposedKey> composed;
+  const SummarizerFactory factory = Resolve(key, &composed);
   ValidateCommon(key, cfg);
-  return factory(cfg);
+  return composed ? composed->grammar->make(*composed, cfg) : factory(cfg);
 }
 
 std::unique_ptr<RangeSummary> BuildSummary(const std::string& key,
@@ -117,24 +103,13 @@ std::vector<std::string> RegisteredSummarizers() {
 
 bool IsRegisteredSummarizer(const std::string& key) {
   EnsureBuiltins();
-  if (IsShardedKey(key) || IsWindowedKey(key) || IsServeKey(key)) {
-    // A composed key is "registered" when it parses and its inner key is.
-    // As with any registered key, MakeSummarizer can still reject it for
-    // config-dependent reasons — a non-mergeable inner method under
-    // sharded:, just like "hierarchy" without cfg.structure.hierarchy set
-    // (mergeability is an instance capability, only known once a builder
-    // exists).
-    try {
-      return IsRegisteredSummarizer(
-          IsShardedKey(key)    ? ParseShardedKey(key).inner
-          : IsWindowedKey(key) ? ParseWindowedKey(key).inner
-                               : ParseServeKey(key));
-    } catch (const std::invalid_argument&) {
-      return false;
-    }
+  std::optional<ComposedKey> composed;
+  try {
+    Resolve(key, &composed);
+  } catch (const std::invalid_argument&) {
+    return false;
   }
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  return Registry().contains(key);
+  return true;
 }
 
 }  // namespace sas

@@ -10,8 +10,10 @@
 //
 // The registry is the single place summaries are constructed: the eval
 // harness, every bench driver, and the examples go through it, so new
-// methods (or scale-out wrappers around existing ones) become available to
-// all of them by registering one factory.
+// methods become available to all of them by registering one factory.
+// Composed keys are not entries: MakeSummarizer and IsRegisteredSummarizer
+// both resolve them through one table of wrapper grammars (api/composed.h),
+// then look up the innermost key here.
 //
 // Thread-safety: the registry itself is internally synchronized — all five
 // functions below may be called concurrently from any thread (built-ins
@@ -45,17 +47,14 @@ using SummarizerFactory =
 /// Thread-safe.
 bool RegisterSummarizer(const std::string& key, SummarizerFactory factory);
 
-/// Creates a builder for the method registered under `key`.
-/// Throws std::invalid_argument for an unknown key or an invalid config
-/// (non-positive size, missing hierarchy, bad dimension/bits, ...).
-/// Composed keys "sharded:<N>:<inner-key>" wrap any mergeable method in the
-/// shard-parallel ingest backend (api/sharded.h): N worker threads, one
-/// inner summarizer each, VarOpt merge at Finalize. Composed keys
-/// "windowed:<W>:<B>:<inner-key>" wrap any mergeable method in the
-/// time-windowed ring (window/windowed.h): B time buckets of W/B time
-/// units each, timestamped ingest via Summarizer::AsWindowed, live buckets
-/// VarOpt-merged at query/Finalize. The wrappers nest in either order.
-/// Thread-safe; the returned builder is single-caller (api/summarizer.h).
+/// Creates a builder for the method registered under `key`, or for a
+/// composed key ("sharded:", "windowed:", "serve:") the wrapper its
+/// outermost prefix names, resolved through the wrapper grammar table of
+/// api/composed.h. Throws std::invalid_argument naming `key` for an unknown
+/// or malformed key or an invalid config (non-positive size, missing
+/// hierarchy, bad dimension/bits, a non-mergeable method under a merging
+/// wrapper, ...). Thread-safe; the returned builder is single-caller
+/// (api/summarizer.h).
 std::unique_ptr<Summarizer> MakeSummarizer(const std::string& key,
                                            const SummarizerConfig& cfg);
 
@@ -72,10 +71,11 @@ std::unique_ptr<RangeSummary> BuildSummary(const std::string& key,
 std::vector<std::string> RegisteredSummarizers();
 
 /// True when `key` would resolve in MakeSummarizer's lookup: a registered
-/// plain key, or a composed key that parses and whose innermost key is
-/// registered. A registered key can still be rejected at MakeSummarizer
-/// time for config-dependent reasons (missing structure descriptor,
-/// non-mergeable inner method). Thread-safe.
+/// plain key, or a composed key whose every layer parses under the wrapper
+/// grammar table and whose innermost key is registered. A registered key
+/// can still be rejected at MakeSummarizer time for config-dependent
+/// reasons (missing structure descriptor, non-mergeable inner method).
+/// Thread-safe.
 bool IsRegisteredSummarizer(const std::string& key);
 
 }  // namespace sas

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "api/keys.h"
-#include "api/registry.h"
 #include "api/summary.h"
 #include "core/fault.h"
 #include "core/merge.h"
@@ -18,17 +16,12 @@ namespace sas {
 
 namespace {
 
-constexpr int kMaxShards = 64;
 /// Items accumulated on the caller thread before hand-off to a worker.
 constexpr std::size_t kBatchSize = 4096;
 /// Bounded queue depth per shard; a full queue back-pressures the producer.
 constexpr std::size_t kMaxQueueDepth = 4;
 
 constexpr std::uint64_t kPartitionSaltTag = 0x5A5DED5A17E1F00DULL;
-
-[[noreturn]] void BadKey(const std::string& key, const std::string& why) {
-  throw std::invalid_argument("MakeSummarizer(\"" + key + "\"): " + why);
-}
 
 std::string BuildShardedErrorMessage(
     const std::string& key, const std::vector<ShardFailure>& failures,
@@ -61,43 +54,6 @@ std::size_t IndexWithSalt(KeyId id, std::uint64_t salt,
 std::size_t ShardIndex(KeyId id, std::uint64_t seed, int num_shards) {
   return IndexWithSalt(id, Mix64(seed ^ kPartitionSaltTag),
                        static_cast<std::uint64_t>(num_shards));
-}
-
-bool IsShardedKey(const std::string& key) {
-  return key.rfind(keys::kShardedPrefix, 0) == 0;
-}
-
-ShardedKeySpec ParseShardedKey(const std::string& key) {
-  if (!IsShardedKey(key)) {
-    BadKey(key, "not a sharded key (expected \"sharded:<N>:<inner-key>\")");
-  }
-  const std::size_t count_begin = std::string(keys::kShardedPrefix).size();
-  const std::size_t colon = key.find(':', count_begin);
-  if (colon == std::string::npos) {
-    BadKey(key, "missing inner key (expected \"sharded:<N>:<inner-key>\")");
-  }
-  const std::string count_str = key.substr(count_begin, colon - count_begin);
-  if (count_str.empty() ||
-      count_str.find_first_not_of("0123456789") != std::string::npos) {
-    BadKey(key, "shard count \"" + count_str + "\" is not a positive integer");
-  }
-  long count = 0;
-  try {
-    count = std::stol(count_str);
-  } catch (const std::out_of_range&) {
-    count = kMaxShards + 1L;
-  }
-  if (count < 1 || count > kMaxShards) {
-    BadKey(key, "shard count must be in [1, " + std::to_string(kMaxShards) +
-                    "], got \"" + count_str + "\"");
-  }
-  ShardedKeySpec spec;
-  spec.shards = static_cast<int>(count);
-  spec.inner = key.substr(colon + 1);
-  if (spec.inner.empty()) {
-    BadKey(key, "empty inner key (expected \"sharded:<N>:<inner-key>\")");
-  }
-  return spec;
 }
 
 // ---------------------------------------------------------------------------
@@ -154,14 +110,10 @@ struct ShardedSummarizer::Shard {
   telemetry::Counter* items = nullptr;
 };
 
-ShardedSummarizer::ShardedSummarizer(std::string key,
-                                     const ShardedKeySpec& spec,
+ShardedSummarizer::ShardedSummarizer(const ComposedKey& key,
                                      const SummarizerConfig& cfg)
-    : Summarizer(cfg), key_(std::move(key)), inner_key_(spec.inner) {
-  if (cfg.s < 1.0) {
-    BadKey(key_, "summary size s must be >= 1 for the sharded wrapper "
-                 "(the merged sample budget is integral)");
-  }
+    : WrapperSummarizer(key, cfg) {
+  const int num_shards = static_cast<int>(key.fields[0]);
   // Memory-budget degradation (SummarizerConfig::max_bytes): each worker
   // retains a sample of expected size inner s, so N shards cost roughly
   // N * s * kBytesPerSampleEntry across the build. Step the inner s down
@@ -171,7 +123,7 @@ ShardedSummarizer::ShardedSummarizer(std::string key,
   if (cfg.max_bytes > 0) {
     const auto estimate = [&](double s) {
       return static_cast<std::size_t>(s) * kBytesPerSampleEntry *
-             static_cast<std::size_t>(spec.shards);
+             static_cast<std::size_t>(num_shards);
     };
     while (estimate(inner_s) > cfg.max_bytes && inner_s >= 2.0) {
       inner_s = inner_s / 2.0;
@@ -193,23 +145,16 @@ ShardedSummarizer::ShardedSummarizer(std::string key,
   backpressure_wait_ns_ =
       telemetry::GetHistogram("sas.shard.backpressure_wait_ns");
   merge_ns_ = telemetry::GetHistogram("sas.shard.merge_ns");
-  shards_.reserve(static_cast<std::size_t>(spec.shards));
-  for (int i = 0; i < spec.shards; ++i) {
-    SummarizerConfig inner_cfg = cfg;
-    inner_cfg.seed = ForkSeed(cfg.seed, static_cast<std::uint64_t>(i));
-    inner_cfg.s = inner_s;
+  shards_.reserve(static_cast<std::size_t>(num_shards));
+  for (int i = 0; i < num_shards; ++i) {
     auto sh = std::make_unique<Shard>();
     sh->index = i;
     const std::string lane = std::to_string(i);
     sh->queue_depth = telemetry::GetGauge("sas.shard.queue_depth." + lane);
     sh->batches = telemetry::GetCounter("sas.shard.batches." + lane);
     sh->items = telemetry::GetCounter("sas.shard.items." + lane);
-    sh->inner = MakeSummarizer(spec.inner, inner_cfg);
-    if (i == 0 && !sh->inner->Mergeable()) {
-      BadKey(key_, "inner method \"" + spec.inner +
-                       "\" is not mergeable (its summary is not a "
-                       "partition-tolerant VarOpt sample)");
-    }
+    sh->inner = MakeInner(ForkSeed(cfg.seed, static_cast<std::uint64_t>(i)),
+                          inner_s, cfg.max_bytes);
     sh->pending.items.reserve(kBatchSize);
     shards_.push_back(std::move(sh));
   }
@@ -250,22 +195,8 @@ ShardedSummarizer::Shard& ShardedSummarizer::ShardOf(KeyId id) {
   return *shards_[IndexWithSalt(id, salt_, shards_.size())];
 }
 
-void ShardedSummarizer::RequireHealthy(const char* call) const {
-  if (joined_) {
-    throw std::logic_error(std::string("sharded summarizer: ") + call +
-                           " after Finalize (builders are spent once "
-                           "finalized)");
-  }
-  if (poisoned()) {
-    throw std::runtime_error(
-        std::string("sharded summarizer: ") + call +
-        " on a poisoned builder (a shard worker failed; call Finalize() "
-        "for the full failure list, or Reset(seed) to recover)");
-  }
-}
-
 void ShardedSummarizer::Add(const WeightedKey& item) {
-  RequireHealthy("Add");
+  RequireLive("Add");
   if (!AdmitWeight(item.weight)) return;
   Shard& sh = ShardOf(item.id);
   sh.pending.items.push_back(item);
@@ -273,7 +204,7 @@ void ShardedSummarizer::Add(const WeightedKey& item) {
 }
 
 void ShardedSummarizer::AddBatch(std::span<const WeightedKey> items) {
-  RequireHealthy("AddBatch");
+  RequireLive("AddBatch");
   if (!AllFinite(items)) {
     for (const WeightedKey& it : items) Add(it);
     return;
@@ -286,7 +217,7 @@ void ShardedSummarizer::AddBatch(std::span<const WeightedKey> items) {
       if (poisoned()) {
         // Count what was routed, as the per-item loop would have.
         CountAccepted(i + 1);
-        RequireHealthy("AddBatch");
+        RequireLive("AddBatch");
       }
     }
   }
@@ -299,7 +230,7 @@ void ShardedSummarizer::AddCoords(const Coord* coords, int dims, Weight w) {
 
 void ShardedSummarizer::AddCoordsKeyed(KeyId id, const Coord* coords,
                                        int dims, Weight w) {
-  RequireHealthy("AddCoords");
+  RequireLive("AddCoords");
   if (!AdmitWeight(w)) return;
   Shard& sh = ShardOf(id);
   // The flat coord layout needs one dims per batch; a (pathological) dims
@@ -413,9 +344,9 @@ void ShardedSummarizer::WorkerLoop(Shard* sh) {
 
 void ShardedSummarizer::RecordWorkerError(Shard* sh,
                                           const std::string& what) {
-  // Poison first (release pairs with the acquire in poisoned()) so a
-  // producer seeing an unblocked queue also sees the failure.
-  poisoned_.store(true, std::memory_order_release);
+  // Poison first (release pairs with the acquire in the lifecycle guard) so
+  // a producer seeing an unblocked queue also sees the failure.
+  Poison();
   std::lock_guard<std::mutex> lock(sh->mu);
   sh->error = std::current_exception();
   sh->error_what = "shard " + std::to_string(sh->index) + " (inner \"" +
@@ -445,11 +376,7 @@ std::unique_ptr<RangeSummary> ShardedSummarizer::Finalize() {
   // merge, so a second call would silently merge moved-from (empty) shards.
   // A *failed* Finalize (poisoned builder) stays callable — its contract is
   // to report the full failure list on every call until Reset.
-  if (finalized_) {
-    throw std::logic_error(
-        "sharded summarizer: Finalize after Finalize (the builder already "
-        "produced its summary; Reset(seed) to build another)");
-  }
+  if (finalized()) ThrowNotLive("Finalize");
   CloseAndJoin();
   std::vector<ShardFailure> failures;
   for (auto& sh : shards_) {
@@ -460,25 +387,20 @@ std::unique_ptr<RangeSummary> ShardedSummarizer::Finalize() {
   if (!failures.empty()) {
     throw ShardedIngestError(key_, std::move(failures), num_shards());
   }
+  // The workers are joined, so the builder is spent whatever happens below.
+  MarkFinalized();
 
   std::vector<Sample> parts;
   parts.reserve(shards_.size());
   for (auto& sh : shards_) {
-    auto* sample = dynamic_cast<SampleSummary*>(sh->result.get());
-    if (sample == nullptr) {
-      // Mergeable() promised a sample-backed summary; a custom method that
-      // lies about the capability is a programming error.
-      throw std::logic_error("sharded wrapper: inner summary \"" +
-                             sh->result->Name() + "\" is not sample-backed");
-    }
-    parts.push_back(sample->TakeSample());  // we own the result: move, not copy
+    // We own the result: move the sample, not copy it.
+    parts.push_back(InnerSample(*sh->result).TakeSample());
   }
 
   Rng merge_rng(ForkSeed(cfg_.seed, shards_.size()));
   telemetry::Span merge_span("shard.merge", merge_ns_, TelemetryOn());
   Sample merged =
       MergeAllSamples(parts, static_cast<std::size_t>(cfg_.s), &merge_rng);
-  finalized_ = true;
   return std::make_unique<SampleSummary>(key_, std::move(merged));
 }
 
@@ -490,7 +412,7 @@ bool ShardedSummarizer::Reset(std::uint64_t seed) {
   for (auto& sh : shards_) {
     if (!sh->inner->Reset(ForkSeed(seed, static_cast<std::uint64_t>(
                                              sh->index)))) {
-      return false;
+      return Refuse();
     }
   }
   for (auto& sh : shards_) {
@@ -501,22 +423,13 @@ bool ShardedSummarizer::Reset(std::uint64_t seed) {
     sh->error_what.clear();
     sh->result.reset();
   }
-  cfg_.seed = seed;
   salt_ = Mix64(seed ^ kPartitionSaltTag);
   next_coord_id_ = 0;
-  stats_ = IngestStats{};
-  stats_.degradations = degrade_steps_;
-  poisoned_.store(false, std::memory_order_release);
   joined_ = false;
-  finalized_ = false;
+  Restart(seed);
+  stats_.degradations = degrade_steps_;
   SpawnWorkers();
   return true;
-}
-
-std::unique_ptr<Summarizer> MakeShardedSummarizer(
-    const std::string& key, const SummarizerConfig& cfg) {
-  const ShardedKeySpec spec = ParseShardedKey(key);
-  return std::make_unique<ShardedSummarizer>(key, spec, cfg);
 }
 
 }  // namespace sas

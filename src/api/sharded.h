@@ -22,6 +22,12 @@
 // seeded with ForkSeed(cfg.seed, i), and the merge RNG with
 // ForkSeed(cfg.seed, N) — so a fixed (seed, N, input) triple reproduces the
 // summary exactly, regardless of thread scheduling.
+//
+// The key grammar (N in [1, 64]), the lifecycle and the inner-builder
+// factory are the shared ones of api/composed.h; this file is only the
+// worker-pool engine. A failed worker poisons the builder: ingest throws at
+// once, since the input already routed can no longer produce a complete
+// summary, and Finalize reports every failed shard.
 
 #ifndef SAS_API_SHARDED_H_
 #define SAS_API_SHARDED_H_
@@ -38,7 +44,7 @@
 #include <thread>
 #include <vector>
 
-#include "api/summarizer.h"
+#include "api/composed.h"
 
 namespace sas {
 
@@ -69,22 +75,6 @@ class ShardedIngestError : public std::runtime_error {
   std::vector<ShardFailure> failures_;
 };
 
-/// Parsed form of a composed "sharded:<N>:<inner-key>" key.
-struct ShardedKeySpec {
-  int shards = 0;
-  std::string inner;
-};
-
-/// True when `key` starts with the sharded prefix (it may still be
-/// malformed; ParseShardedKey reports why).
-bool IsShardedKey(const std::string& key);
-
-/// Parses "sharded:<N>:<inner-key>". Throws std::invalid_argument with a
-/// specific reason for malformed keys: missing/non-numeric/out-of-range
-/// shard count (valid range [1, 64]) or an empty inner key. Does not check
-/// that the inner key is registered — MakeSummarizer does.
-ShardedKeySpec ParseShardedKey(const std::string& key);
-
 /// The wrapper's partition policy: the shard (in [0, num_shards)) that key
 /// `id` is routed to under config seed `seed`. The hash is salted with the
 /// seed so that nested wrappers — whose inner seeds are forked from the
@@ -92,28 +82,21 @@ ShardedKeySpec ParseShardedKey(const std::string& key);
 /// a factor. Exposed so tests (and external routers) can pin the policy.
 std::size_t ShardIndex(KeyId id, std::uint64_t seed, int num_shards);
 
-/// Factory used by MakeSummarizer for sharded keys: parses the key, builds
-/// the N inner summarizers (validating the inner config), and rejects
-/// non-mergeable inner methods with std::invalid_argument.
-std::unique_ptr<Summarizer> MakeShardedSummarizer(const std::string& key,
-                                                  const SummarizerConfig& cfg);
-
 /// The wrapper itself. Construct through MakeSummarizer; exposed for tests.
-class ShardedSummarizer : public Summarizer {
+class ShardedSummarizer final : public WrapperSummarizer {
  public:
-  /// `key` is the composed key reported by the finalized summary's Name().
-  /// Spawns one worker thread per shard and returns once every worker is
-  /// running, so the first Add meets a live pool rather than racing the
-  /// threads' start-up. Throws std::invalid_argument if the inner method
-  /// is unknown, its config invalid, or it is not Mergeable.
-  ShardedSummarizer(std::string key, const ShardedKeySpec& spec,
-                    const SummarizerConfig& cfg);
+  /// Builds the N inner builders and spawns one worker thread per shard,
+  /// returning once every worker is running, so the first Add meets a live
+  /// pool rather than racing the threads' start-up. Throws
+  /// std::invalid_argument if the inner method is unknown, its config
+  /// invalid, or it is not Mergeable.
+  ShardedSummarizer(const ComposedKey& key, const SummarizerConfig& cfg);
   ~ShardedSummarizer() override;
 
-  /// Routes the item to its shard's buffer (throws std::logic_error once
-  /// the builder is finalized/spent, std::runtime_error once it is
-  /// poisoned). The caller-side work is just the hash and a buffer append;
-  /// the heavy lifting happens on the workers.
+  /// Routes the item to its shard's buffer (the lifecycle guard of
+  /// api/composed.h throws once finalized or poisoned). The caller-side
+  /// work is just the hash and a buffer append; the heavy lifting happens
+  /// on the workers.
   void Add(const WeightedKey& item) override;
 
   /// Routes a whole batch in one pass: one health check up front and one
@@ -140,7 +123,7 @@ class ShardedSummarizer : public Summarizer {
   /// Flushes, joins the workers, finalizes every shard, and merges the
   /// shard samples into one of (expected) size cfg.s. If any workers
   /// failed, throws one ShardedIngestError listing every failed shard
-  /// (index, inner key, message).
+  /// (index, inner key, message), on every call until Reset.
   std::unique_ptr<RangeSummary> Finalize() override;
 
   /// The merged output is itself a VarOpt sample, so sharded summarizers
@@ -158,19 +141,11 @@ class ShardedSummarizer : public Summarizer {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// True once any worker has failed: Add/AddCoords throw immediately (the
-  /// already-ingested input can no longer produce a complete summary);
-  /// Finalize() reports the failures; Reset(seed) recovers.
-  bool poisoned() const {
-    return poisoned_.load(std::memory_order_acquire);
-  }
-
  private:
   struct Shard;
   struct Batch;
 
   Shard& ShardOf(KeyId id);
-  void RequireHealthy(const char* call) const;
   void FlushPending(Shard& sh);
   void Enqueue(Shard& sh, Batch batch);
   void WorkerLoop(Shard* sh);
@@ -178,15 +153,11 @@ class ShardedSummarizer : public Summarizer {
   void SpawnWorkers();
   void CloseAndJoin();
 
-  std::string key_;
-  std::string inner_key_;   // inner method key, for error messages
   std::uint64_t salt_ = 0;  // partition-hash salt derived from cfg.seed
   std::vector<std::unique_ptr<Shard>> shards_;
   KeyId next_coord_id_ = 0;  // global ids handed out by AddCoords
   bool joined_ = false;
-  bool finalized_ = false;  // a summary was produced; Finalize re-entry throws
   std::uint32_t degrade_steps_ = 0;  // max_bytes halvings of the inner s
-  std::atomic<bool> poisoned_{false};
   // Start latch: each worker bumps it on entering WorkerLoop, and
   // SpawnWorkers waits until all of the pool has (see SpawnWorkers).
   std::atomic<int> workers_started_{0};

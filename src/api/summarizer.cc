@@ -38,22 +38,22 @@ bool Summarizer::TelemetryOn() const {
 
 void Summarizer::CountAccepted(std::uint64_t n) {
   stats_.accepted += n;
-  if (TelemetryOn()) IngestCounters().accepted->Inc(n);
+  if (mirror_ingest_ && TelemetryOn()) IngestCounters().accepted->Inc(n);
 }
 
 void Summarizer::CountRejectedWeight(std::uint64_t n) {
   stats_.rejected_weight += n;
-  if (TelemetryOn()) IngestCounters().rejected_weight->Inc(n);
+  if (mirror_ingest_ && TelemetryOn()) IngestCounters().rejected_weight->Inc(n);
 }
 
 void Summarizer::CountRejectedCoord(std::uint64_t n) {
   stats_.rejected_coord += n;
-  if (TelemetryOn()) IngestCounters().rejected_coord->Inc(n);
+  if (mirror_ingest_ && TelemetryOn()) IngestCounters().rejected_coord->Inc(n);
 }
 
 void Summarizer::CountDegradation(std::uint64_t n) {
   stats_.degradations += n;
-  if (TelemetryOn()) IngestCounters().degradations->Inc(n);
+  if (mirror_ingest_ && TelemetryOn()) IngestCounters().degradations->Inc(n);
 }
 
 telemetry::TelemetrySnapshot Summarizer::DescribeTelemetry() const {

@@ -43,6 +43,7 @@ class FaultInjector;
 class Hierarchy;
 class ServableSummarizer;
 class WindowedSummarizer;
+class WrapperSummarizer;
 
 namespace telemetry {
 struct TelemetrySnapshot;
@@ -59,10 +60,11 @@ enum class IngestPolicy {
   kQuarantine,
 };
 
-/// Ingest-boundary counters surfaced by Summarizer::Describe(). Wrappers
-/// (sharded/windowed) report their own producer-side counters, not their
-/// inner builders' (records a wrapper accepts are never re-validated
-/// downstream).
+/// Ingest-boundary counters surfaced by Summarizer::Describe(). Each record
+/// is counted by one builder: the merging wrappers (sharded/windowed) admit
+/// records at their own surface and report those counters, not their inner
+/// builders'; serve: forwards the stream unchanged and reports its inner
+/// builder's (api/composed.h).
 struct IngestStats {
   /// Records admitted into the build.
   std::uint64_t accepted = 0;
@@ -276,7 +278,7 @@ class Summarizer {
   /// Ingest-boundary counters for this builder (see IngestStats). Read
   /// from the ingest thread, or after workers have joined — reading while
   /// another thread ingests is a race by the single-caller contract.
-  const IngestStats& Describe() const { return stats_; }
+  virtual const IngestStats& Describe() const { return stats_; }
 
   /// Process-wide telemetry snapshot (core/telemetry.h) with this builder's
   /// fault injector's per-site hit counters re-exported — the metrics
@@ -306,7 +308,9 @@ class Summarizer {
 
   /// IngestStats bumpers that mirror into the process telemetry counters
   /// (`sas.ingest.*`) when armed. Engines route every stats_ mutation
-  /// through these so Describe() and the registry can never disagree.
+  /// through these so Describe() and the registry can never disagree. The
+  /// inner builders of a merging wrapper do not mirror: the wrapper already
+  /// counted each record at its own surface.
   void CountAccepted(std::uint64_t n = 1);
   void CountRejectedWeight(std::uint64_t n = 1);
   void CountRejectedCoord(std::uint64_t n = 1);
@@ -314,6 +318,10 @@ class Summarizer {
 
   SummarizerConfig cfg_;
   IngestStats stats_;
+
+ private:
+  friend class WrapperSummarizer;  // the inner-builder factory clears it
+  bool mirror_ingest_ = true;
 };
 
 }  // namespace sas

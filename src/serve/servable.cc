@@ -4,43 +4,15 @@
 #include <utility>
 #include <vector>
 
-#include "api/keys.h"
-#include "api/registry.h"
 #include "api/summary.h"
 #include "window/windowed.h"
 
 namespace sas {
 
-bool IsServeKey(const std::string& key) {
-  return key.rfind(keys::kServePrefix, 0) == 0;
-}
-
-std::string ParseServeKey(const std::string& key) {
-  if (!IsServeKey(key)) {
-    throw std::invalid_argument("serve key \"" + key +
-                                "\": not a serve key (grammar: "
-                                "serve:<inner-key>)");
-  }
-  std::string inner = key.substr(std::string(keys::kServePrefix).size());
-  if (inner.empty()) {
-    throw std::invalid_argument("serve key \"" + key +
-                                "\": missing inner method key (grammar: "
-                                "serve:<inner-key>)");
-  }
-  return inner;
-}
-
-std::unique_ptr<Summarizer> MakeServableSummarizer(
-    const std::string& key, const SummarizerConfig& cfg) {
-  return std::make_unique<ServableSummarizer>(key, ParseServeKey(key), cfg);
-}
-
-ServableSummarizer::ServableSummarizer(std::string key,
-                                       const std::string& inner_key,
+ServableSummarizer::ServableSummarizer(const ComposedKey& key,
                                        const SummarizerConfig& cfg)
-    : Summarizer(cfg),
-      key_(std::move(key)),
-      inner_(MakeSummarizer(inner_key, cfg)),
+    : WrapperSummarizer(key, cfg),
+      inner_(MakeInner(cfg.seed, cfg.s, cfg.max_bytes)),
       service_(std::make_shared<QueryService>(
           QueryService::Options{cfg.faults, cfg.telemetry})) {
   if (WindowedSummarizer* win = inner_->AsWindowed()) {
@@ -54,50 +26,40 @@ ServableSummarizer::ServableSummarizer(std::string key,
 }
 
 void ServableSummarizer::Add(const WeightedKey& item) {
-  if (!AdmitWeight(item.weight)) return;
+  RequireLive("Add");
   inner_->Add(item);
 }
 
 void ServableSummarizer::AddBatch(std::span<const WeightedKey> items) {
-  if (AllFinite(items)) {
-    CountAccepted(items.size());
-    inner_->AddBatch(items);
-    return;
-  }
-  for (const WeightedKey& it : items) Add(it);
+  RequireLive("AddBatch");
+  inner_->AddBatch(items);
 }
 
 void ServableSummarizer::AddCoords(const Coord* coords, int dims, Weight w) {
-  if (!AdmitWeight(w)) return;
+  RequireLive("AddCoords");
   inner_->AddCoords(coords, dims, w);
 }
 
 void ServableSummarizer::AddCoordsKeyed(KeyId id, const Coord* coords,
                                         int dims, Weight w) {
-  if (!AdmitWeight(w)) return;
+  RequireLive("AddCoords");
   inner_->AddCoordsKeyed(id, coords, dims, w);
 }
 
 std::unique_ptr<RangeSummary> ServableSummarizer::Finalize() {
+  RequireLive("Finalize");
   std::unique_ptr<RangeSummary> summary = inner_->Finalize();
-  auto* sample_summary = dynamic_cast<SampleSummary*>(summary.get());
-  if (sample_summary == nullptr) {
-    throw std::invalid_argument(
-        "serve wrapper \"" + key_ + "\": inner summary \"" + summary->Name() +
-        "\" is not sample-backed — the serving tier snapshots samples; wrap "
-        "a sampling method (order/hierarchy/obliv/..., or a sharded:/"
-        "windowed: composition over one)");
-  }
-  service_->Publish(sample_summary->sample());
-  std::vector<double> probs = sample_summary->probs();
-  return std::make_unique<SampleSummary>(key_, sample_summary->TakeSample(),
+  MarkFinalized();  // the inner builder is spent, whatever happens below
+  SampleSummary& sample_summary = InnerSample(*summary);
+  service_->Publish(sample_summary.sample());
+  std::vector<double> probs = sample_summary.probs();
+  return std::make_unique<SampleSummary>(key_, sample_summary.TakeSample(),
                                          std::move(probs));
 }
 
 bool ServableSummarizer::Reset(std::uint64_t seed) {
-  if (!inner_->Reset(seed)) return false;
-  cfg_.seed = seed;
-  stats_ = IngestStats{};
+  if (!inner_->Reset(seed)) return Refuse();
+  Restart(seed);
   return true;
 }
 

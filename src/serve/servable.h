@@ -16,18 +16,22 @@
 //   });
 //   builder->AsWindowed()->AddTimed(ts, item);        // ingest + republish
 //
-// Layering: the wrapper validates records at its own surface (the
-// IngestStats contract of composed wrappers) and forwards to the inner
-// builder; the inner method never knows it is being served. The windowed
-// republish rides the generic WindowedSummarizer::SetPublishHook — the
-// window layer has no serve dependency.
+// Layering: the wrapper forwards the stream unchanged to the inner builder,
+// which admits and counts every record (so Describe() reports the inner
+// builder's counters, and records fed through the AsWindowed() pass-through
+// are counted exactly like records fed through Add). The inner method never
+// knows it is being served. The windowed republish rides the generic
+// WindowedSummarizer::SetPublishHook — the window layer has no serve
+// dependency.
 //
-// Capability rules: the wrapper is not Mergeable (serving is an outermost
-// concern — "sharded:2:serve:obliv" is rejected exactly like any other
-// non-mergeable inner). Reset(seed) recycles the *builder* (forwarding to
-// the inner method's Reset) but deliberately does not unpublish: readers
-// keep the last published snapshot until the recycled builder publishes a
-// new one.
+// The key grammar, the lifecycle and the inner-builder factory are the
+// shared ones of api/composed.h. Serving is an outermost concern: the
+// grammar rejects "serve:" under any other wrapper ("sharded:2:serve:obliv",
+// "serve:serve:obliv"), and the wrapper is not Mergeable. After Finalize
+// every ingest call and a second Finalize throw std::logic_error. Reset(seed)
+// recycles the *builder* (forwarding to the inner method's Reset) but
+// deliberately does not unpublish: readers keep the last published snapshot
+// until the recycled builder publishes a new one.
 
 #ifndef SAS_SERVE_SERVABLE_H_
 #define SAS_SERVE_SERVABLE_H_
@@ -35,34 +39,19 @@
 #include <memory>
 #include <string>
 
-#include "api/summarizer.h"
+#include "api/composed.h"
 #include "serve/query_service.h"
 
 namespace sas {
 
-/// True when `key` starts with the serve prefix (it may still be
-/// malformed; ParseServeKey reports why).
-bool IsServeKey(const std::string& key);
-
-/// Parses "serve:<inner-key>" and returns the inner key. Throws
-/// std::invalid_argument on a key without the serve prefix or with an
-/// empty inner key. Does not check that the inner key is registered —
-/// MakeSummarizer does.
-std::string ParseServeKey(const std::string& key);
-
-/// Factory used by MakeSummarizer for serve keys: parses the key and
-/// builds the inner summarizer eagerly (unknown/invalid inner keys throw
-/// std::invalid_argument from here). Sample-backedness of the inner
-/// *summary* is an instance property, checked at Finalize.
-std::unique_ptr<Summarizer> MakeServableSummarizer(
-    const std::string& key, const SummarizerConfig& cfg);
-
 /// The wrapper itself. Construct through MakeSummarizer; reach it via
 /// Summarizer::AsServable().
-class ServableSummarizer : public Summarizer {
+class ServableSummarizer final : public WrapperSummarizer {
  public:
-  ServableSummarizer(std::string key, const std::string& inner_key,
-                     const SummarizerConfig& cfg);
+  /// Builds the inner builder eagerly (unknown/invalid inner keys throw
+  /// std::invalid_argument here). Sample-backedness of the inner *summary*
+  /// is an instance property, checked at Finalize.
+  ServableSummarizer(const ComposedKey& key, const SummarizerConfig& cfg);
 
   void Add(const WeightedKey& item) override;
   void AddBatch(std::span<const WeightedKey> items) override;
@@ -73,7 +62,8 @@ class ServableSummarizer : public Summarizer {
   /// Finalizes the inner builder, publishes its sample to the service, and
   /// returns the summary under the composed key. Throws
   /// std::invalid_argument when the inner summary is not sample-backed
-  /// (the deterministic baselines) — nothing is published then.
+  /// (the deterministic baselines) — nothing is published then. The
+  /// builder is spent once the inner builder has finalized.
   std::unique_ptr<RangeSummary> Finalize() override;
 
   /// Serving is an outermost concern; the wrapper does not merge.
@@ -83,6 +73,9 @@ class ServableSummarizer : public Summarizer {
   /// last published snapshot (readers are not torn down by a builder
   /// recycle); the next Finalize/ring advance republishes.
   bool Reset(std::uint64_t seed) override;
+
+  /// The inner builder's counters: it admits every record.
+  const IngestStats& Describe() const override { return inner_->Describe(); }
 
   /// Passes through to the inner windowed wrapper (when the inner key is
   /// windowed:), whose ring advances republish through this wrapper's
@@ -96,7 +89,6 @@ class ServableSummarizer : public Summarizer {
   std::shared_ptr<QueryService> service() { return service_; }
 
  private:
-  std::string key_;
   std::unique_ptr<Summarizer> inner_;
   std::shared_ptr<QueryService> service_;
 };

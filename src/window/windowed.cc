@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "api/keys.h"
-#include "api/registry.h"
 #include "core/fault.h"
 #include "core/telemetry.h"
 
@@ -14,7 +12,6 @@ namespace sas {
 
 namespace {
 
-constexpr int kMaxBuckets = 4096;
 /// Spent inner builders kept around for Reset recycling. One builder is
 /// live at a time (seal or query rebuild), so a small cap suffices.
 constexpr std::size_t kMaxFreeBuilders = 2;
@@ -28,115 +25,21 @@ constexpr std::uint64_t kMergeSeedTag = 0x3E6E5A1AD3A9F0B5ULL;
 constexpr std::uint64_t kBackPushTag = 0x7C1D2B9E4F86A03DULL;
 constexpr std::uint64_t kFlipFoldTag = 0xA5B4C3D2E1F00917ULL;
 
-[[noreturn]] void BadKey(const std::string& key, const std::string& why) {
-  throw std::invalid_argument("MakeSummarizer(\"" + key + "\"): " + why);
-}
-
-/// True for a non-empty string of digits with at most one interior '.'
-/// (the restricted decimal grammar of the <W> field).
-bool IsDecimalNumber(const std::string& s) {
-  if (s.empty()) return false;
-  bool seen_dot = false, seen_digit = false;
-  for (char c : s) {
-    if (c == '.') {
-      if (seen_dot) return false;
-      seen_dot = true;
-    } else if (c >= '0' && c <= '9') {
-      seen_digit = true;
-    } else {
-      return false;
-    }
-  }
-  return seen_digit;
-}
-
 }  // namespace
 
-bool IsWindowedKey(const std::string& key) {
-  return key.rfind(keys::kWindowedPrefix, 0) == 0;
-}
-
-WindowedKeySpec ParseWindowedKey(const std::string& key) {
-  if (!IsWindowedKey(key)) {
-    BadKey(key,
-           "not a windowed key (expected \"windowed:<W>:<B>:<inner-key>\")");
-  }
-  const std::size_t w_begin = std::string(keys::kWindowedPrefix).size();
-  const std::size_t w_end = key.find(':', w_begin);
-  if (w_end == std::string::npos) {
-    BadKey(key, "missing bucket count and inner key (expected "
-                "\"windowed:<W>:<B>:<inner-key>\")");
-  }
-  const std::size_t b_begin = w_end + 1;
-  const std::size_t b_end = key.find(':', b_begin);
-  if (b_end == std::string::npos) {
-    BadKey(key, "missing inner key (expected "
-                "\"windowed:<W>:<B>:<inner-key>\")");
-  }
-
-  const std::string w_str = key.substr(w_begin, w_end - w_begin);
-  if (!IsDecimalNumber(w_str)) {
-    BadKey(key, "window span \"" + w_str + "\" is not a positive number");
-  }
-  double window = 0.0;
-  try {
-    window = std::stod(w_str);
-  } catch (const std::out_of_range&) {
-    window = 0.0;  // over-/underflowing spans fail the positivity check
-  }
-  if (!(window > 0.0) || !std::isfinite(window)) {
-    BadKey(key, "window span must be positive and finite, got \"" + w_str +
-                    "\"");
-  }
-
-  const std::string b_str = key.substr(b_begin, b_end - b_begin);
-  if (b_str.empty() ||
-      b_str.find_first_not_of("0123456789") != std::string::npos) {
-    BadKey(key, "bucket count \"" + b_str + "\" is not a positive integer");
-  }
-  long buckets = 0;
-  try {
-    buckets = std::stol(b_str);
-  } catch (const std::out_of_range&) {
-    buckets = kMaxBuckets + 1L;
-  }
-  if (buckets < 1 || buckets > kMaxBuckets) {
-    BadKey(key, "bucket count must be in [1, " + std::to_string(kMaxBuckets) +
-                    "], got \"" + b_str + "\"");
-  }
-
-  WindowedKeySpec spec;
-  spec.window = window;
-  spec.buckets = static_cast<int>(buckets);
-  spec.inner = key.substr(b_end + 1);
-  if (spec.inner.empty()) {
-    BadKey(key,
-           "empty inner key (expected \"windowed:<W>:<B>:<inner-key>\")");
-  }
-  return spec;
-}
-
-// ---------------------------------------------------------------------------
-
-WindowedSummarizer::WindowedSummarizer(std::string key,
-                                       const WindowedKeySpec& spec,
+WindowedSummarizer::WindowedSummarizer(const ComposedKey& key,
                                        const SummarizerConfig& cfg)
-    : Summarizer(cfg), key_(std::move(key)), inner_key_(spec.inner) {
-  if (cfg.s < 1.0) {
-    BadKey(key_, "summary size s must be >= 1 for the windowed wrapper "
-                 "(the merged window budget is integral)");
-  }
-  window_ = spec.window;
-  span_ = window_ / static_cast<double>(spec.buckets);
+    : WrapperSummarizer(key, cfg) {
+  window_ = key.fields[0];
+  buckets_ = static_cast<int>(key.fields[1]);
+  span_ = window_ / static_cast<double>(buckets_);
   if (!(span_ > 0.0)) {
-    BadKey(key_, "window span / bucket count underflows to a zero-length "
-                 "bucket");
+    BadKey("window span / bucket count underflows to a zero-length bucket");
   }
   bucket_seed_base_ = Mix64(cfg.seed ^ kBucketSeedTag);
   merge_seed_base_ = Mix64(cfg.seed ^ kMergeSeedTag);
   effective_s_ = cfg.s;
   free_builder_s_ = cfg.s;
-  buckets_ = spec.buckets;
   // Cold registry lookups; the hot paths only touch the cached pointers.
   seal_ns_ = telemetry::GetHistogram("sas.window.seal_ns");
   bucket_items_ = telemetry::GetHistogram("sas.window.bucket_items");
@@ -151,11 +54,6 @@ WindowedSummarizer::WindowedSummarizer(std::string key,
   // non-mergeable methods must throw at MakeSummarizer time, not at the
   // first bucket seal.
   auto probe = AcquireInner(/*epoch=*/0);
-  if (!probe->Mergeable()) {
-    BadKey(key_, "inner method \"" + inner_key_ +
-                     "\" is not mergeable (its summary is not a "
-                     "partition-tolerant VarOpt sample)");
-  }
   // Probe the Reset capability too (a no-op on the fresh builder): a
   // recyclable probe seeds the free list, a non-recyclable one — e.g. a
   // sharded inner with its worker pool — is destroyed right away rather
@@ -163,21 +61,6 @@ WindowedSummarizer::WindowedSummarizer(std::string key,
   inner_recyclable_ =
       probe->Reset(ForkSeed(bucket_seed_base_, /*stream=*/0));
   ReleaseInner(std::move(probe));
-}
-
-void WindowedSummarizer::RequireLive(const char* what) const {
-  if (finalized_) {
-    throw std::logic_error(std::string("windowed summarizer: ") + what +
-                           " after Finalize (builders are spent once "
-                           "finalized)");
-  }
-  if (poisoned_) {
-    throw std::runtime_error(
-        std::string("windowed summarizer: ") + what +
-        " on a poisoned builder (a bucket seal or window merge failed "
-        "mid-update, so the window may be inconsistent; Reset(seed) "
-        "recovers)");
-  }
 }
 
 std::int64_t WindowedSummarizer::EpochOf(double ts) const {
@@ -223,17 +106,9 @@ std::unique_ptr<Summarizer> WindowedSummarizer::AcquireInner(
     inner_recyclable_ = false;
     free_builders_.clear();
   }
-  SummarizerConfig inner_cfg = cfg_;
-  inner_cfg.seed = seed;
-  inner_cfg.s = effective_s_;
   // The wrapper already budgets the whole ring; the inner build must not
   // degrade again on its own.
-  inner_cfg.max_bytes = 0;
-  // Items reaching a bucket builder were already admitted (and counted into
-  // telemetry) at this wrapper's ingest boundary; a telemetry-on inner
-  // builder would mirror every item into sas.ingest.* a second time.
-  inner_cfg.telemetry = false;
-  return MakeSummarizer(inner_key_, inner_cfg);
+  return MakeInner(seed, effective_s_, /*max_bytes=*/0);
 }
 
 void WindowedSummarizer::ReleaseInner(std::unique_ptr<Summarizer> spent) {
@@ -270,14 +145,7 @@ Sample WindowedSummarizer::BuildBucketSample(
   auto builder = AcquireInner(epoch);
   builder->AddBatch(items);
   auto summary = builder->Finalize();
-  auto* sample = dynamic_cast<SampleSummary*>(summary.get());
-  if (sample == nullptr) {
-    // Mergeable() promised a sample-backed summary; a custom method that
-    // lies about the capability is a programming error.
-    throw std::logic_error("windowed wrapper: inner summary \"" +
-                           summary->Name() + "\" is not sample-backed");
-  }
-  Sample out = sample->TakeSample();
+  Sample out = InnerSample(*summary).TakeSample();
   ReleaseInner(std::move(builder));
   return out;
 }
@@ -301,7 +169,7 @@ Sample WindowedSummarizer::MergeParts(std::span<const Sample* const> parts,
     // the shared merge scratch mid-update; mark the builder poisoned before
     // the error propagates so later calls fail fast.
   } catch (...) {
-    poisoned_ = true;
+    Poison();
     throw;
   }
 }
@@ -327,7 +195,7 @@ void WindowedSummarizer::SealCurrentBucket(std::int64_t next_epoch) {
     // half-built; mark the builder poisoned before the error propagates so
     // later calls fail fast instead of merging an inconsistent window.
   } catch (...) {
-    poisoned_ = true;
+    Poison();
     throw;
   }
   // One two-way merge folds the new bucket into the back stack's running
@@ -480,7 +348,7 @@ const Sample& WindowedSummarizer::MergedWindow() {
       // free list mid-update; poison before the error propagates, as for a
       // failed merge.
     } catch (...) {
-      poisoned_ = true;
+      Poison();
       throw;
     }
     parts[n++] = &partial;
@@ -515,11 +383,12 @@ std::unique_ptr<RangeSummary> WindowedSummarizer::Finalize() {
     if (effective_s_ != s_before) InvalidateCache();
   }
   MergedWindow();
-  finalized_ = true;
+  MarkFinalized();
   return std::make_unique<SampleSummary>(key_, std::move(cached_window_));
 }
 
 bool WindowedSummarizer::Reset(std::uint64_t seed) {
+  Restart(seed);
   front_.clear();
   back_.clear();
   back_merged_ = Sample();
@@ -528,27 +397,17 @@ bool WindowedSummarizer::Reset(std::uint64_t seed) {
   cur_epoch_ = 0;
   cached_window_ = Sample();
   cache_valid_ = false;
-  finalized_ = false;
-  poisoned_ = false;
   merges_ = 0;
   late_items_ = 0;
   dropped_items_ = 0;
   recycled_builders_ = 0;
-  stats_ = IngestStats{};
   effective_s_ = cfg_.s;
-  cfg_.seed = seed;
   bucket_seed_base_ = Mix64(seed ^ kBucketSeedTag);
   merge_seed_base_ = Mix64(seed ^ kMergeSeedTag);
   // Free-list builders survive the reset: AcquireInner reseeds them per
   // bucket anyway, and a stale effective_s_ is caught by the
   // free_builder_s_ check there.
   return true;
-}
-
-std::unique_ptr<Summarizer> MakeWindowedSummarizer(
-    const std::string& key, const SummarizerConfig& cfg) {
-  const WindowedKeySpec spec = ParseWindowedKey(key);
-  return std::make_unique<WindowedSummarizer>(key, spec, cfg);
 }
 
 }  // namespace sas

@@ -61,6 +61,11 @@
 // hand to generic call sites (the eval harness, the sharded wrapper —
 // "sharded:<N>:windowed:..." and "windowed:<W>:<B>:sharded:<N>:..." both
 // compose).
+//
+// The key grammar (W a positive decimal, B in [1, 4096]), the lifecycle and
+// the inner-builder factory are the shared ones of api/composed.h; this
+// file is only the ring engine. A failed seal or merge poisons the builder,
+// since the stacks may be left mid-update: every call but Reset throws.
 
 #ifndef SAS_WINDOW_WINDOWED_H_
 #define SAS_WINDOW_WINDOWED_H_
@@ -72,7 +77,7 @@
 #include <string>
 #include <vector>
 
-#include "api/summarizer.h"
+#include "api/composed.h"
 #include "api/summary.h"
 #include "core/merge.h"
 #include "core/random.h"
@@ -85,37 +90,13 @@ class Counter;
 class Histogram;
 }  // namespace telemetry
 
-/// Parsed form of a composed "windowed:<W>:<B>:<inner-key>" key.
-struct WindowedKeySpec {
-  double window = 0.0;  // W: window span in time units
-  int buckets = 0;      // B: ring size
-  std::string inner;
-};
-
-/// True when `key` starts with the windowed prefix (it may still be
-/// malformed; ParseWindowedKey reports why).
-bool IsWindowedKey(const std::string& key);
-
-/// Parses "windowed:<W>:<B>:<inner-key>". W is a positive decimal number
-/// (time units are the caller's; "60", "2.5"); B is an integer in
-/// [1, 4096]. Throws std::invalid_argument with a specific reason for
-/// malformed keys. Does not check that the inner key is registered —
-/// MakeSummarizer does.
-WindowedKeySpec ParseWindowedKey(const std::string& key);
-
-/// Factory used by MakeSummarizer for windowed keys: parses the key,
-/// validates the inner method eagerly (unknown/invalid/non-mergeable inner
-/// keys throw std::invalid_argument).
-std::unique_ptr<Summarizer> MakeWindowedSummarizer(const std::string& key,
-                                                   const SummarizerConfig& cfg);
-
 /// The wrapper itself. Construct through MakeSummarizer; exposed for tests
 /// and for the timestamped surface (reach it via Summarizer::AsWindowed).
-class WindowedSummarizer : public Summarizer {
+class WindowedSummarizer final : public WrapperSummarizer {
  public:
-  /// `key` is the composed key reported by the finalized summary's Name().
-  WindowedSummarizer(std::string key, const WindowedKeySpec& spec,
-                     const SummarizerConfig& cfg);
+  /// Probes the inner method eagerly (unknown, invalid or non-mergeable
+  /// inner keys throw std::invalid_argument here, not at the first seal).
+  WindowedSummarizer(const ComposedKey& key, const SummarizerConfig& cfg);
 
   // --- Generic builder surface (untimed: ingests at the current clock) ---
 
@@ -195,10 +176,6 @@ class WindowedSummarizer : public Summarizer {
   std::size_t dropped_items() const { return dropped_items_; }
   /// Builders reused via the Reset capability instead of reconstruction.
   std::size_t recycled_builders() const { return recycled_builders_; }
-  /// True once a bucket seal or any merge failed mid-update: the stacks
-  /// may be inconsistent, so every call but Reset throws. Reset(seed)
-  /// recovers.
-  bool poisoned() const { return poisoned_; }
   /// The sample size buckets are currently built at: cfg.s until the
   /// max_bytes budget forces stepwise halvings (IngestStats::degradations
   /// counts them).
@@ -212,7 +189,6 @@ class WindowedSummarizer : public Summarizer {
     Sample sample;
   };
 
-  void RequireLive(const char* what) const;
   /// A fresh inner builder for the bucket of `epoch` (recycled when the
   /// inner method supports Reset).
   std::unique_ptr<Summarizer> AcquireInner(std::int64_t epoch);
@@ -244,8 +220,6 @@ class WindowedSummarizer : public Summarizer {
   void InvalidateCache() { cache_valid_ = false; }
   const Sample& MergedWindow();
 
-  std::string key_;
-  std::string inner_key_;
   double window_ = 0.0;
   double span_ = 0.0;
   std::uint64_t bucket_seed_base_ = 0;
@@ -279,8 +253,6 @@ class WindowedSummarizer : public Summarizer {
   std::function<void(const Sample&)> publish_hook_;
   Sample cached_window_;
   bool cache_valid_ = false;
-  bool finalized_ = false;
-  bool poisoned_ = false;
   double effective_s_ = 0.0;
 
   std::size_t merges_ = 0;

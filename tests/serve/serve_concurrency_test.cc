@@ -14,7 +14,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -208,14 +210,20 @@ TEST(QueryService, ConcurrentReadersSeeOnlyConsistentSnapshots) {
 }
 
 TEST(Servable, ServeKeyParsesAndRegisters) {
-  EXPECT_TRUE(IsServeKey("serve:obliv"));
-  EXPECT_FALSE(IsServeKey("obliv"));
-  EXPECT_EQ(ParseServeKey("serve:windowed:10:2:obliv"), "windowed:10:2:obliv");
-  EXPECT_THROW(ParseServeKey("serve:"), std::invalid_argument);
-  // Keys without the serve prefix are rejected, not cut at a fixed offset.
-  for (const char* key : {"obliv", "order-2p", "sharded:2:obliv", ""}) {
-    EXPECT_THROW(ParseServeKey(key), std::invalid_argument) << key;
+  const std::optional<ComposedKey> parsed =
+      ParseComposedKey("serve:windowed:10:2:obliv");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->grammar->prefix, std::string("serve:"));
+  EXPECT_EQ(parsed->inner, "windowed:10:2:obliv");
+  EXPECT_TRUE(parsed->fields.empty());
+  EXPECT_THROW(ParseComposedKey("serve:"), std::invalid_argument);
+  // Keys without a wrapper prefix are plain method keys, not cut at a fixed
+  // offset.
+  for (const char* key : {"obliv", "order-2p", ""}) {
+    EXPECT_FALSE(ParseComposedKey(key).has_value()) << key;
   }
+  EXPECT_NE(ParseComposedKey("sharded:2:obliv")->grammar->prefix,
+            std::string("serve:"));
 
   EXPECT_TRUE(IsRegisteredSummarizer("serve:obliv"));
   EXPECT_TRUE(IsRegisteredSummarizer("serve:sharded:2:obliv"));
@@ -227,11 +235,28 @@ TEST(Servable, ServeKeyParsesAndRegisters) {
   EXPECT_THROW(MakeSummarizer("serve:", cfg), std::invalid_argument);
   EXPECT_THROW(MakeSummarizer("serve:no-such-method", cfg),
                std::invalid_argument);
+
+  // serve: is outermost-only, and the key alone says so: under any other
+  // wrapper (or itself) the key is not registered and does not build, and
+  // the error names the whole key.
+  for (const std::string key : {"sharded:2:serve:obliv",
+                                "windowed:60:4:serve:obliv",
+                                "serve:serve:obliv"}) {
+    EXPECT_FALSE(IsRegisteredSummarizer(key)) << key;
+    EXPECT_THROW(ParseComposedKey(key), std::invalid_argument) << key;
+    try {
+      (void)MakeSummarizer(key, cfg);
+      ADD_FAILURE() << key << " built";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Servable, ServeIsOutermostOnly) {
-  // Not mergeable, so the sharded wrapper rejects it as an inner method —
-  // exactly like any other non-mergeable key.
+  // The grammar rejects serve: under another wrapper, and the wrapper
+  // itself is not mergeable either.
   SummarizerConfig cfg;
   cfg.s = 16.0;
   auto builder = MakeSummarizer("serve:obliv", cfg);
@@ -347,6 +372,37 @@ TEST(Servable, IngestValidationAtTheWrapperSurface) {
   EXPECT_EQ(lax->Describe().accepted, 1u);
   EXPECT_EQ(lax->Describe().rejected_weight, 1u);
   EXPECT_EQ(lax->Finalize()->SizeInElements(), 1u);
+}
+
+TEST(Servable, FinalizedBuilderIsSpentUntilReset) {
+  Rng rng(43);
+  const auto items = RandomItems(100, 1 << 10, &rng);
+  SummarizerConfig cfg;
+  cfg.s = 24.0;
+  cfg.seed = 7;
+  for (const std::string key : {"serve:obliv", "serve:windowed:8:4:obliv"}) {
+    auto builder = MakeSummarizer(key, cfg);
+    auto service = builder->AsServable()->service();
+    builder->AddBatch(items);
+    (void)builder->Finalize();
+    const std::uint64_t publishes = service->publishes();
+
+    // Every ingest call and a second Finalize fail fast, and nothing is
+    // republished.
+    const Coord p[2] = {1, 2};
+    EXPECT_THROW(builder->Add(items[0]), std::logic_error) << key;
+    EXPECT_THROW(builder->AddBatch(items), std::logic_error) << key;
+    EXPECT_THROW(builder->AddCoords(p, 2, 1.0), std::logic_error) << key;
+    EXPECT_THROW(builder->Finalize(), std::logic_error) << key;
+    EXPECT_EQ(service->publishes(), publishes) << key;
+
+    // Reset recovers (both inner methods recycle), and the next build
+    // publishes again.
+    ASSERT_TRUE(builder->Reset(cfg.seed)) << key;
+    builder->AddBatch(items);
+    EXPECT_GT(builder->Finalize()->SizeInElements(), 0u) << key;
+    EXPECT_EQ(service->publishes(), publishes + 1) << key;
+  }
 }
 
 TEST(Servable, ResetRecyclesBuilderAndKeepsServing) {

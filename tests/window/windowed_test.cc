@@ -4,8 +4,9 @@
 // within Horvitz-Thompson tolerance, reproduce bit-identically for a fixed
 // (seed, W, B, timestamped input), serve repeated queries from the cached
 // merged sample, handle empty/partial rings and zero-entry bucket samples,
-// compose with the sharded wrapper in either order, and reject malformed
-// keys and non-mergeable inner methods.
+// compose with the sharded wrapper in either order, and reject
+// non-mergeable inner methods. The key grammar itself is pinned in
+// tests/api/composed_test.cc.
 
 #include "window/windowed.h"
 
@@ -65,50 +66,7 @@ std::vector<double> SpreadTimestamps(std::size_t n, double horizon) {
   return ts;
 }
 
-TEST(WindowedKey, ParsesWellFormedKeys) {
-  const WindowedKeySpec spec = ParseWindowedKey("windowed:3600:60:obliv");
-  EXPECT_DOUBLE_EQ(spec.window, 3600.0);
-  EXPECT_EQ(spec.buckets, 60);
-  EXPECT_EQ(spec.inner, "obliv");
-
-  // Decimal window spans and composed inner keys parse.
-  const WindowedKeySpec decimal = ParseWindowedKey("windowed:2.5:5:product");
-  EXPECT_DOUBLE_EQ(decimal.window, 2.5);
-  const WindowedKeySpec nested =
-      ParseWindowedKey("windowed:60:4:sharded:2:obliv");
-  EXPECT_EQ(nested.inner, "sharded:2:obliv");
-  const WindowedKeySpec windowed_in_windowed =
-      ParseWindowedKey("windowed:60:4:windowed:10:2:obliv");
-  EXPECT_EQ(windowed_in_windowed.inner, "windowed:10:2:obliv");
-}
-
-TEST(WindowedKey, MalformedKeysThrow) {
-  SummarizerConfig cfg;
-  cfg.s = 50.0;
-  for (const char* bad :
-       {"windowed:", "windowed:60", "windowed:60:4", "windowed::4:obliv",
-        "windowed:0:4:obliv", "windowed:-1:4:obliv", "windowed:1e3:4:obliv",
-        "windowed:abc:4:obliv", "windowed:6.0.0:4:obliv",
-        "windowed:60:0:obliv", "windowed:60:-2:obliv",
-        "windowed:60:abc:obliv", "windowed:60:4097:obliv",
-        "windowed:60:99999999999999999999:obliv", "windowed:60:4:",
-        "windowed:60:4:no-such-method"}) {
-    EXPECT_THROW(MakeSummarizer(bad, cfg), std::invalid_argument) << bad;
-    EXPECT_FALSE(IsRegisteredSummarizer(bad)) << bad;
-  }
-  // A window span overflowing double's range must fail with the documented
-  // exception type (std::stod alone would throw std::out_of_range).
-  const std::string huge_w = "windowed:" + std::string(310, '9') + ":8:obliv";
-  EXPECT_THROW(MakeSummarizer(huge_w, cfg), std::invalid_argument);
-  EXPECT_FALSE(IsRegisteredSummarizer(huge_w));
-  const std::string tiny_w =
-      "windowed:0." + std::string(330, '0') + "1:8:obliv";
-  EXPECT_THROW(MakeSummarizer(tiny_w, cfg), std::invalid_argument);
-}
-
 TEST(WindowedKey, RegisteredWhenInnerIs) {
-  EXPECT_TRUE(IsWindowedKey("windowed:60:4:obliv"));
-  EXPECT_FALSE(IsWindowedKey("obliv"));
   EXPECT_TRUE(IsRegisteredSummarizer("windowed:60:4:obliv"));
   // The composed wrappers nest in either order.
   EXPECT_TRUE(IsRegisteredSummarizer("windowed:60:4:sharded:2:obliv"));

@@ -84,6 +84,7 @@ import tempfile
 DETERMINISM_DIRS = ("core", "aware", "structure", "window")
 REGISTRY_IMPL_FILES = (
     "src/api/builders.cc",
+    "src/api/composed.cc",
     "src/api/registry.cc",
     "src/api/sharded.cc",
     "src/api/adapters.h",
