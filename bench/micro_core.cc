@@ -250,42 +250,69 @@ void BM_KdBuildArena(benchmark::State& state) {
 }
 BENCHMARK(BM_KdBuildArena);
 
-void BM_KdBuildNetworkShard(benchmark::State& state) {
-  // The kd build inside one shard's Finalize of sharded:3:product over the
-  // Network dataset at s = 1000: ~65k open keys with IPPS masses and heavy
-  // per-axis coordinate ties, rebuilt into a warm scratch and tree.
-  const Dataset2D data = GenerateNetwork(NetworkConfig{});
-  std::vector<Weight> weights;
-  std::vector<Point2D> pts;
-  for (const auto& it : data.items) {
-    if (ShardIndex(it.id, /*seed=*/1, /*num_shards=*/3) != 0) continue;
-    weights.push_back(it.weight);
-    pts.push_back(it.pt);
-  }
-  std::vector<double> probs;
-  IppsProbabilities(weights, SolveTau(weights, 1000.0), &probs);
-  std::vector<Coord> coords;
+// The open keys one shard's Finalize of sharded:3:product over the Network
+// dataset at s = 1000 builds its kd tree over: ~65k keys with IPPS masses
+// and heavy per-axis coordinate ties.
+struct NetworkShardOpenKeys {
+  std::vector<Coord> coords;  // flat, dims = 2
   std::vector<double> mass;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const double q = SnapProbability(probs[i]);
-    if (q == 1.0 || IsSet(q)) continue;
-    coords.push_back(pts[i].x);
-    coords.push_back(pts[i].y);
-    mass.push_back(q);
-  }
+};
+
+const NetworkShardOpenKeys& NetworkShard0() {
+  static const NetworkShardOpenKeys keys = [] {
+    const Dataset2D data = GenerateNetwork(NetworkConfig{});
+    std::vector<Weight> weights;
+    std::vector<Point2D> pts;
+    for (const auto& it : data.items) {
+      if (ShardIndex(it.id, /*seed=*/1, /*num_shards=*/3) != 0) continue;
+      weights.push_back(it.weight);
+      pts.push_back(it.pt);
+    }
+    std::vector<double> probs;
+    IppsProbabilities(weights, SolveTau(weights, 1000.0), &probs);
+    NetworkShardOpenKeys k;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const double q = SnapProbability(probs[i]);
+      if (q == 1.0 || IsSet(q)) continue;
+      k.coords.push_back(pts[i].x);
+      k.coords.push_back(pts[i].y);
+      k.mass.push_back(q);
+    }
+    return k;
+  }();
+  return keys;
+}
+
+// Rebuilds the shard's tree into a warm scratch and tree with the given
+// leaf-mass cap, exporting the tree's node count.
+void RunKdBuildNetworkShard(benchmark::State& state, double leaf_mass) {
+  const NetworkShardOpenKeys& keys = NetworkShard0();
   KdBuildScratch scratch;
   KdHierarchy tree;
   for (auto _ : state) {
-    KdHierarchy::BuildInto(coords, 2, mass, &scratch, &tree);
+    KdHierarchy::BuildInto(keys.coords, 2, keys.mass, &scratch, &tree,
+                           leaf_mass);
     benchmark::DoNotOptimize(tree.nodes().data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(mass.size()));
-  state.counters["open_keys"] = static_cast<double>(mass.size());
+                          static_cast<std::int64_t>(keys.mass.size()));
+  state.counters["open_keys"] = static_cast<double>(keys.mass.size());
+  state.counters["nodes"] = static_cast<double>(tree.num_nodes());
   state.counters["simd"] =
       static_cast<double>(static_cast<int>(simd::ActiveLevel()));
 }
+
+// Full depth: the tree the two-pass partition and query generation build.
+void BM_KdBuildNetworkShard(benchmark::State& state) {
+  RunKdBuildNetworkShard(state, /*leaf_mass=*/0.0);
+}
 BENCHMARK(BM_KdBuildNetworkShard)->Unit(benchmark::kMillisecond);
+
+// Cut at cells of mass <= 1: the tree a product Finalize builds.
+void BM_KdBuildNetworkShardCapped(benchmark::State& state) {
+  RunKdBuildNetworkShard(state, /*leaf_mass=*/1.0);
+}
+BENCHMARK(BM_KdBuildNetworkShardCapped)->Unit(benchmark::kMillisecond);
 
 void BM_KdLocate(benchmark::State& state) {
   Rng rng(6);

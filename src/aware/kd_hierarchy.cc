@@ -85,21 +85,23 @@ KdHierarchy KdHierarchy::Build(const std::vector<Point2D>& pts,
   assert(pts.size() == mass.size());
   KdHierarchy tree;
   BuildFlat(AsFlatCoords(pts.data()), /*dims=*/2, mass.data(), mass.size(),
-            scratch, &tree);
+            /*leaf_mass=*/0.0, scratch, &tree);
   return tree;
 }
 
 void KdHierarchy::BuildInto(const std::vector<Coord>& coords, int dims,
                             const std::vector<double>& mass,
-                            KdBuildScratch* scratch, KdHierarchy* out) {
+                            KdBuildScratch* scratch, KdHierarchy* out,
+                            double leaf_mass) {
   assert(dims >= 1);
   assert(coords.size() == mass.size() * static_cast<std::size_t>(dims));
-  BuildFlat(coords.data(), dims, mass.data(), mass.size(), scratch, out);
+  BuildFlat(coords.data(), dims, mass.data(), mass.size(), leaf_mass, scratch,
+            out);
 }
 
 void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
-                            std::size_t n, KdBuildScratch* scratch,
-                            KdHierarchy* out) {
+                            std::size_t n, double leaf_mass,
+                            KdBuildScratch* scratch, KdHierarchy* out) {
   out->dims_ = dims;
   if (n == 0) {
     out->nodes_.clear();
@@ -151,9 +153,12 @@ void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
   }
 
   const std::size_t node_cap = 2 * n;  // at most 2n - 1 nodes
+  const bool capped = leaf_mass > 0.0;
   std::vector<Node>& nodes = out->nodes_;
   nodes.clear();
-  nodes.reserve(node_cap);
+  // A capped tree is usually far smaller than 2n nodes, so it grows on
+  // demand (a warm tree keeps its capacity).
+  if (!capped) nodes.reserve(node_cap);
   // DFS with left child processed first: outstanding tasks cover disjoint
   // item ranges, so the stack holds at most n of them.
   BuildTask* stack = arena.AllocateArray<BuildTask>(n + 1);
@@ -186,6 +191,13 @@ void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
     if (t.end - t.begin <= 1) {
       if (t.end > t.begin) item_order[t.begin] = ord[0][t.begin];
       continue;  // leaf
+    }
+    if (capped && total <= leaf_mass) {
+      // Mass-capped leaf: the whole run, in the order of the axis the node
+      // would split on next.
+      const std::uint32_t* o = ord[t.depth % dims];
+      for (std::uint32_t i = t.begin; i < t.end; ++i) item_order[i] = o[i];
+      continue;
     }
 
     // Choose the split axis round-robin; fall back to the next axis when

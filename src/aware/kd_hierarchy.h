@@ -35,8 +35,9 @@ class KdHierarchy {
     int axis = 0;       // split axis (leaves: unused)
     Coord split = 0;    // points with axis-coord < split go left
     double mass = 0.0;  // total mass under this node
-    // Leaves hold a contiguous run [begin, end) of item_order() (a single
-    // item unless the build hit duplicate points).
+    // Leaves hold a contiguous run [begin, end) of item_order(): a single
+    // item in a full-depth build unless it hit duplicate points; under a
+    // leaf_mass cap, every item of a cell whose mass is <= the cap.
     std::size_t begin = 0;
     std::size_t end = 0;
 
@@ -68,10 +69,15 @@ class KdHierarchy {
 
   /// Rebuilds *out in place, reusing its node and item-order storage in
   /// addition to the scratch arena: a warm (scratch, out) pair makes the
-  /// whole build allocation-free. Produces exactly the tree Build returns.
+  /// whole build allocation-free. With leaf_mass <= 0 it produces exactly
+  /// the tree Build returns. With leaf_mass > 0 a node whose mass is
+  /// <= leaf_mass is not split: it becomes a leaf holding its whole run,
+  /// in the sorted order of the axis it would split on next. The result is
+  /// the full tree cut at the first node on each path at or under the cap.
   static void BuildInto(const std::vector<Coord>& coords, int dims,
                         const std::vector<double>& mass,
-                        KdBuildScratch* scratch, KdHierarchy* out);
+                        KdBuildScratch* scratch, KdHierarchy* out,
+                        double leaf_mass = 0.0);
 
   const std::vector<Node>& nodes() const { return nodes_; }
   int root() const { return nodes_.empty() ? kNull : 0; }
@@ -90,8 +96,8 @@ class KdHierarchy {
 
  private:
   static void BuildFlat(const Coord* coords, int dims, const double* mass,
-                        std::size_t n, KdBuildScratch* scratch,
-                        KdHierarchy* out);
+                        std::size_t n, double leaf_mass,
+                        KdBuildScratch* scratch, KdHierarchy* out);
 
   int dims_ = 0;
   std::vector<Node> nodes_;

@@ -71,6 +71,8 @@ void SummarizeProduct(const std::vector<Weight>& weights, int dims,
       telemetry::GetHistogram("sas.aware.kd_build_ns");
   static telemetry::Histogram* const kd_aggregate_ns =
       telemetry::GetHistogram("sas.aware.kd_aggregate_ns");
+  static telemetry::Histogram* const kd_nodes =
+      telemetry::GetHistogram("sas.aware.kd_nodes");
   std::optional<telemetry::Span> phase;
   phase.emplace("aware.solve_tau", solve_tau_ns);
   out->tau = SolveTau(weights, s, &scratch->ipps);
@@ -103,7 +105,12 @@ void SummarizeProduct(const std::vector<Weight>& weights, int dims,
     coords.insert(coords.end(), c, c + ud);
     mass.push_back(out->probs[i]);
   }
-  KdHierarchy::BuildInto(coords, dims, mass, &scratch->kd, &scratch->tree);
+  // Cells of mass <= 1 stay unsplit (see the header, step 2).
+  KdHierarchy::BuildInto(coords, dims, mass, &scratch->kd, &scratch->tree,
+                         /*leaf_mass=*/1.0);
+  if (telemetry::Enabled()) {
+    kd_nodes->Observe(static_cast<std::uint64_t>(scratch->tree.num_nodes()));
+  }
 
   // Aggregate over local (open-subset) indices, then map back.
   phase.emplace("aware.kd_aggregate", kd_aggregate_ns);
@@ -140,31 +147,6 @@ void ProductSummarizeNdInto(const std::vector<Coord>& coords, int dims,
   SummarizeProduct(
       weights, dims, [&](std::size_t i) { return coords.data() + i * ud; },
       s, rng, scratch, out);
-}
-
-SummarizeResult ProductSummarize(const std::vector<WeightedKey>& items,
-                                 double s, Rng* rng) {
-  thread_local SummarizeScratch scratch;
-  SummarizeOutput out;
-  ProductSummarizeInto(items, s, rng, &scratch, &out);
-
-  SummarizeResult r;
-  r.tau = out.tau;
-  r.probs = std::move(out.probs);
-  std::vector<WeightedKey> chosen;
-  chosen.reserve(out.chosen.size());
-  for (std::uint32_t i : out.chosen) chosen.push_back(items[i]);
-  r.sample = Sample(out.tau, std::move(chosen));
-  return r;
-}
-
-ResultNd ProductSummarizeNd(const std::vector<Coord>& coords, int dims,
-                            const std::vector<Weight>& weights, double s,
-                            Rng* rng) {
-  thread_local SummarizeScratch scratch;
-  ResultNd out;
-  ProductSummarizeNdInto(coords, dims, weights, s, rng, &scratch, &out);
-  return out;
 }
 
 }  // namespace sas

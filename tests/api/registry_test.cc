@@ -16,6 +16,7 @@
 #include "aware/order_summarizer.h"
 #include "aware/product_summarizer.h"
 #include "core/random.h"
+#include "oracles/product_summarize.h"
 #include "structure/hierarchy.h"
 #include "test_util.h"
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <utility>
 #include <vector>
@@ -85,6 +87,99 @@ int MaxDepth(const KdHierarchy& t) {
     }
   }
   return best;
+}
+
+/// n flat points of `dims` coordinates drawn from [0, domain) (duplicates
+/// kept), with masses 1 or, when !uniform_mass, in (0, 1).
+std::pair<std::vector<Coord>, std::vector<double>> FlatPoints(
+    std::size_t n, int dims, Coord domain, bool uniform_mass, Rng* rng) {
+  std::vector<Coord> coords;
+  std::vector<double> mass;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int a = 0; a < dims; ++a) coords.push_back(rng->NextBounded(domain));
+    mass.push_back(uniform_mass ? 1.0 : 0.001 + 0.998 * rng->NextDouble());
+  }
+  return {coords, mass};
+}
+
+std::vector<std::size_t> SortedRun(const KdHierarchy& t, std::size_t begin,
+                                   std::size_t end) {
+  std::vector<std::size_t> run(t.item_order().begin() + begin,
+                               t.item_order().begin() + end);
+  std::sort(run.begin(), run.end());
+  return run;
+}
+
+/// Expects `capped` (BuildInto with leaf_mass = cap) to be `full` cut at
+/// the first node on each path whose mass is <= cap: above the cut both
+/// agree in axis, split, mass (bitwise) and [begin, end); each cut node is
+/// a leaf holding the full node's items, sorted on the axis it would split
+/// next (depth mod dims; ties in index order).
+void ExpectFullTreeCutAt(const KdHierarchy& full, const KdHierarchy& capped,
+                         const std::vector<Coord>& coords, double cap) {
+  ASSERT_EQ(full.num_nodes() == 0, capped.num_nodes() == 0);
+  if (full.num_nodes() == 0) return;
+  const std::size_t dims = static_cast<std::size_t>(full.dims());
+  struct Visit {
+    int f, c, depth;
+  };
+  std::vector<Visit> stack{{full.root(), capped.root(), 0}};
+  int visited = 0;
+  while (!stack.empty()) {
+    const auto [fv, cv, depth] = stack.back();
+    stack.pop_back();
+    ++visited;
+    const auto& f = full.nodes()[fv];
+    const auto& c = capped.nodes()[cv];
+    SCOPED_TRACE(testing::Message() << "cap " << cap << " full node " << fv
+                                    << " depth " << depth);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(c.mass),
+              std::bit_cast<std::uint64_t>(f.mass));
+    ASSERT_EQ(c.begin, f.begin);
+    ASSERT_EQ(c.end, f.end);
+    if (f.IsLeaf() || f.mass <= cap) {
+      ASSERT_TRUE(c.IsLeaf());
+      ASSERT_EQ(SortedRun(capped, c.begin, c.end),
+                SortedRun(full, f.begin, f.end));
+      if (f.IsLeaf()) continue;
+      const std::size_t axis = static_cast<std::size_t>(depth) % dims;
+      for (std::size_t j = c.begin + 1; j < c.end; ++j) {
+        const std::size_t a = capped.item_order()[j - 1];
+        const std::size_t b = capped.item_order()[j];
+        ASSERT_LT(std::make_pair(coords[a * dims + axis], a),
+                  std::make_pair(coords[b * dims + axis], b));
+      }
+      continue;
+    }
+    ASSERT_FALSE(c.IsLeaf());
+    ASSERT_EQ(c.axis, f.axis);
+    ASSERT_EQ(c.split, f.split);
+    ASSERT_EQ(capped.nodes()[c.left].parent, cv);
+    ASSERT_EQ(capped.nodes()[c.right].parent, cv);
+    stack.push_back({f.right, c.right, depth + 1});
+    stack.push_back({f.left, c.left, depth + 1});
+  }
+  EXPECT_EQ(visited, capped.num_nodes());
+}
+
+void ExpectSameTree(const KdHierarchy& got, const KdHierarchy& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  EXPECT_EQ(got.dims(), want.dims());
+  for (int v = 0; v < want.num_nodes(); ++v) {
+    const auto& g = got.nodes()[v];
+    const auto& w = want.nodes()[v];
+    ASSERT_EQ(g.parent, w.parent) << "node " << v;
+    ASSERT_EQ(g.left, w.left) << "node " << v;
+    ASSERT_EQ(g.right, w.right) << "node " << v;
+    ASSERT_EQ(g.axis, w.axis) << "node " << v;
+    ASSERT_EQ(g.split, w.split) << "node " << v;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(g.mass),
+              std::bit_cast<std::uint64_t>(w.mass))
+        << "node " << v;
+    ASSERT_EQ(g.begin, w.begin) << "node " << v;
+    ASSERT_EQ(g.end, w.end) << "node " << v;
+  }
+  EXPECT_EQ(got.item_order(), want.item_order());
 }
 
 TEST(KdHierarchy, EmptyInput) {
@@ -269,6 +364,68 @@ TEST(KdHierarchy, HyperplaneCrossingBound) {
   }
   // sqrt(1024) = 32; allow constant slack.
   EXPECT_LE(crossing, 3 * 32);
+}
+
+TEST(KdHierarchy, CappedTreeIsFullTreeCutAtCap) {
+  // Unit masses put node masses exactly on integer caps (<= vs <); small
+  // domains force duplicate points and constant runs on an axis.
+  struct Case {
+    std::size_t n;
+    int dims;
+    Coord domain;
+    bool uniform_mass;
+    std::vector<double> caps;
+  };
+  const std::vector<Case> cases{
+      {2000, 2, Coord{1} << 20, true, {1.0, 2.0, 3.0, 16.0}},
+      {2000, 2, Coord{1} << 20, false, {0.5, 1.0, 4.0}},
+      {1000, 3, Coord{1} << 16, true, {2.0, 5.0}},
+      {1000, 3, Coord{1} << 16, false, {1.0, 2.5}},
+      {500, 2, 8, true, {1.0, 3.0, 10.0}},
+      {300, 1, 16, false, {1.0, 2.0}},
+  };
+  Rng rng(21);
+  KdBuildScratch scratch;
+  KdHierarchy capped;  // one warm tree across every build
+  for (const Case& tc : cases) {
+    const auto [coords, mass] =
+        FlatPoints(tc.n, tc.dims, tc.domain, tc.uniform_mass, &rng);
+    const KdHierarchy full = KdHierarchy::Build(coords, tc.dims, mass);
+    for (double cap : tc.caps) {
+      SCOPED_TRACE(testing::Message() << "n " << tc.n << " dims " << tc.dims
+                                      << " domain " << tc.domain);
+      KdHierarchy::BuildInto(coords, tc.dims, mass, &scratch, &capped, cap);
+      ExpectFullTreeCutAt(full, capped, coords, cap);
+      if (tc.uniform_mass && cap >= 2.0 && tc.domain > Coord{tc.n}) {
+        // Distinct points: every pair of unit leaves is cut.
+        EXPECT_LT(capped.num_nodes(), full.num_nodes());
+      }
+    }
+  }
+}
+
+TEST(KdHierarchy, ZeroLeafMassReproducesBuild) {
+  Rng rng(22);
+  KdBuildScratch scratch;
+  KdHierarchy tree;
+  for (int dims : {1, 2, 3}) {
+    for (bool uniform_mass : {true, false}) {
+      const auto [coords, mass] =
+          FlatPoints(1500, dims, Coord{1} << 12, uniform_mass, &rng);
+      // A capped build first, so the zero-cap build reuses its storage.
+      KdHierarchy::BuildInto(coords, dims, mass, &scratch, &tree, 4.0);
+      KdHierarchy::BuildInto(coords, dims, mass, &scratch, &tree, 0.0);
+      SCOPED_TRACE(testing::Message() << "dims " << dims);
+      ExpectSameTree(tree, KdHierarchy::Build(coords, dims, mass));
+      if (dims == 2) {
+        std::vector<Point2D> pts;
+        for (std::size_t i = 0; i < mass.size(); ++i) {
+          pts.push_back({coords[2 * i], coords[2 * i + 1]});
+        }
+        ExpectSameTree(tree, KdHierarchy::Build(pts, mass));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "core/pair_aggregate.h"
 #include "core/random.h"
 #include "core/types.h"
+#include "oracles/product_summarize.h"
 
 namespace sas {
 namespace {

@@ -8,6 +8,7 @@
 
 #include "core/ipps.h"
 #include "core/random.h"
+#include "oracles/product_summarize.h"
 #include "sampling/varopt_offline.h"
 #include "summaries/exact_summary.h"
 

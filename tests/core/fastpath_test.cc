@@ -55,6 +55,7 @@
 #include "core/random.h"
 #include "core/simd.h"
 #include "data/network_gen.h"
+#include "oracles/product_summarize.h"
 #include "structure/hierarchy.h"
 
 namespace sas {

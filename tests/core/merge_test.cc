@@ -14,6 +14,7 @@
 #include "aware/order_summarizer.h"
 #include "aware/product_summarizer.h"
 #include "core/random.h"
+#include "oracles/product_summarize.h"
 #include "sampling/varopt_offline.h"
 #include "structure/hierarchy.h"
 

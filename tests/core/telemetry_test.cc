@@ -19,7 +19,10 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "aware/kd_hierarchy.h"
 #include "core/fault.h"
+#include "core/ipps.h"
+#include "core/pair_aggregate.h"
 
 namespace sas {
 namespace telemetry {
@@ -342,6 +345,52 @@ TEST(TelemetrySpan, ProductBuildPhasesObserveOncePerFinalize) {
     EXPECT_EQ(a[i].id, b[i].id);
     EXPECT_EQ(a[i].weight, b[i].weight);
   }
+}
+
+TEST(TelemetrySpan, ProductBuildRecordsKdNodeCount) {
+  // sas.aware.kd_nodes gets one value per armed product build: the node
+  // count of its kd tree, which is cut at cells of mass <= 1.
+  Histogram* kd_nodes = GetHistogram("sas.aware.kd_nodes");
+  std::vector<WeightedKey> items;
+  std::vector<Weight> weights;
+  for (KeyId i = 0; i < 2000; ++i) {
+    items.push_back({i, 1.0 + static_cast<double>(i % 23),
+                     {(i * 2654435761ULL) & 0xFFFF, (i * 40503ULL) & 0xFFFF}});
+    weights.push_back(items.back().weight);
+  }
+  SummarizerConfig cfg;
+  cfg.s = 100.0;
+  auto build = [&](bool armed) {
+    ScopedEnabled scope(armed);
+    auto builder = MakeSummarizer("product", cfg);
+    builder->AddBatch(items);
+    builder->Finalize();
+  };
+  const std::uint64_t count = kd_nodes->count();
+  const std::uint64_t sum = kd_nodes->sum();
+  build(false);
+  EXPECT_EQ(kd_nodes->count(), count);
+  build(true);
+  ASSERT_EQ(kd_nodes->count(), count + 1);
+
+  std::vector<double> probs;
+  IppsProbabilities(weights, SolveTau(weights, cfg.s), &probs);
+  std::vector<Coord> coords;
+  std::vector<double> mass;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const double q = SnapProbability(probs[i]);
+    if (IsSet(q)) continue;
+    coords.push_back(items[i].pt.x);
+    coords.push_back(items[i].pt.y);
+    mass.push_back(q);
+  }
+  KdBuildScratch scratch;
+  KdHierarchy capped;
+  KdHierarchy::BuildInto(coords, 2, mass, &scratch, &capped, 1.0);
+  EXPECT_EQ(kd_nodes->sum() - sum,
+            static_cast<std::uint64_t>(capped.num_nodes()));
+  EXPECT_LT(capped.num_nodes(),
+            KdHierarchy::Build(coords, 2, mass).num_nodes());
 }
 
 }  // namespace

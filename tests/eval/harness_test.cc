@@ -8,6 +8,7 @@
 
 #include "aware/product_summarizer.h"
 #include "data/network_gen.h"
+#include "oracles/product_summarize.h"
 
 namespace sas {
 namespace {
