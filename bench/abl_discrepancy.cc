@@ -15,7 +15,7 @@
 #include "core/ipps.h"
 #include "eval/table.h"
 #include "sampling/systematic.h"
-#include "sampling/varopt_offline.h"
+#include "tests/oracles/varopt_offline.h"
 
 int main(int argc, char** argv) {
   using namespace sas;

@@ -10,7 +10,7 @@
 #include "api/registry.h"
 #include "core/random.h"
 #include "eval/table.h"
-#include "sampling/varopt_offline.h"
+#include "tests/oracles/varopt_offline.h"
 #include "summaries/qdigest.h"
 #include "summaries/wavelet1d.h"
 

@@ -10,7 +10,7 @@
 #include "api/registry.h"
 #include "core/ipps.h"
 #include "eval/table.h"
-#include "sampling/varopt_offline.h"
+#include "tests/oracles/varopt_offline.h"
 
 int main(int argc, char** argv) {
   using namespace sas;

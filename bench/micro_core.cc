@@ -131,7 +131,9 @@ BENCHMARK(BM_SolveTau)->Arg(1000)->Arg(100000);
 
 void BM_ChainAggregate(benchmark::State& state) {
   // Full order-structure aggregation pass over n open probabilities: the
-  // ChainAggregate hot loop as driven by OrderSummarize (Algorithm 5).
+  // order settle (OrderAggregate, Algorithm 5), i.e. one ChainAggregateRange
+  // over the whole order through core/settle.h's loop, as
+  // OrderSummarizeInto and the merge drive it.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::vector<Weight> weights = ParetoWeights(n, 12);
   const double tau = SolveTau(weights, static_cast<double>(n) / 100.0);

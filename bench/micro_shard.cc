@@ -12,7 +12,7 @@
 #include "core/merge.h"
 #include "core/random.h"
 #include "sampling/stream_varopt.h"
-#include "sampling/varopt_offline.h"
+#include "tests/oracles/varopt_offline.h"
 
 namespace sas {
 namespace {

@@ -86,62 +86,85 @@ std::unique_ptr<SampleSummary> TakeSampleSummary(
 }
 
 // ---------------------------------------------------------------------------
-// In-memory structure-aware samplers (Sections 3 and 4).
+// Structure-aware samplers over a buffered stream: in memory (Sections 3
+// and 4) through a private scratch, or, for the `*-2p` keys, the Section 5
+// two-pass construction replaying the buffer.
 
-class OrderBuilder : public BufferingSummarizer {
+class StructureBuilder : public BufferingSummarizer {
  public:
-  using BufferingSummarizer::BufferingSummarizer;
+  StructureBuilder(SummarizerConfig cfg, bool two_pass)
+      : BufferingSummarizer(std::move(cfg)), two_pass_(two_pass) {}
+
+ protected:
+  TwoPassConfig two_pass_config() const { return {cfg_.sprime_factor}; }
+
+  const bool two_pass_;
+  SummarizeScratch scratch_;
+  SummarizeOutput out_;
+};
+
+class OrderBuilder : public StructureBuilder {
+ public:
+  using StructureBuilder::StructureBuilder;
   bool Mergeable() const override { return true; }
   std::unique_ptr<RangeSummary> Finalize() override {
     Rng rng(cfg_.seed);
+    if (two_pass_) {
+      return std::make_unique<SampleSummary>(
+          keys::kOrderTwoPass,
+          TwoPassOrderSample(items_, cfg_.s, two_pass_config(), &rng));
+    }
     OrderSummarizeInto(items_, cfg_.s, &rng, &scratch_, &out_);
     return TakeSampleSummary(keys::kOrder, items_, &out_);
   }
-
- private:
-  SummarizeScratch scratch_;
-  SummarizeOutput out_;
 };
 
-class HierarchyBuilder : public BufferingSummarizer {
+class HierarchyBuilder : public StructureBuilder {
  public:
-  using BufferingSummarizer::BufferingSummarizer;
+  using StructureBuilder::StructureBuilder;
   std::unique_ptr<RangeSummary> Finalize() override {
+    const char* key = two_pass_ ? keys::kHierarchyTwoPass : keys::kHierarchy;
     const Hierarchy* h = cfg_.structure.hierarchy;
     if (h->num_keys() != items_.size()) {
-      InvalidConfig(keys::kHierarchy,
-                    "hierarchy has " + std::to_string(h->num_keys()) +
-                        " keys but " + std::to_string(items_.size()) +
-                        " items were added");
+      InvalidConfig(key, "hierarchy has " + std::to_string(h->num_keys()) +
+                             " keys but " + std::to_string(items_.size()) +
+                             " items were added");
     }
     Rng rng(cfg_.seed);
+    if (two_pass_) {
+      const HierarchyTwoPassVariant variant =
+          cfg_.hierarchy_partition == HierarchyPartition::kAncestors
+              ? HierarchyTwoPassVariant::kAncestors
+              : HierarchyTwoPassVariant::kLinearize;
+      return std::make_unique<SampleSummary>(
+          key, TwoPassHierarchySample(items_, *h, cfg_.s, two_pass_config(),
+                                      variant, &rng));
+    }
     HierarchySummarizeInto(items_, *h, cfg_.s, &rng, &scratch_, &out_);
-    return TakeSampleSummary(keys::kHierarchy, items_, &out_);
+    return TakeSampleSummary(key, items_, &out_);
   }
-
- private:
-  SummarizeScratch scratch_;
-  SummarizeOutput out_;
 };
 
-class DisjointBuilder : public BufferingSummarizer {
+class DisjointBuilder : public StructureBuilder {
  public:
-  using BufferingSummarizer::BufferingSummarizer;
+  using StructureBuilder::StructureBuilder;
   std::unique_ptr<RangeSummary> Finalize() override {
-    if (cfg_.structure.range_of.size() != items_.size()) {
-      InvalidConfig(keys::kDisjoint,
+    const char* key = two_pass_ ? keys::kDisjointTwoPass : keys::kDisjoint;
+    const StructureSpec& spec = cfg_.structure;
+    if (spec.range_of.size() != items_.size()) {
+      InvalidConfig(key,
                     "range_of must have exactly one entry per added item");
     }
     Rng rng(cfg_.seed);
-    DisjointSummarizeInto(items_, cfg_.structure.range_of,
-                          cfg_.structure.num_ranges, cfg_.s, &rng, &scratch_,
-                          &out_);
-    return TakeSampleSummary(keys::kDisjoint, items_, &out_);
+    if (two_pass_) {
+      return std::make_unique<SampleSummary>(
+          key, TwoPassDisjointSample(items_, spec.range_of, spec.num_ranges,
+                                     cfg_.s, two_pass_config(), &rng));
+    }
+    DisjointSummarizeInto(items_, spec.range_of, spec.num_ranges, cfg_.s,
+                          &rng, &scratch_, &out_);
+    return TakeSampleSummary(key, items_, &out_);
   }
-
- private:
-  SummarizeScratch scratch_;
-  SummarizeOutput out_;
 };
 
 class ProductBuilder : public BufferingSummarizer {
@@ -283,16 +306,16 @@ class NdBuilder : public Summarizer {
 };
 
 // ---------------------------------------------------------------------------
-// Streaming constructions (Section 5). The product two-pass builder drives
-// the TwoPassProductSampler pass structure directly: pass 1 runs during
-// Add, pass 2 replays the (buffered) stream at Finalize.
+// The streaming product two-pass builder (Section 5) drives the
+// TwoPassProductSampler pass structure directly: pass 1 runs during Add,
+// pass 2 replays the (buffered) stream at Finalize.
 
 class TwoPassProductBuilder : public Summarizer {
  public:
   explicit TwoPassProductBuilder(SummarizerConfig cfg)
       : Summarizer(std::move(cfg)),
-        rng_(cfg_.seed),
-        sampler_(cfg_.s, TwoPassConfig{cfg_.sprime_factor}, rng_.Split()) {}
+        sampler_(cfg_.s, TwoPassConfig{cfg_.sprime_factor},
+                 Rng(cfg_.seed).Split()) {}
 
   void Add(const WeightedKey& item) override {
     if (!AdmitWeight(item.weight)) return;
@@ -320,61 +343,8 @@ class TwoPassProductBuilder : public Summarizer {
   }
 
  private:
-  Rng rng_;
   TwoPassProductSampler sampler_;
   std::vector<WeightedKey> buffer_;
-};
-
-class TwoPassOrderBuilder : public BufferingSummarizer {
- public:
-  using BufferingSummarizer::BufferingSummarizer;
-  bool Mergeable() const override { return true; }
-  std::unique_ptr<RangeSummary> Finalize() override {
-    Rng rng(cfg_.seed);
-    Sample sample = TwoPassOrderSample(
-        items_, cfg_.s, TwoPassConfig{cfg_.sprime_factor}, &rng);
-    return std::make_unique<SampleSummary>(keys::kOrderTwoPass,
-                                           std::move(sample));
-  }
-};
-
-class TwoPassHierarchyBuilder : public BufferingSummarizer {
- public:
-  using BufferingSummarizer::BufferingSummarizer;
-  std::unique_ptr<RangeSummary> Finalize() override {
-    const Hierarchy* h = cfg_.structure.hierarchy;
-    if (h->num_keys() != items_.size()) {
-      InvalidConfig(keys::kHierarchyTwoPass,
-                    "hierarchy key count does not match items added");
-    }
-    const HierarchyTwoPassVariant variant =
-        cfg_.hierarchy_partition == HierarchyPartition::kAncestors
-            ? HierarchyTwoPassVariant::kAncestors
-            : HierarchyTwoPassVariant::kLinearize;
-    Rng rng(cfg_.seed);
-    Sample sample = TwoPassHierarchySample(
-        items_, *h, cfg_.s, TwoPassConfig{cfg_.sprime_factor}, variant,
-        &rng);
-    return std::make_unique<SampleSummary>(keys::kHierarchyTwoPass,
-                                           std::move(sample));
-  }
-};
-
-class TwoPassDisjointBuilder : public BufferingSummarizer {
- public:
-  using BufferingSummarizer::BufferingSummarizer;
-  std::unique_ptr<RangeSummary> Finalize() override {
-    if (cfg_.structure.range_of.size() != items_.size()) {
-      InvalidConfig(keys::kDisjointTwoPass,
-                    "range_of must have exactly one entry per added item");
-    }
-    Rng rng(cfg_.seed);
-    Sample sample = TwoPassDisjointSample(
-        items_, cfg_.structure.range_of, cfg_.structure.num_ranges, cfg_.s,
-        TwoPassConfig{cfg_.sprime_factor}, &rng);
-    return std::make_unique<SampleSummary>(keys::kDisjointTwoPass,
-                                           std::move(sample));
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -487,9 +457,18 @@ void RequireHierarchy(const char* key, const SummarizerConfig& cfg) {
 }
 
 void RequireDisjoint(const char* key, const SummarizerConfig& cfg) {
-  if (cfg.structure.num_ranges <= 0 || cfg.structure.range_of.empty()) {
+  const StructureSpec& spec = cfg.structure;
+  if (spec.num_ranges <= 0 || spec.range_of.empty()) {
     InvalidConfig(key, "structure.range_of / num_ranges must describe the "
                        "disjoint ranges");
+  }
+  for (std::size_t i = 0; i < spec.range_of.size(); ++i) {
+    const int r = spec.range_of[i];
+    if (r < 0 || r >= spec.num_ranges) {
+      InvalidConfig(key, "structure.range_of[" + std::to_string(i) + "] = " +
+                             std::to_string(r) + " is outside [0, " +
+                             std::to_string(spec.num_ranges) + ")");
+    }
   }
 }
 
@@ -522,40 +501,47 @@ SummarizerFactory Plain() {
   };
 }
 
+/// The per-structure builders: Builder(cfg, two_pass), after
+/// `require(key, cfg)` when one is given.
+template <typename Builder>
+SummarizerFactory Structured(
+    const char* key, bool two_pass,
+    void (*require)(const char*, const SummarizerConfig&) = nullptr) {
+  return [=](const SummarizerConfig& cfg) -> std::unique_ptr<Summarizer> {
+    if (require != nullptr) require(key, cfg);
+    return std::make_unique<Builder>(cfg, two_pass);
+  };
+}
+
 }  // namespace
 
 namespace internal {
 
 std::vector<std::pair<std::string, SummarizerFactory>> BuiltinSummarizers() {
   std::vector<std::pair<std::string, SummarizerFactory>> builtins;
-  builtins.emplace_back(keys::kOrder, Plain<OrderBuilder>());
+  builtins.emplace_back(keys::kOrder,
+                        Structured<OrderBuilder>(keys::kOrder, false));
   builtins.emplace_back(keys::kProduct, Plain<ProductBuilder>());
-  builtins.emplace_back(
-      keys::kHierarchy, [](const SummarizerConfig& cfg) {
-        RequireHierarchy(keys::kHierarchy, cfg);
-        return std::unique_ptr<Summarizer>(new HierarchyBuilder(cfg));
-      });
-  builtins.emplace_back(
-      keys::kDisjoint, [](const SummarizerConfig& cfg) {
-        RequireDisjoint(keys::kDisjoint, cfg);
-        return std::unique_ptr<Summarizer>(new DisjointBuilder(cfg));
-      });
+  builtins.emplace_back(keys::kHierarchy,
+                        Structured<HierarchyBuilder>(keys::kHierarchy, false,
+                                                     RequireHierarchy));
+  builtins.emplace_back(keys::kDisjoint,
+                        Structured<DisjointBuilder>(keys::kDisjoint, false,
+                                                    RequireDisjoint));
   builtins.emplace_back(keys::kNd, [](const SummarizerConfig& cfg) {
     RequireDims(keys::kNd, cfg);
     return std::unique_ptr<Summarizer>(new NdBuilder(cfg));
   });
   builtins.emplace_back(keys::kAware, Plain<TwoPassProductBuilder>());
-  builtins.emplace_back(keys::kOrderTwoPass, Plain<TwoPassOrderBuilder>());
+  builtins.emplace_back(keys::kOrderTwoPass,
+                        Structured<OrderBuilder>(keys::kOrderTwoPass, true));
   builtins.emplace_back(
-      keys::kHierarchyTwoPass, [](const SummarizerConfig& cfg) {
-        RequireHierarchy(keys::kHierarchyTwoPass, cfg);
-        return std::unique_ptr<Summarizer>(new TwoPassHierarchyBuilder(cfg));
-      });
-  builtins.emplace_back(
-      keys::kDisjointTwoPass, [](const SummarizerConfig& cfg) {
-        RequireDisjoint(keys::kDisjointTwoPass, cfg);
-        return std::unique_ptr<Summarizer>(new TwoPassDisjointBuilder(cfg));
-      });
+      keys::kHierarchyTwoPass,
+      Structured<HierarchyBuilder>(keys::kHierarchyTwoPass, true,
+                                   RequireHierarchy));
+  builtins.emplace_back(keys::kDisjointTwoPass,
+                        Structured<DisjointBuilder>(keys::kDisjointTwoPass,
+                                                    true, RequireDisjoint));
   builtins.emplace_back(keys::kObliv, [](const SummarizerConfig& cfg) {
     RequireWholeBudget(keys::kObliv, cfg);
     return std::unique_ptr<Summarizer>(new OblivBuilder(cfg));

@@ -1,104 +1,71 @@
 #include "aware/disjoint_summarizer.h"
 
 #include <cassert>
+#include <span>
 
-#include "core/ipps.h"
-#include "core/pair_aggregate.h"
+#include "core/settle.h"
 
 namespace sas {
+namespace {
+
+/// Settle view of disjoint ranges: a root whose children are the ranges.
+/// Range r is node R - r (R ranges), so the walk settles the ranges in
+/// ascending order and the root chains their leftovers in that order.
+/// Range r owns items[start[r], start[r + 1]).
+struct DisjointView {
+  std::size_t num_ranges;
+  const std::size_t* start;
+  const std::size_t* items;
+
+  std::size_t num_nodes() const { return num_ranges + 1; }
+  std::span<const std::size_t> Own(std::size_t v) const {
+    if (v == 0) return {};
+    const std::size_t r = num_ranges - v;
+    return {items + start[r], start[r + 1] - start[r]};
+  }
+  template <class F>
+  void ForEachChild(std::size_t v, F f) const {
+    if (v != 0) return;
+    for (std::size_t c = num_ranges; c > 0; --c) f(c);
+  }
+};
+
+}  // namespace
 
 void DisjointAggregate(std::vector<double>* probs,
                        const std::vector<int>& range_of, int num_ranges,
                        Rng* rng, SummarizeScratch* scratch) {
   assert(probs->size() == range_of.size());
   // Bucket the open entries per range by counting sort: the fill below is
-  // stable over ascending i, so bucket r holds exactly the entries the
-  // classic vector<vector> push_back order produced.
+  // stable over ascending i, so bucket r lists its entries in index order.
+  const std::size_t ranges = static_cast<std::size_t>(num_ranges);
   auto& start = scratch->bucket_start;
-  start.assign(static_cast<std::size_t>(num_ranges) + 1, 0);
+  start.assign(ranges + 2, 0);
   for (std::size_t i = 0; i < probs->size(); ++i) {
     if (!IsSet((*probs)[i])) {
       assert(range_of[i] >= 0 && range_of[i] < num_ranges);
-      ++start[static_cast<std::size_t>(range_of[i]) + 1];
+      ++start[static_cast<std::size_t>(range_of[i]) + 2];
     }
   }
-  for (int r = 0; r < num_ranges; ++r) {
-    start[static_cast<std::size_t>(r) + 1] += start[static_cast<std::size_t>(r)];
-  }
+  for (std::size_t r = 2; r < ranges + 2; ++r) start[r] += start[r - 1];
   auto& bucket_items = scratch->bucket_items;
-  bucket_items.resize(start[static_cast<std::size_t>(num_ranges)]);
+  bucket_items.resize(start[ranges + 1]);
   for (std::size_t i = 0; i < probs->size(); ++i) {
     if (!IsSet((*probs)[i])) {
-      bucket_items[start[static_cast<std::size_t>(range_of[i])]++] = i;
+      bucket_items[start[static_cast<std::size_t>(range_of[i]) + 1]++] = i;
     }
   }
-  // After the fill, start[r] is the END offset of bucket r (and bucket r
-  // begins where bucket r-1 ends).
-  // Stage 1: aggregate inside each range; stage 2: chain the leftovers.
-  // Both stages share one draw stream, repositioned once at the end.
-  RngStream draws(rng);
-  auto& leftovers = scratch->entries;
-  leftovers.clear();
-  std::size_t begin = 0;
-  for (int r = 0; r < num_ranges; ++r) {
-    const std::size_t end = start[static_cast<std::size_t>(r)];
-    const std::size_t l = ChainAggregateRange(
-        probs->data(), bucket_items.data() + begin, end - begin, kNoEntry,
-        &draws);
-    if (l != kNoEntry) leftovers.push_back(l);
-    begin = end;
-  }
-  const std::size_t final_entry = ChainAggregateRange(
-      probs->data(), leftovers.data(), leftovers.size(), kNoEntry, &draws);
-  ResolveResidual(probs->data(), final_entry, &draws);
-}
-
-void DisjointAggregate(std::vector<double>* probs,
-                       const std::vector<int>& range_of, int num_ranges,
-                       Rng* rng) {
-  thread_local SummarizeScratch scratch;
-  DisjointAggregate(probs, range_of, num_ranges, rng, &scratch);
+  Settle(probs->data(), DisjointView{ranges, start.data(), bucket_items.data()},
+         rng, &scratch->settle);
 }
 
 void DisjointSummarizeInto(const std::vector<WeightedKey>& items,
                            const std::vector<int>& range_of, int num_ranges,
                            double s, Rng* rng, SummarizeScratch* scratch,
                            SummarizeOutput* out) {
-  auto& weights = scratch->weights;
-  weights.clear();
-  weights.reserve(items.size());
-  for (const auto& it : items) weights.push_back(it.weight);
-  const double tau = SolveTau(weights, s, &scratch->ipps);
-
-  out->tau = tau;
-  IppsProbabilities(weights, tau, &out->probs);
-  for (auto& q : out->probs) q = SnapProbability(q);
-
-  auto& work = scratch->work;
-  work.assign(out->probs.begin(), out->probs.end());
-  DisjointAggregate(&work, range_of, num_ranges, rng, scratch);
-
-  out->chosen.clear();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (work[i] == 1.0) out->chosen.push_back(static_cast<std::uint32_t>(i));
-  }
-}
-
-SummarizeResult DisjointSummarize(const std::vector<WeightedKey>& items,
-                                  const std::vector<int>& range_of,
-                                  int num_ranges, double s, Rng* rng) {
-  thread_local SummarizeScratch scratch;
-  SummarizeOutput out;
-  DisjointSummarizeInto(items, range_of, num_ranges, s, rng, &scratch, &out);
-
-  SummarizeResult r;
-  r.tau = out.tau;
-  r.probs = std::move(out.probs);
-  std::vector<WeightedKey> chosen;
-  chosen.reserve(out.chosen.size());
-  for (std::uint32_t i : out.chosen) chosen.push_back(items[i]);
-  r.sample = Sample(out.tau, std::move(chosen));
-  return r;
+  SummarizeWith(items, s, scratch, out, [&](std::vector<double>* work) {
+    DisjointAggregate(work, range_of, num_ranges, rng, scratch);
+  });
 }
 
 }  // namespace sas

@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "aware/order_summarizer.h"
+#include "aware/summarize_scratch.h"
 #include "core/random.h"
 #include "core/types.h"
 
@@ -18,24 +18,16 @@ namespace sas {
 
 /// Low-level: aggregates open entries of *probs where range_of[i] gives the
 /// range of entry i (values in [0, num_ranges)). On return every entry is
-/// set. The scratch overload buckets the open entries by counting sort
-/// into `scratch` (same per-bucket order as the classic nested vectors,
-/// allocation-free when warm); the plain overload keeps a thread-local one.
-void DisjointAggregate(std::vector<double>* probs,
-                       const std::vector<int>& range_of, int num_ranges,
-                       Rng* rng);
+/// set. The open entries are bucketed per range by counting sort into
+/// `scratch` (allocation-free when warm) and settled range by range in
+/// ascending range order, then the ranges' leftovers are chained.
 void DisjointAggregate(std::vector<double>* probs,
                        const std::vector<int>& range_of, int num_ranges,
                        Rng* rng, SummarizeScratch* scratch);
 
 /// Draws a structure-aware VarOpt sample of (expected) size s for keys
-/// partitioned into disjoint ranges.
-SummarizeResult DisjointSummarize(const std::vector<WeightedKey>& items,
-                                  const std::vector<int>& range_of,
-                                  int num_ranges, double s, Rng* rng);
-
-/// Scratch-backed core of DisjointSummarize (identical draws and sample;
-/// see aware/summarize_scratch.h for the reuse contract).
+/// partitioned into disjoint ranges, with all working memory from
+/// `scratch` (see aware/summarize_scratch.h for the reuse contract).
 void DisjointSummarizeInto(const std::vector<WeightedKey>& items,
                            const std::vector<int>& range_of, int num_ranges,
                            double s, Rng* rng, SummarizeScratch* scratch,

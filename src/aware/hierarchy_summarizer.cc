@@ -1,82 +1,50 @@
 #include "aware/hierarchy_summarizer.h"
 
 #include <cassert>
+#include <span>
 
-#include "core/ipps.h"
-#include "core/pair_aggregate.h"
+#include "core/settle.h"
 
 namespace sas {
+namespace {
+
+/// Settle view of a hierarchy: a leaf owns its key, an internal node only
+/// chains its children's carries (builders number parents first).
+struct HierarchyView {
+  const Hierarchy& h;
+  mutable std::size_t key = 0;  // Own's one entry, read before the next Own
+
+  std::size_t num_nodes() const {
+    return static_cast<std::size_t>(h.num_nodes());
+  }
+  std::span<const std::size_t> Own(std::size_t v) const {
+    if (!h.is_leaf(static_cast<int>(v))) return {};
+    key = h.key_of_leaf(static_cast<int>(v));
+    return {&key, 1};
+  }
+  template <class F>
+  void ForEachChild(std::size_t v, F f) const {
+    for (int c : h.children(static_cast<int>(v))) {
+      f(static_cast<std::size_t>(c));
+    }
+  }
+};
+
+}  // namespace
 
 void HierarchyAggregate(std::vector<double>* probs, const Hierarchy& h,
                         Rng* rng, SummarizeScratch* scratch) {
   assert(probs->size() == h.num_keys());
-  const int n = h.num_nodes();
-  // Builders guarantee parent(v) < v, so a reverse index scan is a valid
-  // bottom-up (children before parents) order.
-  auto& leftover = scratch->leftover;
-  leftover.assign(static_cast<std::size_t>(n), kNoEntry);
-  auto& child_entries = scratch->entries;
-  RngStream draws(rng);
-  for (int v = n - 1; v >= 0; --v) {
-    if (h.is_leaf(v)) {
-      const KeyId k = h.key_of_leaf(v);
-      leftover[v] = IsSet((*probs)[k]) ? kNoEntry : static_cast<std::size_t>(k);
-      continue;
-    }
-    child_entries.clear();
-    for (int c : h.children(v)) {
-      if (leftover[c] != kNoEntry) child_entries.push_back(leftover[c]);
-    }
-    leftover[v] = ChainAggregateRange(probs->data(), child_entries.data(),
-                                      child_entries.size(), kNoEntry, &draws);
-  }
-  ResolveResidual(probs->data(), leftover[h.root()], &draws);
-}
-
-void HierarchyAggregate(std::vector<double>* probs, const Hierarchy& h,
-                        Rng* rng) {
-  thread_local SummarizeScratch scratch;
-  HierarchyAggregate(probs, h, rng, &scratch);
+  Settle(probs->data(), HierarchyView{h}, rng, &scratch->settle);
 }
 
 void HierarchySummarizeInto(const std::vector<WeightedKey>& items,
                             const Hierarchy& h, double s, Rng* rng,
                             SummarizeScratch* scratch, SummarizeOutput* out) {
   assert(items.size() == h.num_keys());
-  auto& weights = scratch->weights;
-  weights.clear();
-  weights.reserve(items.size());
-  for (const auto& it : items) weights.push_back(it.weight);
-  const double tau = SolveTau(weights, s, &scratch->ipps);
-
-  out->tau = tau;
-  IppsProbabilities(weights, tau, &out->probs);
-  for (auto& q : out->probs) q = SnapProbability(q);
-
-  auto& work = scratch->work;
-  work.assign(out->probs.begin(), out->probs.end());
-  HierarchyAggregate(&work, h, rng, scratch);
-
-  out->chosen.clear();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (work[i] == 1.0) out->chosen.push_back(static_cast<std::uint32_t>(i));
-  }
-}
-
-SummarizeResult HierarchySummarize(const std::vector<WeightedKey>& items,
-                                   const Hierarchy& h, double s, Rng* rng) {
-  thread_local SummarizeScratch scratch;
-  SummarizeOutput out;
-  HierarchySummarizeInto(items, h, s, rng, &scratch, &out);
-
-  SummarizeResult r;
-  r.tau = out.tau;
-  r.probs = std::move(out.probs);
-  std::vector<WeightedKey> chosen;
-  chosen.reserve(out.chosen.size());
-  for (std::uint32_t i : out.chosen) chosen.push_back(items[i]);
-  r.sample = Sample(out.tau, std::move(chosen));
-  return r;
+  SummarizeWith(items, s, scratch, out, [&](std::vector<double>* work) {
+    HierarchyAggregate(work, h, rng, scratch);
+  });
 }
 
 }  // namespace sas

@@ -11,32 +11,25 @@
 
 #include <vector>
 
-#include "aware/order_summarizer.h"
+#include "aware/summarize_scratch.h"
 #include "core/random.h"
-#include "core/sample.h"
 #include "core/types.h"
 #include "structure/hierarchy.h"
 
 namespace sas {
 
 /// Low-level: aggregates open entries of *probs (indexed by key id, one per
-/// hierarchy leaf) following the lowest-LCA rule. On return every entry is
-/// set. Entries already set (0 or 1) are untouched. The scratch overload
-/// routes the per-node carries through `scratch` (allocation-free when
-/// warm); the plain overload keeps a thread-local one.
-void HierarchyAggregate(std::vector<double>* probs, const Hierarchy& h,
-                        Rng* rng);
+/// hierarchy leaf) following the lowest-LCA rule: a settle (core/settle.h)
+/// in which each leaf owns its key. On return every entry is set. Entries
+/// already set (0 or 1) are untouched. The per-node carries come from
+/// `scratch` (allocation-free when warm).
 void HierarchyAggregate(std::vector<double>* probs, const Hierarchy& h,
                         Rng* rng, SummarizeScratch* scratch);
 
 /// Draws a structure-aware VarOpt sample of (expected) size s. items[k]
 /// must be the key at hierarchy leaf leaf_of_key(k); probabilities are IPPS
-/// for the exact offline threshold.
-SummarizeResult HierarchySummarize(const std::vector<WeightedKey>& items,
-                                   const Hierarchy& h, double s, Rng* rng);
-
-/// Scratch-backed core of HierarchySummarize (identical draws and sample;
-/// see aware/summarize_scratch.h for the reuse contract).
+/// for the exact offline threshold. All working memory comes from
+/// `scratch` (see aware/summarize_scratch.h for the reuse contract).
 void HierarchySummarizeInto(const std::vector<WeightedKey>& items,
                             const Hierarchy& h, double s, Rng* rng,
                             SummarizeScratch* scratch, SummarizeOutput* out);

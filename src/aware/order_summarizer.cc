@@ -1,62 +1,20 @@
 #include "aware/order_summarizer.h"
 
-#include "core/ipps.h"
-#include "core/pair_aggregate.h"
 #include "structure/order.h"
 
 namespace sas {
 
-void OrderAggregate(std::vector<double>* probs,
-                    const std::vector<std::size_t>& order, Rng* rng) {
-  RngStream draws(rng);
-  const std::size_t leftover = ChainAggregateRange(
-      probs->data(), order.data(), order.size(), kNoEntry, &draws);
-  ResolveResidual(probs->data(), leftover, &draws);
-}
-
 void OrderSummarizeInto(const std::vector<WeightedKey>& items, double s,
                         Rng* rng, SummarizeScratch* scratch,
                         SummarizeOutput* out) {
-  auto& weights = scratch->weights;
-  weights.clear();
-  weights.reserve(items.size());
-  for (const auto& it : items) weights.push_back(it.weight);
-  const double tau = SolveTau(weights, s, &scratch->ipps);
-
-  out->tau = tau;
-  IppsProbabilities(weights, tau, &out->probs);
-  for (auto& q : out->probs) q = SnapProbability(q);
-
-  auto& xs = scratch->xs;
-  xs.clear();
-  xs.reserve(items.size());
-  for (const auto& it : items) xs.push_back(it.pt.x);
-  SortedOrderInto(xs, &scratch->order);
-
-  auto& work = scratch->work;
-  work.assign(out->probs.begin(), out->probs.end());
-  OrderAggregate(&work, scratch->order, rng);
-
-  out->chosen.clear();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (work[i] == 1.0) out->chosen.push_back(static_cast<std::uint32_t>(i));
-  }
-}
-
-SummarizeResult OrderSummarize(const std::vector<WeightedKey>& items,
-                               double s, Rng* rng) {
-  thread_local SummarizeScratch scratch;
-  SummarizeOutput out;
-  OrderSummarizeInto(items, s, rng, &scratch, &out);
-
-  SummarizeResult r;
-  r.tau = out.tau;
-  r.probs = std::move(out.probs);
-  std::vector<WeightedKey> chosen;
-  chosen.reserve(out.chosen.size());
-  for (std::uint32_t i : out.chosen) chosen.push_back(items[i]);
-  r.sample = Sample(out.tau, std::move(chosen));
-  return r;
+  SummarizeWith(items, s, scratch, out, [&](std::vector<double>* work) {
+    auto& xs = scratch->xs;
+    xs.clear();
+    xs.reserve(items.size());
+    for (const auto& it : items) xs.push_back(it.pt.x);
+    SortedOrderInto(xs, &scratch->order);
+    OrderAggregate(work, scratch->order, rng);
+  });
 }
 
 }  // namespace sas

@@ -4,7 +4,8 @@
 // Keys are scanned in sorted order keeping a single active (open) key; each
 // new open key is pair-aggregated with the active one. The resulting VarOpt
 // sample has prefix discrepancy < 1 and interval discrepancy < 2, which
-// Theorem 1 shows is optimal for VarOpt samples on order structures.
+// Theorem 1 shows is optimal for VarOpt samples on order structures. The
+// scan itself is OrderAggregate (core/settle.h).
 
 #ifndef SAS_AWARE_ORDER_SUMMARIZER_H_
 #define SAS_AWARE_ORDER_SUMMARIZER_H_
@@ -13,33 +14,15 @@
 
 #include "aware/summarize_scratch.h"
 #include "core/random.h"
-#include "core/sample.h"
+#include "core/settle.h"
 #include "core/types.h"
 
 namespace sas {
 
-/// Result of a structure-aware summarization: the sample plus the initial
-/// IPPS probabilities (needed by discrepancy evaluation; indexed like the
-/// input items).
-struct SummarizeResult {
-  Sample sample;
-  std::vector<double> probs;
-  double tau = 0.0;
-};
-
-/// Low-level: aggregates the open entries of *probs following Algorithm 5,
-/// scanning positions in the given order. On return every entry is set.
-void OrderAggregate(std::vector<double>* probs,
-                    const std::vector<std::size_t>& order, Rng* rng);
-
 /// Draws a structure-aware VarOpt sample of (expected) size s where the
-/// order is the x-coordinate of the items.
-SummarizeResult OrderSummarize(const std::vector<WeightedKey>& items,
-                               double s, Rng* rng);
-
-/// Scratch-backed core of OrderSummarize: identical draws and sample, all
-/// working memory from `scratch`, results into the caller-owned `out` —
-/// warm rebuild cycles allocate nothing (see aware/summarize_scratch.h).
+/// order is the x-coordinate of the items, with all working memory from
+/// `scratch` and results into the caller-owned `out` — warm rebuild cycles
+/// allocate nothing (see aware/summarize_scratch.h).
 void OrderSummarizeInto(const std::vector<WeightedKey>& items, double s,
                         Rng* rng, SummarizeScratch* scratch,
                         SummarizeOutput* out);

@@ -4,54 +4,39 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "aware/flat_coords.h"
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
+#include "core/settle.h"
 #include "core/telemetry.h"
 
 namespace sas {
-
-void KdAggregate(std::vector<double>* probs, const KdHierarchy& tree,
-                 Rng* rng, SummarizeScratch* scratch) {
-  const int n = tree.num_nodes();
-  if (n == 0) return;
-  // Children are created after their parent, so a reverse scan is
-  // bottom-up.
-  auto& leftover = scratch->leftover;
-  leftover.assign(static_cast<std::size_t>(n), kNoEntry);
-  auto& entries = scratch->entries;
-  RngStream draws(rng);
-  for (int v = n - 1; v >= 0; --v) {
-    const auto& node = tree.nodes()[static_cast<std::size_t>(v)];
-    entries.clear();
-    if (node.IsLeaf()) {
-      for (std::size_t i = node.begin; i < node.end; ++i) {
-        const std::size_t item = tree.item_order()[i];
-        if (!IsSet((*probs)[item])) entries.push_back(item);
-      }
-    } else {
-      if (leftover[static_cast<std::size_t>(node.left)] != kNoEntry) {
-        entries.push_back(leftover[static_cast<std::size_t>(node.left)]);
-      }
-      if (leftover[static_cast<std::size_t>(node.right)] != kNoEntry) {
-        entries.push_back(leftover[static_cast<std::size_t>(node.right)]);
-      }
-    }
-    leftover[static_cast<std::size_t>(v)] = ChainAggregateRange(
-        probs->data(), entries.data(), entries.size(), kNoEntry, &draws);
-  }
-  ResolveResidual(probs->data(),
-                  leftover[static_cast<std::size_t>(tree.root())], &draws);
-}
-
-void KdAggregate(std::vector<double>* probs, const KdHierarchy& tree,
-                 Rng* rng) {
-  thread_local SummarizeScratch scratch;
-  KdAggregate(probs, tree, rng, &scratch);
-}
-
 namespace {
+
+/// Settle view of a kd-tree: a leaf owns its item_order() run, an internal
+/// node chains its left then right child's carry. Children are created
+/// after their parent, as Settle requires.
+struct KdView {
+  const KdHierarchy& tree;
+
+  std::size_t num_nodes() const {
+    return static_cast<std::size_t>(tree.num_nodes());
+  }
+  std::span<const std::size_t> Own(std::size_t v) const {
+    const auto& node = tree.nodes()[v];
+    if (!node.IsLeaf()) return {};
+    return {tree.item_order().data() + node.begin, node.end - node.begin};
+  }
+  template <class F>
+  void ForEachChild(std::size_t v, F f) const {
+    const auto& node = tree.nodes()[v];
+    if (node.IsLeaf()) return;
+    f(static_cast<std::size_t>(node.left));
+    f(static_cast<std::size_t>(node.right));
+  }
+};
 
 /// The one summarize body behind ProductSummarizeInto and
 /// ProductSummarizeNdInto. `coords_of(i)` points at item i's `dims`
@@ -123,6 +108,11 @@ void SummarizeProduct(const std::vector<Weight>& weights, int dims,
 }
 
 }  // namespace
+
+void KdAggregate(std::vector<double>* probs, const KdHierarchy& tree,
+                 Rng* rng, SummarizeScratch* scratch) {
+  Settle(probs->data(), KdView{tree}, rng, &scratch->settle);
+}
 
 void ProductSummarizeInto(const std::vector<WeightedKey>& items, double s,
                           Rng* rng, SummarizeScratch* scratch,

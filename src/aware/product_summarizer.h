@@ -32,12 +32,10 @@
 namespace sas {
 
 /// Low-level: aggregates the open entries of *probs (indexed like the build
-/// items of `tree`) bottom-up along the kd-tree. On return all entries are
-/// set. The scratch overload routes the per-node carries through `scratch`
-/// (allocation-free when warm); the plain overload keeps a thread-local
-/// one.
-void KdAggregate(std::vector<double>* probs, const KdHierarchy& tree,
-                 Rng* rng);
+/// items of `tree`) bottom-up along the kd-tree: a settle (core/settle.h)
+/// in which each leaf owns its item_order() run. On return all entries are
+/// set. The per-node carries come from `scratch` (allocation-free when
+/// warm).
 void KdAggregate(std::vector<double>* probs, const KdHierarchy& tree,
                  Rng* rng, SummarizeScratch* scratch);
 

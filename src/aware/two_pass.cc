@@ -2,153 +2,274 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
+#include <optional>
+#include <span>
 
+#include "aware/kd_hierarchy.h"
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
+#include "core/settle.h"
 #include "sampling/stream_varopt.h"
-#include "structure/order.h"
 
 namespace sas {
+namespace {
 
-struct TwoPassProductSampler::Pass1State {
-  StreamTau tau_tracker;
-  StreamVarOpt guide;
+/// The engine behind every two-pass sampler. Pass 1 tracks tau_s and draws
+/// the guide S', which EndPass1 turns into a partition P; pass 2
+/// IO-AGGREGATEs each key into its cell; Finalize settles the cells'
+/// active keys along P. P provides num_cells(), CellOf(position, item) and
+/// a settle view whose entries are cells. The guide keys carry
+/// their stream positions as ids (StreamVarOpt never reads ids), and pass 2
+/// counts positions the same way, so partitions read structure by position.
+class TwoPassEngine {
+ public:
+  /// The guide draws from `guide_rng`; pass 2 and the settle from `rng`.
+  TwoPassEngine(double s, const TwoPassConfig& cfg, Rng guide_rng, Rng rng)
+      : pass1_(Pass1State{StreamTau(s),
+                          StreamVarOpt(static_cast<std::size_t>(std::max(
+                                           1.0, cfg.sprime_factor * s)),
+                                       guide_rng)}),
+        rng_(rng) {}
 
-  Pass1State(double s, std::size_t sprime, Rng rng)
-      : tau_tracker(s), guide(sprime, rng) {}
+  void Pass1(const WeightedKey& item) {
+    pass1_->tau.Push(item.weight);
+    pass1_->guide.Push(
+        {static_cast<KeyId>(pass1_->count++), item.weight, item.pt});
+  }
+
+  /// Ends pass 1: fixes tau, releases the pass-1 state (as a streaming
+  /// system would) and returns the partition `make(open guide keys)`, with
+  /// an empty pass-2 slot per cell.
+  template <class MakePartition>
+  auto EndPass1(const MakePartition& make) {
+    tau_ = pass1_->tau.tau();
+    const Sample guide = pass1_->guide.ToSample();
+    pass1_.reset();
+    std::vector<WeightedKey> open;
+    for (const auto& k : guide.entries()) {
+      if (IppsProbability(k.weight, tau_) < 1.0) open.push_back(k);
+    }
+    auto partition = make(open);
+    slot_key_.assign(partition.num_cells(), {});
+    slot_p_.assign(partition.num_cells(), 0.0);
+    return partition;
+  }
+
+  /// IO-AGGREGATE (Algorithm 3) of the next stream item: a certain key
+  /// joins the sample; an open key is pair-aggregated with its cell's
+  /// active key (an empty cell holds p = 0), whichever becomes certain
+  /// joins the sample, and the one left open, if any, stays active.
+  template <class Partition>
+  void Pass2(const WeightedKey& item, const Partition& partition) {
+    const std::size_t position = pass2_count_++;
+    if (item.weight <= 0.0) return;
+    double p = SnapProbability(IppsProbability(item.weight, tau_));
+    if (p == 1.0) sample_.push_back(item);
+    if (IsSet(p)) return;
+    const std::size_t cell = partition.CellOf(position, item);
+    double& q = slot_p_[cell];
+    if (q != 0.0) {
+      PairAggregate(&p, &q, &rng_);
+      if (q == 1.0) sample_.push_back(slot_key_[cell]);
+      if (p == 1.0) sample_.push_back(item);
+    }
+    if (!IsSet(p)) {
+      slot_key_[cell] = item;
+      q = p;
+    } else if (IsSet(q)) {
+      q = 0.0;
+    }
+  }
+
+  /// Settles the active keys along the partition. The sample lists the
+  /// pass-2 picks in stream order, then the settled keys in cell order.
+  template <class Partition>
+  Sample Finalize(const Partition& partition) {
+    SettleScratch scratch;
+    Settle(slot_p_.data(), partition, &rng_, &scratch);
+    for (std::size_t c = 0; c < slot_p_.size(); ++c) {
+      if (slot_p_[c] == 1.0) sample_.push_back(slot_key_[c]);
+    }
+    return Sample(tau_, std::move(sample_));
+  }
+
+  double tau() const { return tau_; }
+  std::size_t num_cells() const { return slot_p_.size(); }
+
+ private:
+  struct Pass1State {
+    StreamTau tau;
+    StreamVarOpt guide;
+    std::size_t count = 0;
+  };
+  std::optional<Pass1State> pass1_;
+  // sas-lint: allow(unforked-rng): member slot only; every constructor
+  // copies it from the caller-provided generator.
+  Rng rng_;
+  double tau_ = 0.0;
+  std::size_t pass2_count_ = 0;
+  std::vector<WeightedKey> slot_key_;
+  std::vector<double> slot_p_;
+  std::vector<WeightedKey> sample_;
+};
+
+/// Every partition puts its cells on the nodes of a tree and is settled
+/// along it: node v owns cell cell_of_node[v], or none when it is
+/// kNoEntry. Mark() numbers the owning nodes in node order.
+struct NodeCells {
+  std::vector<std::size_t> cell_of_node;
+  std::size_t cells = 0;
+
+  template <class Owns>
+  void Mark(std::size_t num_nodes, Owns owns) {
+    cell_of_node.assign(num_nodes, kNoEntry);
+    for (std::size_t v = 0; v < num_nodes; ++v) {
+      if (owns(v)) cell_of_node[v] = cells++;
+    }
+  }
+  std::size_t num_cells() const { return cells; }
+  std::size_t num_nodes() const { return cell_of_node.size(); }
+  std::span<const std::size_t> Own(std::size_t v) const {
+    if (cell_of_node[v] == kNoEntry) return {};
+    return {&cell_of_node[v], 1};
+  }
+};
+
+/// Cells settled left to right in one chain (order, disjoint ranges): a
+/// root whose children, nodes 1..n, own cells 0..n-1; the root chains
+/// their carries in cell order. `route(position, item)` gives a key's
+/// cell.
+template <class Route>
+struct ChainPartition : NodeCells {
+  Route route;
+
+  ChainPartition(std::size_t num_cells, Route r) : route(std::move(r)) {
+    Mark(num_cells + 1, [](std::size_t v) { return v > 0; });
+  }
+  std::size_t CellOf(std::size_t position, const WeightedKey& item) const {
+    return route(position, item);
+  }
+  template <class F>
+  void ForEachChild(std::size_t v, F f) const {
+    if (v == 0) {
+      for (std::size_t c = 1; c < num_nodes(); ++c) f(c);
+    }
+  }
+};
+
+/// Product: the leaves of a kd-tree over the open guide keys (uniform
+/// mass), settled bottom-up along it (the partition *is* the hierarchy h
+/// of Section 5). An empty guide leaves one catch-all cell.
+struct KdPartition : NodeCells {
+  KdHierarchy tree;
+
+  explicit KdPartition(const std::vector<WeightedKey>& guide) {
+    std::vector<Point2D> pts;
+    for (const auto& k : guide) pts.push_back(k.pt);
+    tree = KdHierarchy::Build(pts, std::vector<double>(pts.size(), 1.0));
+    // An empty tree keeps node 0 as the one catch-all cell.
+    const auto& nodes = tree.nodes();
+    Mark(std::max<std::size_t>(nodes.size(), 1),
+         [&](std::size_t v) { return nodes.empty() || nodes[v].IsLeaf(); });
+  }
+  std::size_t CellOf(std::size_t, const WeightedKey& item) const {
+    const int v = tree.LocateLeaf(item.pt);
+    return v == KdHierarchy::kNull ? 0 : cell_of_node[v];
+  }
+  template <class F>
+  void ForEachChild(std::size_t v, F f) const {
+    if (cell_of_node[v] != kNoEntry) return;  // a leaf
+    f(static_cast<std::size_t>(tree.nodes()[v].left));
+    f(static_cast<std::size_t>(tree.nodes()[v].right));
+  }
+};
+
+/// Hierarchy, ancestor variant: every ancestor of an open guide key is
+/// selected, and the root as the catch-all; a key's cell is its lowest
+/// selected ancestor. Each node chains its own active key, then its
+/// children's carries.
+struct AncestorPartition : NodeCells {
+  const Hierarchy& h;
+
+  AncestorPartition(const std::vector<WeightedKey>& guide,
+                    const Hierarchy& hierarchy)
+      : h(hierarchy) {
+    std::vector<char> selected(static_cast<std::size_t>(h.num_nodes()), 0);
+    for (const auto& k : guide) {
+      for (int v = h.leaf_of_key(k.id); v != Hierarchy::kNoParent;
+           v = h.parent(v)) {
+        if (selected[v]) break;  // ancestors above are already selected
+        selected[v] = 1;
+      }
+    }
+    Mark(selected.size(), [&](std::size_t v) {
+      return v == static_cast<std::size_t>(h.root()) || selected[v];
+    });
+  }
+  std::size_t CellOf(std::size_t position, const WeightedKey&) const {
+    int v = h.leaf_of_key(static_cast<KeyId>(position));
+    while (cell_of_node[v] == kNoEntry) v = h.parent(v);
+    return cell_of_node[v];
+  }
+  template <class F>
+  void ForEachChild(std::size_t v, F f) const {
+    for (int c : h.children(static_cast<int>(v))) {
+      f(static_cast<std::size_t>(c));
+    }
+  }
+};
+
+/// Both passes over an in-memory stream, with the partition
+/// `make_partition(open guide keys)`. The guide draws from rng->Split(),
+/// pass 2 and the settle from a second split.
+template <class MakePartition>
+Sample RunTwoPass(const std::vector<WeightedKey>& items, double s,
+                  const TwoPassConfig& cfg, Rng* rng,
+                  const MakePartition& make_partition) {
+  Rng guide_rng = rng->Split();
+  TwoPassEngine engine(s, cfg, guide_rng, rng->Split());
+  for (const auto& it : items) engine.Pass1(it);
+  const auto partition = engine.EndPass1(make_partition);
+  for (const auto& it : items) engine.Pass2(it, partition);
+  return engine.Finalize(partition);
+}
+
+}  // namespace
+
+struct TwoPassProductSampler::State {
+  TwoPassEngine engine;
+  std::optional<KdPartition> partition;
 };
 
 TwoPassProductSampler::TwoPassProductSampler(double s, TwoPassConfig cfg,
-                                             Rng rng)
-    : s_(s), cfg_(cfg), rng_(rng) {
-  const auto sprime = static_cast<std::size_t>(
-      std::max(1.0, cfg_.sprime_factor * s_));
-  pass1_ = std::make_unique<Pass1State>(s_, sprime, rng_.Split());
+                                             Rng rng) {
+  Rng guide_rng = rng.Split();
+  state_.reset(new State{TwoPassEngine(s, cfg, guide_rng, rng), {}});
 }
 
 TwoPassProductSampler::~TwoPassProductSampler() = default;
 
 void TwoPassProductSampler::Pass1(const WeightedKey& item) {
-  assert(!pass2_begun_);
-  pass1_->tau_tracker.Push(item.weight);
-  pass1_->guide.Push(item);
+  state_->engine.Pass1(item);
 }
 
 void TwoPassProductSampler::BeginPass2() {
-  assert(!pass2_begun_);
-  pass2_begun_ = true;
-  tau_ = pass1_->tau_tracker.tau();
-
-  // Guide keys that would not be certain inclusions define the partition:
-  // the kd-tree is built over their positions with uniform mass.
-  const Sample guide = pass1_->guide.ToSample();
-  std::vector<Point2D> pts;
-  for (const auto& k : guide.entries()) {
-    if (IppsProbability(k.weight, tau_) < 1.0) pts.push_back(k.pt);
-  }
-  pass1_.reset();  // release pass-1 memory, as a streaming system would
-
-  std::vector<double> ones(pts.size(), 1.0);
-  partition_ = KdHierarchy::Build(pts, ones);
-
-  // Dense cell ids for kd leaves; a degenerate (empty) partition gets one
-  // catch-all cell.
-  cell_of_leaf_.assign(std::max(partition_.num_nodes(), 1), -1);
-  int cells = 0;
-  for (int v = 0; v < partition_.num_nodes(); ++v) {
-    if (partition_.nodes()[v].IsLeaf()) cell_of_leaf_[v] = cells++;
-  }
-  if (cells == 0) cells = 1;
-  active_.assign(cells, {});
+  state_->partition.emplace(state_->engine.EndPass1(
+      [](const auto& guide) { return KdPartition(guide); }));
 }
 
 void TwoPassProductSampler::Pass2(const WeightedKey& item) {
-  assert(pass2_begun_);
-  if (item.weight <= 0.0) return;
-  double p = SnapProbability(IppsProbability(item.weight, tau_));
-  if (p == 1.0) {
-    sample_.push_back(item);  // certain inclusion
-    return;
-  }
-  if (p == 0.0) return;
-  const int leaf = partition_.LocateLeaf(item.pt);
-  const int cell = leaf == KdHierarchy::kNull ? 0 : cell_of_leaf_[leaf];
-  ActiveKey& a = active_[cell];
-  if (!a.present) {
-    a.key = item;
-    a.p = p;
-    a.present = true;
-    return;
-  }
-  // IO-AGGREGATE (Algorithm 3): aggregate the arriving key with the cell's
-  // active key; whichever becomes certain joins the sample, and the one
-  // left open (if any) stays active.
-  PairAggregate(&p, &a.p, &rng_);
-  if (a.p == 1.0) sample_.push_back(a.key);
-  if (!IsSet(a.p)) {
-    // a remains the active key with its leftover probability.
-  } else {
-    a.present = false;
-  }
-  if (p == 1.0) sample_.push_back(item);
-  if (!IsSet(p)) {
-    assert(!a.present);
-    a.key = item;
-    a.p = p;
-    a.present = true;
-  }
+  state_->engine.Pass2(item, *state_->partition);
 }
 
 Sample TwoPassProductSampler::Finalize() {
-  assert(pass2_begun_);
-  // Gather the active keys and aggregate them bottom-up along the kd-tree
-  // (the partition *is* the hierarchy h of Section 5).
-  std::vector<WeightedKey> akeys;
-  std::vector<double> aprobs;
-  std::vector<std::size_t> entry_of_cell(active_.size(), kNoEntry);
-  for (std::size_t c = 0; c < active_.size(); ++c) {
-    if (active_[c].present) {
-      entry_of_cell[c] = akeys.size();
-      akeys.push_back(active_[c].key);
-      aprobs.push_back(active_[c].p);
-    }
-  }
-  const int n = partition_.num_nodes();
-  std::size_t root_leftover = kNoEntry;
-  RngStream draws(&rng_);
-  if (n == 0) {
-    // Catch-all cell only.
-    if (entry_of_cell[0] != kNoEntry) root_leftover = entry_of_cell[0];
-  } else {
-    std::vector<std::size_t> leftover(n, kNoEntry);
-    std::vector<std::size_t> entries;
-    for (int v = n - 1; v >= 0; --v) {
-      const auto& node = partition_.nodes()[v];
-      entries.clear();
-      if (node.IsLeaf()) {
-        const std::size_t e = entry_of_cell[cell_of_leaf_[v]];
-        if (e != kNoEntry && !IsSet(aprobs[e])) entries.push_back(e);
-      } else {
-        if (leftover[node.left] != kNoEntry) {
-          entries.push_back(leftover[node.left]);
-        }
-        if (leftover[node.right] != kNoEntry) {
-          entries.push_back(leftover[node.right]);
-        }
-      }
-      leftover[v] = ChainAggregateRange(aprobs.data(), entries.data(),
-                                        entries.size(), kNoEntry, &draws);
-    }
-    root_leftover = leftover[partition_.root()];
-  }
-  ResolveResidual(aprobs.data(), root_leftover, &draws);
-  draws.Flush();
-  for (std::size_t e = 0; e < akeys.size(); ++e) {
-    if (aprobs[e] == 1.0) sample_.push_back(akeys[e]);
-  }
-  for (auto& slot : active_) slot.present = false;
-  return Sample(tau_, std::move(sample_));
+  return state_->engine.Finalize(*state_->partition);
+}
+
+double TwoPassProductSampler::tau() const { return state_->engine.tau(); }
+
+std::size_t TwoPassProductSampler::num_cells() const {
+  return state_->engine.num_cells();
 }
 
 Sample TwoPassProductSample(const std::vector<WeightedKey>& items, double s,
@@ -162,199 +283,44 @@ Sample TwoPassProductSample(const std::vector<WeightedKey>& items, double s,
 
 Sample TwoPassOrderSample(const std::vector<WeightedKey>& items, double s,
                           const TwoPassConfig& cfg, Rng* rng) {
-  // Pass 1: threshold + guide sample.
-  const auto sprime =
-      static_cast<std::size_t>(std::max(1.0, cfg.sprime_factor * s));
-  StreamTau tau_tracker(s);
-  StreamVarOpt guide(sprime, rng->Split());
-  for (const auto& it : items) {
-    tau_tracker.Push(it.weight);
-    guide.Push(it);
-  }
-  const double tau = tau_tracker.tau();
-
-  // Partition: boundaries at the guide keys (excluding certain inclusions),
-  // sorted by coordinate; cell j = keys with x in (b_{j-1}, b_j].
-  std::vector<Coord> bounds;
-  const Sample guide_sample = guide.ToSample();
-  for (const auto& k : guide_sample.entries()) {
-    if (IppsProbability(k.weight, tau) < 1.0) bounds.push_back(k.pt.x);
-  }
-  std::sort(bounds.begin(), bounds.end());
-  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
-  const std::size_t cells = bounds.size() + 1;
-
-  struct ActiveKey {
-    WeightedKey key;
-    double p = 0.0;
-    bool present = false;
-  };
-  std::vector<ActiveKey> active(cells);
-  std::vector<WeightedKey> sample;
-  Rng local = rng->Split();
-
-  // Pass 2: IO-AGGREGATE per cell.
-  for (const auto& item : items) {
-    if (item.weight <= 0.0) continue;
-    double p = SnapProbability(IppsProbability(item.weight, tau));
-    if (p == 1.0) {
-      sample.push_back(item);
-      continue;
-    }
-    if (p == 0.0) continue;
-    const std::size_t cell =
-        std::lower_bound(bounds.begin(), bounds.end(), item.pt.x) -
-        bounds.begin();
-    ActiveKey& a = active[cell];
-    if (!a.present) {
-      a.key = item;
-      a.p = p;
-      a.present = true;
-      continue;
-    }
-    PairAggregate(&p, &a.p, &local);
-    if (a.p == 1.0) sample.push_back(a.key);
-    if (IsSet(a.p)) a.present = false;
-    if (p == 1.0) sample.push_back(item);
-    if (!IsSet(p)) {
-      a.key = item;
-      a.p = p;
-      a.present = true;
-    }
-  }
-
-  // Final aggregation: left-to-right fold over cells (the main-memory order
-  // aggregation applied to the active keys).
-  std::vector<WeightedKey> akeys;
-  std::vector<double> aprobs;
-  for (const auto& slot : active) {
-    if (slot.present) {
-      akeys.push_back(slot.key);
-      aprobs.push_back(slot.p);
-    }
-  }
-  std::vector<std::size_t> order(akeys.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  {
-    RngStream draws(&local);
-    const std::size_t leftover = ChainAggregateRange(
-        aprobs.data(), order.data(), order.size(), kNoEntry, &draws);
-    ResolveResidual(aprobs.data(), leftover, &draws);
-  }
-  for (std::size_t e = 0; e < akeys.size(); ++e) {
-    if (aprobs[e] == 1.0) sample.push_back(akeys[e]);
-  }
-  return Sample(tau, std::move(sample));
+  return RunTwoPass(items, s, cfg, rng, [](const auto& guide) {
+    // Boundaries at the open guide keys: cell j holds the keys with x in
+    // (b_{j-1}, b_j].
+    std::vector<Coord> bounds;
+    for (const auto& k : guide) bounds.push_back(k.pt.x);
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    const std::size_t cells = bounds.size() + 1;
+    auto route = [b = std::move(bounds)](std::size_t, const WeightedKey& it) {
+      return static_cast<std::size_t>(
+          std::lower_bound(b.begin(), b.end(), it.pt.x) - b.begin());
+    };
+    return ChainPartition(cells, std::move(route));
+  });
 }
-
-namespace {
-
-/// IO-AGGREGATE step shared by the 1-D two-pass variants: processes one key
-/// against the active slot of its cell.
-struct CellSlot {
-  WeightedKey key;
-  double p = 0.0;
-  bool present = false;
-};
-
-void IoAggregateStep(const WeightedKey& item, double p, CellSlot* slot,
-                     std::vector<WeightedKey>* sample, Rng* rng) {
-  if (!slot->present) {
-    slot->key = item;
-    slot->p = p;
-    slot->present = true;
-    return;
-  }
-  PairAggregate(&p, &slot->p, rng);
-  if (slot->p == 1.0) sample->push_back(slot->key);
-  if (IsSet(slot->p)) slot->present = false;
-  if (p == 1.0) sample->push_back(item);
-  if (!IsSet(p)) {
-    slot->key = item;
-    slot->p = p;
-    slot->present = true;
-  }
-}
-
-}  // namespace
 
 Sample TwoPassDisjointSample(const std::vector<WeightedKey>& items,
                              const std::vector<int>& range_of,
                              int num_ranges, double s,
                              const TwoPassConfig& cfg, Rng* rng) {
   assert(items.size() == range_of.size());
-  // Pass 1.
-  const auto sprime =
-      static_cast<std::size_t>(std::max(1.0, cfg.sprime_factor * s));
-  StreamTau tau_tracker(s);
-  StreamVarOpt guide(sprime, rng->Split());
-  for (const auto& it : items) {
-    tau_tracker.Push(it.weight);
-    guide.Push(it);
-  }
-  const double tau = tau_tracker.tau();
-
-  // Partition: a dedicated cell per range represented in the guide sample,
-  // plus one cell per maximal run of unrepresented range ids (these runs
-  // carry < 1 probability mass w.h.p.).
-  std::vector<char> represented(num_ranges, 0);
-  const Sample guide_sample = guide.ToSample();
-  for (const auto& k : guide_sample.entries()) {
-    if (IppsProbability(k.weight, tau) < 1.0) {
-      represented[range_of[k.id]] = 1;
+  return RunTwoPass(items, s, cfg, rng, [&](const auto& guide) {
+    // A cell per range represented in the guide, plus one per maximal run
+    // of unrepresented ranges (< 1 probability mass w.h.p.).
+    std::vector<char> seen(static_cast<std::size_t>(num_ranges), 0);
+    for (const auto& k : guide) seen[range_of[k.id]] = 1;
+    std::vector<std::size_t> cell_of_range(seen.size());
+    std::size_t cells = 0;
+    for (std::size_t r = 0; r < seen.size(); ++r) {
+      if (seen[r] || r == 0 || seen[r - 1]) ++cells;
+      cell_of_range[r] = cells - 1;
     }
-  }
-  std::vector<int> cell_of_range(num_ranges, -1);
-  int cells = 0;
-  int current_gap_cell = -1;
-  for (int r = 0; r < num_ranges; ++r) {
-    if (represented[r]) {
-      cell_of_range[r] = cells++;
-      current_gap_cell = -1;
-    } else {
-      if (current_gap_cell < 0) current_gap_cell = cells++;
-      cell_of_range[r] = current_gap_cell;
-    }
-  }
-  if (cells == 0) cells = 1;
-
-  // Pass 2.
-  std::vector<CellSlot> active(cells);
-  std::vector<WeightedKey> sample;
-  Rng local = rng->Split();
-  for (const auto& item : items) {
-    if (item.weight <= 0.0) continue;
-    const double p = SnapProbability(IppsProbability(item.weight, tau));
-    if (p == 1.0) {
-      sample.push_back(item);
-      continue;
-    }
-    if (p == 0.0) continue;
-    const int cell = std::max(0, cell_of_range[range_of[item.id]]);
-    IoAggregateStep(item, p, &active[cell], &sample, &local);
-  }
-
-  // Final aggregation: across-cell order is arbitrary for disjoint ranges.
-  std::vector<WeightedKey> akeys;
-  std::vector<double> aprobs;
-  for (const auto& slot : active) {
-    if (slot.present) {
-      akeys.push_back(slot.key);
-      aprobs.push_back(slot.p);
-    }
-  }
-  std::vector<std::size_t> order(akeys.size());
-  std::iota(order.begin(), order.end(), 0);
-  {
-    RngStream draws(&local);
-    const std::size_t leftover = ChainAggregateRange(
-        aprobs.data(), order.data(), order.size(), kNoEntry, &draws);
-    ResolveResidual(aprobs.data(), leftover, &draws);
-  }
-  for (std::size_t e = 0; e < akeys.size(); ++e) {
-    if (aprobs[e] == 1.0) sample.push_back(akeys[e]);
-  }
-  return Sample(tau, std::move(sample));
+    auto route = [&range_of, c = std::move(cell_of_range)](
+                     std::size_t position, const WeightedKey&) {
+      return c[static_cast<std::size_t>(range_of[position])];
+    };
+    return ChainPartition(cells, std::move(route));
+  });
 }
 
 Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
@@ -362,99 +328,18 @@ Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
                               const TwoPassConfig& cfg,
                               HierarchyTwoPassVariant variant, Rng* rng) {
   assert(items.size() == h.num_keys());
-  if (variant == HierarchyTwoPassVariant::kLinearize) {
-    // Totally order the keys by DFS rank and run the order variant; node
-    // ranges are rank intervals, so Delta < 2 w.h.p. carries over.
-    std::vector<WeightedKey> relabeled = items;
-    for (auto& it : relabeled) {
-      it.pt.x = h.rank_of_key(it.id);
-    }
-    return TwoPassOrderSample(relabeled, s, cfg, rng);
+  if (variant == HierarchyTwoPassVariant::kAncestors) {
+    return RunTwoPass(items, s, cfg, rng, [&](const auto& guide) {
+      return AncestorPartition(guide, h);
+    });
   }
-
-  // Ancestor variant: select every ancestor of every guide key; each key's
-  // cell is its lowest selected ancestor. Works best for shallow
-  // hierarchies (the paper's caveat) but gives Delta < 1 w.h.p.
-  const auto sprime =
-      static_cast<std::size_t>(std::max(1.0, cfg.sprime_factor * s));
-  StreamTau tau_tracker(s);
-  StreamVarOpt guide(sprime, rng->Split());
-  for (const auto& it : items) {
-    tau_tracker.Push(it.weight);
-    guide.Push(it);
+  // Linearized: order the keys by DFS rank and run the order sampler; node
+  // ranges are rank intervals, so Delta < 2 w.h.p. carries over.
+  std::vector<WeightedKey> ranked = items;
+  for (std::size_t k = 0; k < ranked.size(); ++k) {
+    ranked[k].pt.x = h.rank_of_key(static_cast<KeyId>(k));
   }
-  const double tau = tau_tracker.tau();
-
-  std::vector<char> selected(h.num_nodes(), 0);
-  const Sample guide_sample = guide.ToSample();
-  for (const auto& k : guide_sample.entries()) {
-    if (IppsProbability(k.weight, tau) >= 1.0) continue;
-    for (int v = h.leaf_of_key(k.id); v != Hierarchy::kNoParent;
-         v = h.parent(v)) {
-      if (selected[v]) break;  // ancestors above are already selected
-      selected[v] = 1;
-    }
-  }
-  selected[h.root()] = 1;  // catch-all for keys outside all guide subtrees
-
-  // Dense cell ids for selected nodes.
-  std::vector<int> cell_of_node(h.num_nodes(), -1);
-  int cells = 0;
-  for (int v = 0; v < h.num_nodes(); ++v) {
-    if (selected[v]) cell_of_node[v] = cells++;
-  }
-
-  // Pass 2: a key's cell is its lowest selected ancestor.
-  std::vector<CellSlot> active(cells);
-  std::vector<WeightedKey> sample;
-  Rng local = rng->Split();
-  for (const auto& item : items) {
-    if (item.weight <= 0.0) continue;
-    const double p = SnapProbability(IppsProbability(item.weight, tau));
-    if (p == 1.0) {
-      sample.push_back(item);
-      continue;
-    }
-    if (p == 0.0) continue;
-    int v = h.leaf_of_key(item.id);
-    while (!selected[v]) v = h.parent(v);
-    IoAggregateStep(item, p, &active[cell_of_node[v]], &sample, &local);
-  }
-
-  // Final aggregation follows the hierarchy: bottom-up, each node chains
-  // its own active key with the leftovers of its children (builders
-  // guarantee parent(v) < v, so a reverse scan is bottom-up).
-  std::vector<WeightedKey> akeys;
-  std::vector<double> aprobs;
-  std::vector<std::size_t> entry_of_cell(cells, kNoEntry);
-  for (int c = 0; c < cells; ++c) {
-    if (active[c].present) {
-      entry_of_cell[c] = akeys.size();
-      akeys.push_back(active[c].key);
-      aprobs.push_back(active[c].p);
-    }
-  }
-  std::vector<std::size_t> leftover(h.num_nodes(), kNoEntry);
-  std::vector<std::size_t> entries;
-  {
-    RngStream draws(&local);
-    for (int v = h.num_nodes() - 1; v >= 0; --v) {
-      entries.clear();
-      if (selected[v] && entry_of_cell[cell_of_node[v]] != kNoEntry) {
-        entries.push_back(entry_of_cell[cell_of_node[v]]);
-      }
-      for (int c : h.children(v)) {
-        if (leftover[c] != kNoEntry) entries.push_back(leftover[c]);
-      }
-      leftover[v] = ChainAggregateRange(aprobs.data(), entries.data(),
-                                        entries.size(), kNoEntry, &draws);
-    }
-    ResolveResidual(aprobs.data(), leftover[h.root()], &draws);
-  }
-  for (std::size_t e = 0; e < akeys.size(); ++e) {
-    if (aprobs[e] == 1.0) sample.push_back(akeys[e]);
-  }
-  return Sample(tau, std::move(sample));
+  return TwoPassOrderSample(ranked, s, cfg, rng);
 }
 
 }  // namespace sas

@@ -11,9 +11,14 @@
 //           pair-aggregate each arriving key with its cell's active key.
 //   Final:  aggregate the remaining active keys following the structure.
 //
-// Partitions are provided for product structures (kd-tree over S'), order
-// structures (subintervals between consecutive S' keys) and hierarchies
-// (linearization — giving Delta < 2 — per the paper's discussion).
+// One engine in two_pass.cc runs the passes, the IO-AGGREGATE step and the
+// final aggregation (the shared settle loop of core/settle.h) for every
+// sampler below; each structure contributes only its partition: kd leaves
+// over S' (product), the intervals between sorted S' keys (order), range
+// cells (disjoint ranges), and lowest selected ancestors (hierarchies; the
+// linearized variant runs the order sampler over DFS ranks, Delta < 2).
+// Partitions read the structure by stream position: key k is the k-th item
+// of the stream, whatever its id.
 
 #ifndef SAS_AWARE_TWO_PASS_H_
 #define SAS_AWARE_TWO_PASS_H_
@@ -22,7 +27,6 @@
 #include <memory>
 #include <vector>
 
-#include "aware/kd_hierarchy.h"
 #include "core/random.h"
 #include "core/sample.h"
 #include "core/types.h"
@@ -42,7 +46,7 @@ struct TwoPassConfig {
 class TwoPassProductSampler {
  public:
   TwoPassProductSampler(double s, TwoPassConfig cfg, Rng rng);
-  ~TwoPassProductSampler();  // out-of-line: Pass1State is incomplete here
+  ~TwoPassProductSampler();  // out-of-line: State is incomplete here
 
   void Pass1(const WeightedKey& item);
 
@@ -55,34 +59,17 @@ class TwoPassProductSampler {
   /// final sample of size (essentially) s.
   Sample Finalize();
 
-  double tau() const { return tau_; }
+  /// The pass-1 threshold (0 before BeginPass2).
+  double tau() const;
 
-  /// Number of partition cells (kd leaves over the guide sample).
-  std::size_t num_cells() const { return active_.size(); }
+  /// Number of partition cells (kd leaves over the guide sample; 0 before
+  /// BeginPass2).
+  std::size_t num_cells() const;
 
  private:
-  double s_;
-  TwoPassConfig cfg_;
-  // sas-lint: allow(unforked-rng): member slot only; every constructor
-  // copies it from the caller-provided generator.
-  Rng rng_;
-
-  // Pass-1 state (defined in two_pass.cc to keep this header light).
-  struct Pass1State;
-  std::unique_ptr<Pass1State> pass1_;
-
-  // Pass-2 state.
-  double tau_ = 0.0;
-  KdHierarchy partition_;
-  std::vector<int> cell_of_leaf_;  // kd node id -> cell index
-  struct ActiveKey {
-    WeightedKey key;
-    double p = 0.0;
-    bool present = false;
-  };
-  std::vector<ActiveKey> active_;  // one slot per cell
-  std::vector<WeightedKey> sample_;
-  bool pass2_begun_ = false;
+  // The two-pass engine and the kd partition (defined in two_pass.cc).
+  struct State;
+  std::unique_ptr<State> state_;
 };
 
 /// Convenience wrapper: runs both passes over `items` and returns the
@@ -99,7 +86,7 @@ Sample TwoPassOrderSample(const std::vector<WeightedKey>& items, double s,
 /// Two-pass summarizer for disjoint ranges (Section 5): one cell per range
 /// represented in the guide sample, plus one cell per maximal run of
 /// unrepresented range ids between represented ones. Delta < 1 per range
-/// w.h.p. `range_of` maps a key to its range id in [0, num_ranges).
+/// w.h.p. range_of[k] is the range, in [0, num_ranges), of items[k].
 Sample TwoPassDisjointSample(const std::vector<WeightedKey>& items,
                              const std::vector<int>& range_of,
                              int num_ranges, double s,
@@ -112,7 +99,7 @@ enum class HierarchyTwoPassVariant {
 };
 
 /// Two-pass summarizer for hierarchies (Section 5). items[k] must be the
-/// key at hierarchy leaf leaf_of_key(k) with k == item.id.
+/// key at hierarchy leaf leaf_of_key(k).
 Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
                               const Hierarchy& h, double s,
                               const TwoPassConfig& cfg,

@@ -5,6 +5,7 @@
 
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
+#include "core/settle.h"
 
 namespace sas {
 namespace {
@@ -48,22 +49,16 @@ Sample MergeParts(const Sample* const* parts, std::size_t num_parts,
   IppsProbabilities(weights, tau, &probs);
   for (double& q : probs) q = SnapProbability(q);
 
-  // Structure-oblivious settling: aggregate the open entries in a uniformly
-  // random order, then resolve any floating-point residual. The shuffle
-  // draws raw bounded integers, so only the chain itself goes through the
-  // batched draw stream.
+  // Structure-oblivious settling: the order settle over a uniformly random
+  // order of the entries. The shuffle draws raw bounded integers before
+  // the settle's batched draw stream starts.
   std::vector<std::size_t>& order = scratch->order;
   order.resize(total);
   std::iota(order.begin(), order.end(), 0);
   for (std::size_t i = total; i > 1; --i) {
     std::swap(order[i - 1], order[rng->NextBounded(i)]);
   }
-  {
-    RngStream draws(rng);
-    const std::size_t leftover = ChainAggregateRange(
-        probs.data(), order.data(), order.size(), kNoEntry, &draws);
-    ResolveResidual(probs.data(), leftover, &draws);
-  }
+  OrderAggregate(&probs, order, rng);
 
   Sample out;
   out.set_tau(tau);

@@ -43,29 +43,19 @@ inline constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 /// `indices` (skipping entries that are already set), starting from an
 /// optional open carry entry. After each aggregation exactly one open entry
 /// survives as the new carry. Returns the index of the final open entry, or
-/// kNoEntry if everything is set.
-///
-/// This is the "one active key" scan shared by the order summarizer
-/// (Algorithm 5), the per-group stage of the disjoint-range summarizer, and
-/// the per-node stage of the hierarchy summarizers. It forwards to
-/// ChainAggregateRange below with a local draw stream, so it consumes
-/// exactly the same rng draws as the classic one-PairAggregate-per-merge
-/// loop and leaves the rng in exactly the same state.
+/// kNoEntry if everything is set. Forwards to ChainAggregateRange with a
+/// local draw stream: the same draws as one PairAggregate per merge.
 std::size_t ChainAggregate(std::vector<double>* probs,
                            const std::vector<std::size_t>& indices,
                            std::size_t carry, Rng* rng);
 
-/// Batched fast path of the chain scan: consumes pre-generated blocks of
-/// uniform draws from `draws` (one per merge, in merge order), keeps the
-/// carry probability in a register so already-settled entries are skipped
-/// without re-reading the vector, and settles each entry with a single
-/// store. Aggregation arithmetic and draw consumption are bit-identical to
-/// PairAggregate. `indices[0..count)` must be distinct and in range; `carry`
-/// may be kNoEntry or an entry index (it may also already be settled).
-///
-/// Callers that run many chains in one pass (hierarchy and kd bottom-up
-/// aggregation) should share a single RngStream across all of them and rely
-/// on its Flush to reposition the underlying Rng once at the end.
+/// The chain step of the settle loop (core/settle.h), which shares one
+/// RngStream across all of a settle's chains: consumes one draw per merge
+/// from `draws`, keeps the carry probability in a register so settled
+/// entries are skipped without a draw, and settles each entry with a single
+/// store. Arithmetic and draws are bit-identical to PairAggregate.
+/// `indices[0..count)` must be distinct and in range; `carry` may be
+/// kNoEntry or an entry index (it may also already be settled).
 std::size_t ChainAggregateRange(double* probs, const std::size_t* indices,
                                 std::size_t count, std::size_t carry,
                                 RngStream* draws);

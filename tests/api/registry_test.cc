@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/registry.h"
@@ -16,7 +17,7 @@
 #include "aware/order_summarizer.h"
 #include "aware/product_summarizer.h"
 #include "core/random.h"
-#include "oracles/product_summarize.h"
+#include "oracles/summarize.h"
 #include "structure/hierarchy.h"
 #include "test_util.h"
 
@@ -288,6 +289,30 @@ TEST(RegistryErrors, MalformedNdConfigsThrow) {
     SummarizerConfig cfg;
     cfg.structure = StructureSpec::Nd(dims);
     EXPECT_NO_THROW(MakeSummarizer(keys::kNd, cfg)) << "dims=" << dims;
+  }
+}
+
+TEST(RegistryErrors, OutOfRangeRangeIdsThrow) {
+  // Every range_of entry must lie in [0, num_ranges): both disjoint keys
+  // reject the first bad entry at MakeSummarizer time, naming the field and
+  // the index, before any item is added.
+  for (const char* key : {keys::kDisjoint, keys::kDisjointTwoPass}) {
+    for (int bad : {4, 99, -1}) {
+      SummarizerConfig cfg;
+      cfg.structure = StructureSpec::Disjoint({0, 3, 1, bad, 2}, 4);
+      try {
+        MakeSummarizer(key, cfg);
+        ADD_FAILURE() << key << " accepted range id " << bad;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("structure.range_of[3]"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+      }
+    }
+    SummarizerConfig ok;
+    ok.structure = StructureSpec::Disjoint({0, 3, 1, 2}, 4);
+    EXPECT_NO_THROW(MakeSummarizer(key, ok)) << key;
   }
 }
 

@@ -8,6 +8,7 @@
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "core/random.h"
+#include "oracles/summarize.h"
 
 namespace sas {
 namespace {

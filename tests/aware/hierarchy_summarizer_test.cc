@@ -8,6 +8,7 @@
 #include "core/discrepancy.h"
 #include "core/ipps.h"
 #include "core/random.h"
+#include "oracles/summarize.h"
 
 namespace sas {
 namespace {

@@ -8,8 +8,8 @@
 
 #include "core/ipps.h"
 #include "core/random.h"
-#include "oracles/product_summarize.h"
-#include "sampling/varopt_offline.h"
+#include "oracles/summarize.h"
+#include "oracles/varopt_offline.h"
 #include "summaries/exact_summary.h"
 
 namespace sas {

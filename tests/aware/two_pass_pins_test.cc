@@ -61,8 +61,8 @@ Pin PinOf(const Sample& sample) {
   return p;
 }
 
-Pin RunKey(const char* key, std::uint64_t seed,
-           HierarchyPartition partition = HierarchyPartition::kLinearize) {
+Pin RunKeyOn(const std::vector<WeightedKey>& items, const char* key,
+             std::uint64_t seed, HierarchyPartition partition) {
   const Inputs& in = TheInputs();
   SummarizerConfig cfg;
   cfg.s = kS;
@@ -77,11 +77,16 @@ Pin RunKey(const char* key, std::uint64_t seed,
     cfg.structure = StructureSpec::OverHierarchy(&in.h);
   }
   auto builder = MakeSummarizer(key, cfg);
-  builder->AddBatch(in.items);
+  builder->AddBatch(items);
   const auto summary = builder->Finalize();
   const SampleSummary* sample = summary->AsSample();
   EXPECT_NE(sample, nullptr);
   return sample == nullptr ? Pin{} : PinOf(sample->sample());
+}
+
+Pin RunKey(const char* key, std::uint64_t seed,
+           HierarchyPartition partition = HierarchyPartition::kLinearize) {
+  return RunKeyOn(TheInputs().items, key, seed, partition);
 }
 
 std::string Render(const Pin& p) {
@@ -207,6 +212,34 @@ TEST(TwoPassPins, TwoPassProductSample) {
     ExpectPin(PinOf(TwoPassProductSample(TheInputs().items, kS,
                                          TwoPassConfig{}, &rng)),
               want[i]);
+  }
+}
+
+// The structure of the disjoint and hierarchy keys is positional
+// (StructureSpec: range_of[i] and hierarchy key i belong to the i-th item
+// added), so ids are labels only: with every id offset by a constant, both
+// keys sample the same positions. Their guide sample never reads ids, so
+// the draws match exactly.
+TEST(TwoPassPositions, IdsDoNotSteerTheStructure) {
+  constexpr KeyId kOffset = 100000;
+  std::vector<WeightedKey> offset = TheInputs().items;
+  for (auto& it : offset) it.id += kOffset;
+  const struct {
+    const char* key;
+    HierarchyPartition partition;
+  } cases[] = {
+      {keys::kDisjointTwoPass, HierarchyPartition::kLinearize},
+      {keys::kHierarchyTwoPass, HierarchyPartition::kLinearize},
+      {keys::kHierarchyTwoPass, HierarchyPartition::kAncestors},
+  };
+  for (const auto& c : cases) {
+    for (std::uint64_t seed : kSeeds) {
+      const Pin plain = RunKeyOn(TheInputs().items, c.key, seed, c.partition);
+      Pin shifted = RunKeyOn(offset, c.key, seed, c.partition);
+      for (auto& id : shifted.ids) id -= kOffset;
+      EXPECT_EQ(shifted.tau_bits, plain.tau_bits) << c.key << " seed " << seed;
+      EXPECT_EQ(shifted.ids, plain.ids) << c.key << " seed " << seed;
+    }
   }
 }
 

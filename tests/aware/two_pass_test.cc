@@ -8,7 +8,7 @@
 
 #include "core/ipps.h"
 #include "core/random.h"
-#include "sampling/varopt_offline.h"
+#include "oracles/varopt_offline.h"
 #include "summaries/exact_summary.h"
 
 namespace sas {

@@ -14,8 +14,8 @@
 #include "aware/order_summarizer.h"
 #include "aware/product_summarizer.h"
 #include "core/random.h"
-#include "oracles/product_summarize.h"
-#include "sampling/varopt_offline.h"
+#include "oracles/summarize.h"
+#include "oracles/varopt_offline.h"
 #include "structure/hierarchy.h"
 
 namespace sas {

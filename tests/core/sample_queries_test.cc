@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/random.h"
-#include "sampling/varopt_offline.h"
+#include "oracles/varopt_offline.h"
 
 namespace sas {
 namespace {

@@ -8,7 +8,7 @@
 
 #include "aware/product_summarizer.h"
 #include "data/network_gen.h"
-#include "oracles/product_summarize.h"
+#include "oracles/summarize.h"
 
 namespace sas {
 namespace {

@@ -15,7 +15,7 @@
 #include "structure/hierarchy.h"
 #include "sampling/stream_varopt.h"
 #include "sampling/systematic.h"
-#include "sampling/varopt_offline.h"
+#include "oracles/varopt_offline.h"
 
 namespace sas {
 namespace {

@@ -16,7 +16,7 @@
 #include "core/random.h"
 #include "sampling/stream_varopt.h"
 #include "sampling/systematic.h"
-#include "sampling/varopt_offline.h"
+#include "oracles/varopt_offline.h"
 #include "summaries/exact_summary.h"
 
 namespace sas {

@@ -1,4 +1,4 @@
-#include "sampling/varopt_offline.h"
+#include "oracles/varopt_offline.h"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "core/random.h"
+#include "core/settle.h"
 
 namespace sas {
 namespace {
@@ -105,11 +106,11 @@ TEST(VarOptOffline, AllKeysWhenSampleIsLarge) {
   EXPECT_DOUBLE_EQ(sample.EstimateTotal(), 6.0);
 }
 
-TEST(AggregateInOrder, AllEntriesSet) {
+TEST(VarOptOffline, OrderSettleSetsAllEntries) {
   Rng rng(6);
   std::vector<double> p{0.3, 0.7, 0.4, 0.6, 0.5, 0.5};
   std::vector<std::size_t> order{0, 1, 2, 3, 4, 5};
-  AggregateInOrder(&p, order, &rng);
+  OrderAggregate(&p, order, &rng);
   int ones = 0;
   for (double x : p) {
     EXPECT_TRUE(IsSet(x));
