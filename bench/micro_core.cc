@@ -173,35 +173,6 @@ void BM_IppsFill(benchmark::State& state) {
 }
 BENCHMARK(BM_IppsFill)->Arg(1000)->Arg(100000);
 
-void BM_KdMedianScan(benchmark::State& state) {
-  // The weighted-median argmin scan that dominates kd node splits: one
-  // pass over the prefix sums with the duplicate-boundary mask.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(22);
-  std::vector<Coord> vals(n);
-  Coord v = 0;
-  for (auto& x : vals) {
-    v += rng.NextBounded(3);
-    x = v;
-  }
-  std::vector<double> prefix(n);
-  double run = 0.0;
-  for (auto& p : prefix) {
-    run += 0.01 + 0.98 * rng.NextDouble();
-    p = run;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::MinGapScan(prefix.data(), vals.data(), n, run));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() * n *
-                          (sizeof(double) + sizeof(Coord)));
-  state.counters["simd"] =
-      static_cast<double>(static_cast<int>(simd::ActiveLevel()));
-}
-BENCHMARK(BM_KdMedianScan)->Arg(1000)->Arg(100000);
-
 void BM_FillDoubles(benchmark::State& state) {
   // Block draw generation behind RngStream: xoshiro raw output plus the
   // dispatched u64 -> [0,1) conversion.

@@ -518,50 +518,52 @@ SummarizerFactory Structured(
 namespace internal {
 
 std::vector<std::pair<std::string, SummarizerFactory>> BuiltinSummarizers() {
-  std::vector<std::pair<std::string, SummarizerFactory>> builtins;
-  builtins.emplace_back(keys::kOrder,
-                        Structured<OrderBuilder>(keys::kOrder, false));
-  builtins.emplace_back(keys::kProduct, Plain<ProductBuilder>());
-  builtins.emplace_back(keys::kHierarchy,
-                        Structured<HierarchyBuilder>(keys::kHierarchy, false,
-                                                     RequireHierarchy));
-  builtins.emplace_back(keys::kDisjoint,
-                        Structured<DisjointBuilder>(keys::kDisjoint, false,
-                                                    RequireDisjoint));
-  builtins.emplace_back(keys::kNd, [](const SummarizerConfig& cfg) {
-    RequireDims(keys::kNd, cfg);
-    return std::unique_ptr<Summarizer>(new NdBuilder(cfg));
-  });
-  builtins.emplace_back(keys::kAware, Plain<TwoPassProductBuilder>());
-  builtins.emplace_back(keys::kOrderTwoPass,
-                        Structured<OrderBuilder>(keys::kOrderTwoPass, true));
-  builtins.emplace_back(
-      keys::kHierarchyTwoPass,
-      Structured<HierarchyBuilder>(keys::kHierarchyTwoPass, true,
-                                   RequireHierarchy));
-  builtins.emplace_back(keys::kDisjointTwoPass,
-                        Structured<DisjointBuilder>(keys::kDisjointTwoPass,
-                                                    true, RequireDisjoint));
-  builtins.emplace_back(keys::kObliv, [](const SummarizerConfig& cfg) {
-    RequireWholeBudget(keys::kObliv, cfg);
-    return std::unique_ptr<Summarizer>(new OblivBuilder(cfg));
-  });
-  builtins.emplace_back(keys::kWavelet, [](const SummarizerConfig& cfg) {
-    RequireBits(keys::kWavelet, cfg);
-    RequireWholeBudget(keys::kWavelet, cfg);
-    return std::unique_ptr<Summarizer>(new WaveletBuilder(cfg));
-  });
-  builtins.emplace_back(keys::kQDigest, [](const SummarizerConfig& cfg) {
-    RequireBits(keys::kQDigest, cfg);
-    return std::unique_ptr<Summarizer>(new QDigestBuilder(cfg));
-  });
-  builtins.emplace_back(keys::kSketch, [](const SummarizerConfig& cfg) {
-    RequireBits(keys::kSketch, cfg);
-    RequireWholeBudget(keys::kSketch, cfg);
-    return std::unique_ptr<Summarizer>(new SketchBuilder(cfg));
-  });
-  builtins.emplace_back(keys::kExact, Plain<ExactBuilder>());
-  return builtins;
+  // One braced list, so the vector is sized once and never regrows.
+  return {
+      {keys::kOrder, Structured<OrderBuilder>(keys::kOrder, false)},
+      {keys::kProduct, Plain<ProductBuilder>()},
+      {keys::kHierarchy, Structured<HierarchyBuilder>(keys::kHierarchy, false,
+                                                      RequireHierarchy)},
+      {keys::kDisjoint, Structured<DisjointBuilder>(keys::kDisjoint, false,
+                                                    RequireDisjoint)},
+      {keys::kNd,
+       [](const SummarizerConfig& cfg) {
+         RequireDims(keys::kNd, cfg);
+         return std::unique_ptr<Summarizer>(new NdBuilder(cfg));
+       }},
+      {keys::kAware, Plain<TwoPassProductBuilder>()},
+      {keys::kOrderTwoPass,
+       Structured<OrderBuilder>(keys::kOrderTwoPass, true)},
+      {keys::kHierarchyTwoPass,
+       Structured<HierarchyBuilder>(keys::kHierarchyTwoPass, true,
+                                    RequireHierarchy)},
+      {keys::kDisjointTwoPass,
+       Structured<DisjointBuilder>(keys::kDisjointTwoPass, true,
+                                   RequireDisjoint)},
+      {keys::kObliv,
+       [](const SummarizerConfig& cfg) {
+         RequireWholeBudget(keys::kObliv, cfg);
+         return std::unique_ptr<Summarizer>(new OblivBuilder(cfg));
+       }},
+      {keys::kWavelet,
+       [](const SummarizerConfig& cfg) {
+         RequireBits(keys::kWavelet, cfg);
+         RequireWholeBudget(keys::kWavelet, cfg);
+         return std::unique_ptr<Summarizer>(new WaveletBuilder(cfg));
+       }},
+      {keys::kQDigest,
+       [](const SummarizerConfig& cfg) {
+         RequireBits(keys::kQDigest, cfg);
+         return std::unique_ptr<Summarizer>(new QDigestBuilder(cfg));
+       }},
+      {keys::kSketch,
+       [](const SummarizerConfig& cfg) {
+         RequireBits(keys::kSketch, cfg);
+         RequireWholeBudget(keys::kSketch, cfg);
+         return std::unique_ptr<Summarizer>(new SketchBuilder(cfg));
+       }},
+      {keys::kExact, Plain<ExactBuilder>()},
+  };
 }
 
 }  // namespace internal

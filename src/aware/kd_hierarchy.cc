@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "aware/flat_coords.h"
-#include "core/simd.h"
+#include "core/telemetry.h"
 
 namespace sas {
 
@@ -69,6 +71,58 @@ void RadixSortByKey(std::size_t n, int width, int max_digit, Coord* keys,
   if (src_i != idx) std::copy(src_i, src_i + n, idx);
 }
 
+// Widest key RadixSortPacked takes: a key and a 32-bit index share a word.
+constexpr int kPackedKeyBits = 32;
+
+// RadixSortByKey for keys at most kPackedKeyBits wide, with the same
+// contract and result. Each item becomes one word, key << 32 | index, so a
+// scatter pass moves 8 bytes instead of a 12-byte (key, index) pair, and
+// one read of the words counts the histograms of every pass (an LSD pass'
+// histogram does not depend on the order). `count` holds one 2^max_digit
+// histogram per pass: ceil(kPackedKeyBits / max_digit) of them.
+void RadixSortPacked(std::size_t n, int width, int max_digit, Coord* keys,
+                     Coord* keys_tmp, std::uint32_t* idx,
+                     std::uint32_t* count) {
+  assert(width <= kPackedKeyBits);
+  if (width == 0) return;  // all keys equal: already in order
+  const int passes = (width + max_digit - 1) / max_digit;
+  const int digit = (width + passes - 1) / passes;
+  const std::size_t buckets = std::size_t{1} << digit;
+  const Coord mask = buckets - 1;
+  const Coord key_mask = (Coord{1} << width) - 1;
+  std::fill(count, count + passes * buckets, 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Coord w = (keys[i] & key_mask) << kPackedKeyBits | idx[i];
+    keys[i] = w;
+    for (int pass = 0; pass < passes; ++pass) {
+      const int shift = kPackedKeyBits + pass * digit;
+      ++count[pass * buckets + ((w >> shift) & mask)];
+    }
+  }
+  for (int pass = 0; pass < passes; ++pass) {
+    std::uint32_t sum = 0;
+    for (std::size_t b = pass * buckets; b < (pass + 1) * buckets; ++b) {
+      const std::uint32_t c = count[b];
+      count[b] = sum;
+      sum += c;
+    }
+  }
+  Coord* src = keys;
+  Coord* dst = keys_tmp;
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = kPackedKeyBits + pass * digit;
+    std::uint32_t* c = count + pass * buckets;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Coord w = src[i];
+      dst[c[(w >> shift) & mask]++] = w;
+    }
+    std::swap(src, dst);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    idx[i] = static_cast<std::uint32_t>(src[i]);  // the low word: the index
+  }
+}
+
 }  // namespace
 
 KdHierarchy KdHierarchy::Build(const std::vector<Coord>& coords, int dims,
@@ -127,29 +181,38 @@ void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
     ord[axis] = arena.AllocateArray<std::uint32_t>(n);
   }
   std::uint32_t* part_tmp = arena.AllocateArray<std::uint32_t>(n);
-  // Median-scan working arrays (one node range at a time): gathered axis
-  // coordinates and the running weighted prefix, consumed by the dispatched
-  // min-gap kernel. `vals` and `keys_tmp` double as the presort's key
-  // ping-pong buffers, `part_tmp` as its index buffer.
-  double* pref = arena.AllocateArray<double>(n);
-  Coord* vals = arena.AllocateArray<Coord>(n);
-  Coord* keys_tmp = arena.AllocateArray<Coord>(n);
-  // Presort digit: about log2(n) bits, so a pass costs O(n) and tiny builds
-  // keep a tiny histogram.
-  const int max_digit =
-      std::clamp(static_cast<int>(std::bit_width(n)), 4, kMaxDigitBits);
-  std::uint32_t* count =
-      arena.AllocateArray<std::uint32_t>(std::size_t{1} << max_digit);
-  for (int axis = 0; axis < dims; ++axis) {
-    std::uint32_t* o = ord[axis];
-    Coord diff = 0;  // bits on which some coordinate differs from the first
-    for (std::size_t i = 0; i < n; ++i) {
-      o[i] = static_cast<std::uint32_t>(i);
-      vals[i] = axis_coord(static_cast<std::uint32_t>(i), axis);
-      diff |= vals[i] ^ vals[0];
+  {
+    // The presort has its own span inside the caller's, so a trace
+    // separates it from the levels. It only observes.
+    static telemetry::Histogram* const presort_ns =
+        telemetry::GetHistogram("sas.aware.kd_presort_ns");
+    telemetry::Span presort("aware.kd_presort", presort_ns);
+    // Key ping-pong buffers; `part_tmp` doubles as the index buffer.
+    Coord* keys = arena.AllocateArray<Coord>(n);
+    Coord* keys_tmp = arena.AllocateArray<Coord>(n);
+    // Digit: about log2(n) bits, so a pass costs O(n) and tiny builds keep
+    // a tiny histogram; one histogram per pass of a packed sort.
+    const int max_digit =
+        std::clamp(static_cast<int>(std::bit_width(n)), 4, kMaxDigitBits);
+    const int packed_passes = (kPackedKeyBits + max_digit - 1) / max_digit;
+    std::uint32_t* count = arena.AllocateArray<std::uint32_t>(
+        static_cast<std::size_t>(packed_passes) << max_digit);
+    for (int axis = 0; axis < dims; ++axis) {
+      std::uint32_t* o = ord[axis];
+      Coord diff = 0;  // bits on which some coordinate differs from the first
+      for (std::size_t i = 0; i < n; ++i) {
+        o[i] = static_cast<std::uint32_t>(i);
+        keys[i] = axis_coord(static_cast<std::uint32_t>(i), axis);
+        diff |= keys[i] ^ keys[0];
+      }
+      const int width = static_cast<int>(std::bit_width(diff));
+      if (width <= kPackedKeyBits) {
+        RadixSortPacked(n, width, max_digit, keys, keys_tmp, o, count);
+      } else {
+        RadixSortByKey(n, width, max_digit, keys, keys_tmp, o, part_tmp,
+                       count);
+      }
     }
-    RadixSortByKey(n, static_cast<int>(std::bit_width(diff)), max_digit, vals,
-                   keys_tmp, o, part_tmp, count);
   }
 
   const std::size_t node_cap = 2 * n;  // at most 2n - 1 nodes
@@ -209,31 +272,41 @@ void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
     bool split_found = false;
     std::uint32_t split_pos = t.begin;
     Coord split_val = 0;
+    double left_mass = 0.0;
     for (int attempt = 0; attempt < dims && !split_found;
          ++attempt, axis = (axis + 1) % dims) {
       const std::uint32_t* o = ord[axis];
       if (axis_coord(o[t.begin], axis) == axis_coord(o[t.end - 1], axis)) {
         continue;  // degenerate on this axis
       }
-      // Pass 1 (serial by construction — the prefix sum's addition order is
-      // part of the bit-identity contract): gather the axis coordinates and
-      // accumulate the weighted prefix. Pass 2: the dispatched min-gap scan
-      // picks the first boundary minimizing |left - right| mass, exactly as
-      // the classic fused loop did.
-      const std::uint32_t len = t.end - t.begin;
-      double run = 0.0;
-      for (std::uint32_t i = 0; i < len; ++i) {
-        const std::uint32_t item = o[t.begin + i];
-        vals[i] = axis_coord(item, axis);
+      // One serial pass (the prefix sum's addition order is part of the
+      // bit-identity contract) picks the first boundary minimizing
+      // gap = |total - 2 * prefix|, as the classic scan did. Masses are
+      // non-negative, so d = total - 2 * prefix never rises, even rounded:
+      // the gap falls while d >= 0 and rises after. The first boundary with
+      // d <= 0 is therefore the last one that can strictly beat the best
+      // gap, and the scan stops there, about halfway through the node.
+      Coord prev = axis_coord(o[t.begin], axis);
+      double run = mass[o[t.begin]];
+      double best_gap = std::numeric_limits<double>::infinity();
+      for (std::uint32_t i = t.begin + 1; i < t.end; ++i) {
+        const std::uint32_t item = o[i];
+        const Coord c = axis_coord(item, axis);
+        if (c != prev) {  // a boundary: items [t.begin, i) go left
+          const double d = total - 2.0 * run;
+          const double gap = std::fabs(d);
+          if (gap < best_gap) {
+            best_gap = gap;
+            split_pos = i;
+            split_val = c;
+            left_mass = run;
+            split_found = true;
+          }
+          if (d <= 0.0) break;
+          prev = c;
+        }
         run += mass[item];
-        pref[i] = run;
       }
-      const std::size_t pos = simd::MinGapScan(pref, vals, len, total);
-      if (pos != simd::kNoSplit) {
-        split_pos = t.begin + static_cast<std::uint32_t>(pos) + 1;
-        split_val = vals[pos + 1];
-      }
-      split_found = pos != simd::kNoSplit;
       used_axis = axis;
     }
     if (!split_found) {
@@ -273,7 +346,7 @@ void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
     node.right = right;
     nodes.emplace_back().parent = t.node;
     nodes.emplace_back().parent = t.node;
-    nodes[static_cast<std::size_t>(left)].mass = pref[split_pos - t.begin - 1];
+    nodes[static_cast<std::size_t>(left)].mass = left_mass;
     stack[stack_size++] = {right, split_pos, t.end, t.depth + 1, used_axis};
     stack[stack_size++] = {left, t.begin, split_pos, t.depth + 1, kMassSet};
   }

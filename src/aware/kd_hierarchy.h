@@ -51,13 +51,20 @@ class KdHierarchy {
   /// Each axis' item order is presorted once by a stable LSD radix sort of
   /// the indices on that axis' coordinate, over only the bits on which
   /// the coordinates differ (none for a constant axis), so ties stay in
-  /// index order. Each split keeps the other d - 1 orders sorted by a
-  /// branch-free stable partition around the split coordinate, so the
-  /// per-level work is linear; a left child takes its mass from the split
-  /// scan's prefix sum instead of re-summing. All working memory — axis
-  /// orders, radix buffers, partition buffer, task stack — comes from the
-  /// scratch arena; builds against a warm scratch allocate only the
-  /// returned tree. A null scratch uses an internal thread-local workspace.
+  /// index order. When those bits number at most 32, each item sorts as
+  /// one 64-bit word (key << 32 | index). The split scan walks the node's
+  /// order once, gathering each item's coordinate and mass and extending
+  /// the prefix sum, and stops at the first coordinate boundary past the
+  /// mass crossing (2 * prefix >= total): no later boundary can beat the
+  /// best gap, so it picks the same first-minimum boundary as a full scan.
+  /// Each split keeps the other d - 1 orders sorted by a branch-free
+  /// stable partition around the split coordinate, so the per-level work
+  /// is linear; a left child takes its mass from the split scan's prefix
+  /// sum instead of re-summing. All working memory — axis orders, radix
+  /// buffers, partition buffer, task stack — comes from the scratch
+  /// arena; builds against a warm scratch allocate only the returned
+  /// tree. A null scratch uses an internal thread-local workspace. The
+  /// presort runs inside the span `aware.kd_presort`.
   static KdHierarchy Build(const std::vector<Coord>& coords, int dims,
                            const std::vector<double>& mass,
                            KdBuildScratch* scratch = nullptr);

@@ -39,7 +39,9 @@ double BisectTau(const Weight* buf, std::size_t n, double total, double s) {
 // rearranges to sorted[t-1] >= tau(t)), and the lower condition is monotone
 // in t — so the consistent t can be found by partition-based binary search
 // over an unsorted buffer instead of a full sort: expected O(n) and
-// allocation-free against a warm scratch.
+// allocation-free against a warm scratch. The consistent t never exceeds
+// floor(s), so the first selection goes straight to rank floor(s): one O(n)
+// pass leaves at most floor(s) + 1 candidates for the halving rounds.
 double SolveTau(const Weight* weights, std::size_t n_in, double s,
                 IppsScratch* scratch) {
   assert(s > 0.0);
@@ -72,8 +74,9 @@ double SolveTau(const Weight* weights, std::size_t n_in, double s,
   double right_sum = 0.0;
   Weight right_max = 0.0;
   constexpr std::size_t kSmallWindow = 32;
+  // floor(s) < n here, since n > s.
+  std::size_t mid = static_cast<std::size_t>(s);
   while (hi - lo > kSmallWindow) {
-    const std::size_t mid = lo + (hi - lo) / 2;
     std::nth_element(buf.begin() + lo, buf.begin() + mid, buf.begin() + hi,
                      std::greater<>());
     const double rest = simd::SuffixSum(buf.data(), mid, hi, right_sum);
@@ -86,6 +89,7 @@ double SolveTau(const Weight* weights, std::size_t n_in, double s,
     } else {
       lo = mid + 1;
     }
+    mid = lo + (hi - lo) / 2;
   }
 
   // Resolve the remaining window by the classic scan over sorted candidates.

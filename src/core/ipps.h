@@ -47,7 +47,8 @@ struct IppsScratch {
 /// 0 (every key has probability 1). Requires s > 0 and all weights >= 0.
 ///
 /// Expected O(n) via quickselect-style partitioning of `scratch->buf`
-/// (the input is not modified). Exact early-outs cover the boundary inputs
+/// (the input is not modified): one selection at rank floor(s), then
+/// halving over the at most floor(s) + 1 candidates left of it. Exact early-outs cover the boundary inputs
 /// that used to fall through to bisection: all-equal positive weights
 /// (tau = total/s) and s >= n after zero-filtering (tau = 0).
 double SolveTau(const Weight* weights, std::size_t n, double s,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
 
 // The AVX2 paths exist only when the build opts in (SAS_SIMD, see
@@ -40,21 +39,6 @@ double SuffixSumScalar(const double* buf, std::size_t begin, std::size_t end,
   double acc = init;
   for (std::size_t i = end; i-- > begin;) acc += buf[i];
   return acc;
-}
-
-std::size_t MinGapScanScalar(const double* prefix, const Coord* vals,
-                             std::size_t len, double total) {
-  std::size_t best = kNoSplit;
-  double best_gap = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i + 1 < len; ++i) {
-    if (vals[i] == vals[i + 1]) continue;  // not a coordinate boundary
-    const double gap = std::fabs(total - 2.0 * prefix[i]);
-    if (gap < best_gap) {
-      best_gap = gap;
-      best = i;
-    }
-  }
-  return best;
 }
 
 void U64ToUnitDoublesScalar(const std::uint64_t* raw, double* out,
@@ -165,66 +149,6 @@ __attribute__((target("avx2,fma"))) double SuffixSumAvx2(const double* buf,
       init + _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
   for (; i < end; ++i) sum += buf[i];
   return sum;
-}
-
-__attribute__((target("avx2,fma"))) std::size_t MinGapScanAvx2(
-    const double* prefix, const Coord* vals, std::size_t len, double total) {
-  const double inf = std::numeric_limits<double>::infinity();
-  std::size_t best = kNoSplit;
-  double best_gap = inf;
-  std::size_t i = 0;
-  if (len >= 1 && len - 1 >= 4) {
-    const std::size_t bound = len - 1;
-    const __m256d vtotal = _mm256_set1_pd(total);
-    const __m256d vtwo = _mm256_set1_pd(2.0);
-    const __m256d vinf = _mm256_set1_pd(inf);
-    const __m256d sign_mask = _mm256_set1_pd(-0.0);
-    __m256d vbest_gap = _mm256_set1_pd(inf);
-    __m256i vbest_idx = _mm256_setzero_si256();
-    __m256i vidx = _mm256_setr_epi64x(0, 1, 2, 3);
-    const __m256i four = _mm256_set1_epi64x(4);
-    for (; i + 4 <= bound; i += 4) {
-      // gap = |total - 2*prefix[i]|; 2*prefix is exact, so the fused
-      // negate-multiply-add rounds once, like the scalar subtraction.
-      __m256d gap = _mm256_andnot_pd(
-          sign_mask,
-          _mm256_fnmadd_pd(vtwo, _mm256_loadu_pd(prefix + i), vtotal));
-      // Positions where vals[i] == vals[i+1] are not boundaries: mask to
-      // +inf so they can never win the strict-less min.
-      const __m256i eq = _mm256_cmpeq_epi64(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i)),
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i + 1)));
-      gap = _mm256_blendv_pd(gap, vinf, _mm256_castsi256_pd(eq));
-      // Strict-less update keeps the earliest index per lane, matching the
-      // scalar first-minimum-wins rule.
-      const __m256d lt = _mm256_cmp_pd(gap, vbest_gap, _CMP_LT_OQ);
-      vbest_gap = _mm256_blendv_pd(vbest_gap, gap, lt);
-      vbest_idx = _mm256_blendv_epi8(vbest_idx, vidx, _mm256_castpd_si256(lt));
-      vidx = _mm256_add_epi64(vidx, four);
-    }
-    alignas(32) double lane_gap[4];
-    alignas(32) std::int64_t lane_idx[4];
-    _mm256_store_pd(lane_gap, vbest_gap);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_idx), vbest_idx);
-    for (int lane = 0; lane < 4; ++lane) {
-      if (lane_gap[lane] < best_gap ||
-          (lane_gap[lane] == best_gap && best != kNoSplit &&
-           static_cast<std::size_t>(lane_idx[lane]) < best)) {
-        best_gap = lane_gap[lane];
-        best = static_cast<std::size_t>(lane_idx[lane]);
-      }
-    }
-    if (best_gap == inf) best = kNoSplit;  // no boundary in the vector part
-  }
-  for (; i + 1 < len; ++i) {
-    if (vals[i] == vals[i + 1]) continue;
-    const double gap = std::fabs(total - 2.0 * prefix[i]);
-    if (gap < best_gap) {
-      best_gap = gap;
-      best = i;
-    }
-  }
-  return best;
 }
 
 __attribute__((target("avx2,fma"))) void U64ToUnitDoublesAvx2(
@@ -407,16 +331,6 @@ double SuffixSum(const double* buf, std::size_t begin, std::size_t end,
   }
 #endif
   return SuffixSumScalar(buf, begin, end, init);
-}
-
-std::size_t MinGapScan(const double* prefix, const Coord* vals,
-                       std::size_t len, double total) {
-#if defined(SAS_SIMD_X86)
-  if (ActiveLevel() == Level::kAvx2) {
-    return MinGapScanAvx2(prefix, vals, len, total);
-  }
-#endif
-  return MinGapScanScalar(prefix, vals, len, total);
 }
 
 void U64ToUnitDoubles(const std::uint64_t* raw, double* out, std::size_t n) {

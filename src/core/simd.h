@@ -15,9 +15,9 @@
 //    built with SAS_SIMD=ON still runs correctly on a non-AVX2 host — it
 //    just stays on the scalar path.
 //  * Equivalence: kernels whose outputs are pure per-lane operations
-//    (FillIppsProbabilities elements, U64ToUnitDoubles, MinGapScan,
-//    InBoxesMask) return bit-identical results on every level. Kernels
-//    that reduce over floats (the probability *sum*, SuffixSum) may differ
+//    (FillIppsProbabilities elements, U64ToUnitDoubles, InBoxesMask)
+//    return bit-identical results on every level. Kernels that reduce
+//    over floats (the probability *sum*, SuffixSum) may differ
 //    from the scalar path in the last few ulps because vector lanes
 //    re-associate the additions; the documented bound is
 //    |simd - scalar| <= 4 * eps * n * max|term| and the equivalence tests
@@ -76,17 +76,6 @@ double FillIppsProbabilities(const double* w, std::size_t n, double tau,
 /// path. Float reduction: AVX2 re-associates.
 double SuffixSum(const double* buf, std::size_t begin, std::size_t end,
                  double init);
-
-/// Weighted-median split selection for the kd build: over boundaries
-/// i in [0, len-1) with vals[i] != vals[i+1], minimizes
-/// |total - 2*prefix[i]| and returns the first minimizing i (strict-less
-/// update order, matching the classic scan). Returns kNoSplit when no
-/// boundary exists. Bit-identical on every level: the gap values are pure
-/// per-lane arithmetic on the caller-computed prefix sums, and the argmin
-/// tie-break is exact.
-inline constexpr std::size_t kNoSplit = static_cast<std::size_t>(-1);
-std::size_t MinGapScan(const double* prefix, const Coord* vals,
-                       std::size_t len, double total);
 
 /// Block conversion behind Rng::FillDoubles: out[i] =
 /// double(raw[i] >> 11) * 2^-53, the xoshiro256++ unit-interval mapping.

@@ -633,6 +633,102 @@ TEST(FastSolveTau, LargeInputMatchesReference) {
   }
 }
 
+// The first selection goes straight to rank floor(s) (the consistent t
+// never exceeds it). These inputs put that rank at every edge: below 1, on
+// an integer, one short of the positive count, past it, inside a tie run,
+// among zeros, and on a real shard.
+void ExpectTauMatchesReference(const std::vector<Weight>& w, double s) {
+  const double expected = ref::SolveTau(w, s);
+  const double got = SolveTau(w, s);
+  ASSERT_NEAR(got, expected, 1e-12 * (1.0 + expected)) << "s=" << s;
+  if (got > 0.0) {
+    ASSERT_NEAR(ProbSum(w, got), s, 1e-6 * s) << "s=" << s;
+  }
+}
+
+TEST(OneSelectionTau, SampleSizeBelowOne) {
+  const std::vector<Weight> w = ParetoWeights(5000, 1.2, 31);
+  for (double s : {1e-9, 0.3, 0.5, 0.999999}) {
+    ExpectTauMatchesReference(w, s);
+  }
+}
+
+TEST(OneSelectionTau, IntegerSampleSize) {
+  // With s integer, t = s is inconsistent (s - t = 0): the first
+  // selection must go left.
+  const std::vector<Weight> w = ParetoWeights(3000, 1.1, 32);
+  for (double s : {1.0, 2.0, 32.0, 33.0, 100.0, 1000.0, 2999.0}) {
+    ExpectTauMatchesReference(w, s);
+  }
+}
+
+TEST(OneSelectionTau, SampleSizeJustBelowPositiveCount) {
+  std::vector<Weight> w = ParetoWeights(2000, 1.3, 33);
+  w.insert(w.end(), 500, 0.0);  // the positive count stays 2000
+  for (double s : {1999.0, 1999.5, std::nextafter(2000.0, 0.0)}) {
+    ExpectTauMatchesReference(w, s);
+  }
+}
+
+TEST(OneSelectionTau, FloorAtOrPastPositiveCount) {
+  // floor(s) >= the positive count: every positive key is certain.
+  std::vector<Weight> w = ParetoWeights(40, 1.3, 34);
+  w.insert(w.end(), 60, 0.0);
+  for (double s : {40.0, 40.5, 41.0, 99.0}) {
+    EXPECT_EQ(SolveTau(w, s), 0.0) << "s=" << s;
+    EXPECT_EQ(ref::SolveTau(w, s), 0.0) << "s=" << s;
+  }
+}
+
+TEST(OneSelectionTau, HeavyTiesStraddleTheFirstRank) {
+  // A few heavy keys, then long runs of equal weights around rank floor(s),
+  // so the selected element and its neighbours tie.
+  std::vector<Weight> w;
+  w.insert(w.end(), 50, 1000.0);
+  w.insert(w.end(), 400, 7.0);
+  w.insert(w.end(), 400, 3.0);
+  w.insert(w.end(), 4000, 1.0);
+  Rng rng(35);
+  for (std::size_t i = w.size(); i-- > 1;) {
+    std::swap(w[i], w[rng.NextBounded(i + 1)]);
+  }
+  for (double s : {50.0, 60.0, 200.5, 449.0, 450.0, 451.25, 600.0, 849.5,
+                   850.0, 2000.0}) {
+    ExpectTauMatchesReference(w, s);
+  }
+}
+
+TEST(OneSelectionTau, ZerosMixedIn) {
+  Rng rng(36);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n = 40 + rng.NextBounded(4000);
+    std::vector<Weight> w(n);
+    for (auto& x : w) {
+      x = rng.NextDouble() < 0.5 ? 0.0 : rng.NextPareto(1.2);
+    }
+    const double s =
+        0.25 + static_cast<double>(rng.NextBounded(n / 2)) + rng.NextDouble();
+    SCOPED_TRACE(testing::Message() << "trial=" << trial << " n=" << n);
+    ExpectTauMatchesReference(w, s);
+  }
+}
+
+TEST(OneSelectionTau, NetworkShardMatchesReference) {
+  // Shard 0 of sharded:3:product over the Network data: the weights whose
+  // tau a product Finalize solves at s = 1000.
+  const Dataset2D data = GenerateNetwork(NetworkConfig{});
+  std::vector<Weight> weights;
+  for (const auto& it : data.items) {
+    if (ShardIndex(it.id, /*seed=*/1, /*num_shards=*/3) == 0) {
+      weights.push_back(it.weight);
+    }
+  }
+  ASSERT_EQ(weights.size(), 65868u);
+  for (double s : {1000.0, 1000.5, 65867.0}) {
+    ExpectTauMatchesReference(weights, s);
+  }
+}
+
 // --- ChainAggregateRange ---------------------------------------------------
 
 TEST(FastChainAggregate, BitIdenticalToReference) {
@@ -961,6 +1057,124 @@ TEST(FastKdBuildNd, HighDimsMatchReferenceAtScale) {
     std::vector<double> mass(n);
     for (auto& m : mass) m = 0.001 + 0.998 * rng.NextDouble();
     SCOPED_TRACE(testing::Message() << "dims=" << dims);
+    ExpectSameTreeNd(KdHierarchy::Build(coords, dims, mass),
+                     ref::KdBuildNd(coords, dims, mass));
+  }
+}
+
+// The split scan stops at the first coordinate boundary past the mass
+// crossing (2 * prefix >= total). These inputs put the minimum gap at the
+// edges of that rule; each build must match the reference, which scans
+// every boundary.
+KdHierarchy Build1D(const std::vector<Coord>& coords,
+                    const std::vector<double>& mass) {
+  KdHierarchy tree = KdHierarchy::Build(coords, 1, mass);
+  ExpectSameTreeNd(tree, ref::KdBuildNd(coords, 1, mass));
+  return tree;
+}
+
+TEST(KdSplitScan, GapTieAcrossTheCrossingKeepsTheFirstBoundary) {
+  // Gaps |3 - 2| = 1 before the crossing and |3 - 4| = 1 after it.
+  const KdHierarchy odd = Build1D({0, 1, 2}, {1.0, 1.0, 1.0});
+  EXPECT_EQ(odd.nodes()[0].split, 1u);
+  // A duplicate run hides the zero-gap boundary; the boundaries on either
+  // side tie at gap 2 and the first wins.
+  const KdHierarchy dup = Build1D({0, 1, 1, 3}, {1.0, 1.0, 1.0, 1.0});
+  EXPECT_EQ(dup.nodes()[0].split, 1u);
+  EXPECT_EQ(dup.nodes()[1].mass, 1.0);
+  // Without the duplicate the zero gap wins.
+  EXPECT_EQ(Build1D({0, 1, 2, 3}, {1.0, 1.0, 1.0, 1.0}).nodes()[0].split,
+            2u);
+}
+
+TEST(KdSplitScan, EqualRunStraddlesTheMedian) {
+  // Items 2..5 share coordinate 5 and hold the mass median; the best
+  // boundary is the one before the run (gap 3), not after it (gap 5).
+  const KdHierarchy tree =
+      Build1D({0, 1, 5, 5, 5, 5, 9}, std::vector<double>(7, 1.0));
+  EXPECT_EQ(tree.nodes()[0].split, 5u);
+  EXPECT_EQ(tree.nodes()[1].end, 2u);
+}
+
+TEST(KdSplitScan, ZeroMassPlateaus) {
+  // Zero masses repeat the prefix, so runs of boundaries tie exactly; the
+  // first of a tied run wins, including at gap 0 and at total 0.
+  Build1D({0, 1, 2, 3, 4, 5, 6}, {0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0});
+  Build1D({0, 1, 2, 3, 4}, {1.0, 0.0, 0.0, 0.0, 1.0});
+  Build1D({0, 1, 2, 3}, {0.0, 0.0, 0.0, 0.0});
+  Build1D({0, 1, 2, 3, 4, 5}, {0.0, 0.5, 0.0, 0.0, 0.25, 0.25});
+}
+
+TEST(KdSplitScan, OnlyBoundaryPastOrBeforeTheCrossing) {
+  // The only boundary comes after the crossing: it is the first boundary
+  // the scan tests, so it must still be taken.
+  const KdHierarchy late = Build1D({0, 0, 0, 0, 1}, std::vector<double>(5, 1.0));
+  EXPECT_EQ(late.nodes()[0].split, 1u);
+  EXPECT_EQ(late.nodes()[1].end, 4u);
+  // The only boundary comes before the crossing: the scan runs to the end.
+  const KdHierarchy early =
+      Build1D({0, 1, 1, 1, 1}, std::vector<double>(5, 1.0));
+  EXPECT_EQ(early.nodes()[0].split, 1u);
+  EXPECT_EQ(early.nodes()[1].end, 1u);
+}
+
+TEST(KdSplitScan, AllDuplicateAxisFallsBackToTheNextAxis) {
+  // Axis 0 takes two values and axis 1 three, so below the first levels
+  // nodes are constant on their round-robin axis and must split on the
+  // next one; identical points end as one leaf.
+  const std::size_t n = 600;
+  const int dims = 3;
+  Rng rng(41);
+  std::vector<Coord> coords(n * dims);
+  for (std::size_t i = 0; i < n; ++i) {
+    coords[i * dims] = rng.NextBounded(2);
+    coords[i * dims + 1] = rng.NextBounded(3);
+    coords[i * dims + 2] = rng.NextBounded(1000);
+  }
+  std::vector<double> mass(n);
+  for (auto& m : mass) m = rng.NextDouble() < 0.2 ? 0.0 : rng.NextDouble();
+  const KdHierarchy tree = KdHierarchy::Build(coords, dims, mass);
+  ExpectSameTreeNd(tree, ref::KdBuildNd(coords, dims, mass));
+  std::vector<int> depth(tree.nodes().size(), 0);
+  int fallbacks = 0;
+  for (std::size_t v = 0; v < tree.nodes().size(); ++v) {
+    const auto& node = tree.nodes()[v];
+    if (node.parent != KdHierarchy::kNull) {
+      depth[v] = depth[static_cast<std::size_t>(node.parent)] + 1;
+    }
+    if (!node.IsLeaf() && node.axis != depth[v] % dims) ++fallbacks;
+  }
+  EXPECT_GT(fallbacks, 0);
+}
+
+TEST(KdSplitScan, AllDuplicatePointsGiveNoSplit) {
+  for (std::size_t n : {2u, 5u, 64u, 257u}) {
+    const std::vector<Coord> coords(2 * n, 42);
+    const std::vector<double> mass(n, 0.5);
+    const KdHierarchy tree = KdHierarchy::Build(coords, 2, mass);
+    ExpectSameTreeNd(tree, ref::KdBuildNd(coords, 2, mass));
+    ASSERT_EQ(tree.num_nodes(), 1) << "n=" << n;
+    EXPECT_TRUE(tree.nodes()[0].IsLeaf());
+  }
+}
+
+TEST(KdSplitScan, TieHeavyRandomInputsMatchReference) {
+  // Small coordinate ranges (long equal runs), a share of zero masses and
+  // a few heavy masses, at 1 to 3 dimensions.
+  Rng rng(42);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int dims = 1 + static_cast<int>(rng.NextBounded(3));
+    const std::size_t n = 2 + rng.NextBounded(300);
+    const Coord range = 2 + rng.NextBounded(12);
+    std::vector<Coord> coords(n * static_cast<std::size_t>(dims));
+    for (auto& c : coords) c = rng.NextBounded(range);
+    std::vector<double> mass(n);
+    for (auto& m : mass) {
+      const double u = rng.NextDouble();
+      m = u < 0.2 ? 0.0 : u < 0.3 ? 1.0 + rng.NextBounded(4) : u;
+    }
+    SCOPED_TRACE(testing::Message()
+                 << "trial=" << trial << " dims=" << dims << " n=" << n);
     ExpectSameTreeNd(KdHierarchy::Build(coords, dims, mass),
                      ref::KdBuildNd(coords, dims, mass));
   }

@@ -1,9 +1,8 @@
 // Scalar-vs-AVX2 equivalence suite for the dispatched kernels in
 // core/simd.h, pinning the contracts the header documents:
 //
-//  * per-lane kernels (FillIppsProbabilities elements, MinGapScan,
-//    U64ToUnitDoubles, Rng::FillDoubles, InBoxesMask) are bit-identical on
-//    every level;
+//  * per-lane kernels (FillIppsProbabilities elements, U64ToUnitDoubles,
+//    Rng::FillDoubles, InBoxesMask) are bit-identical on every level;
 //  * float reductions (the FillIppsProbabilities *sum*, SuffixSum) agree
 //    within a 1e-12 relative tolerance, with the scalar result fixed as the
 //    golden-seed reference;
@@ -20,7 +19,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -180,99 +178,6 @@ TEST(SimdSuffixSum, LevelsAgreeWithinReductionTolerance) {
     const double best = simd::SuffixSum(buf.data(), 0, n, 0.5);
     ASSERT_NEAR(best, scalar, 1e-12 * (1.0 + std::fabs(scalar)))
         << "n=" << n;
-  }
-}
-
-// --- MinGapScan ------------------------------------------------------------
-
-// Reference argmin scan, copied from the classic weighted-median loop: the
-// first strictly-smaller gap wins; boundaries inside a duplicate run are
-// not eligible.
-std::size_t RefMinGapScan(const std::vector<double>& prefix,
-                          const std::vector<Coord>& vals, double total) {
-  std::size_t best = simd::kNoSplit;
-  double best_gap = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i + 1 < vals.size(); ++i) {
-    if (vals[i] == vals[i + 1]) continue;
-    const double gap = std::fabs(total - 2.0 * prefix[i]);
-    if (gap < best_gap) {
-      best_gap = gap;
-      best = i;
-    }
-  }
-  return best;
-}
-
-TEST(SimdMinGapScan, BitIdenticalToReferenceOnEveryLevel) {
-  LevelGuard guard;
-  Rng rng(99);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t len = 1 + rng.NextBounded(600);
-    std::vector<Coord> vals(len);
-    Coord v = rng.NextBounded(5);
-    for (auto& x : vals) {
-      // Sorted values with duplicate runs (real kd inputs are sorted).
-      v += rng.NextBounded(3);  // step 0 creates duplicates
-      x = v;
-    }
-    std::vector<double> prefix(len);
-    double run = 0.0;
-    for (std::size_t i = 0; i < len; ++i) {
-      run += 0.01 + 0.98 * rng.NextDouble();
-      prefix[i] = run;
-    }
-    const double total = run;
-    const std::size_t want = RefMinGapScan(prefix, vals, total);
-    for (simd::Level level : {simd::Level::kScalar, simd::DetectLevel()}) {
-      ASSERT_TRUE(simd::SetLevel(level));
-      ASSERT_EQ(simd::MinGapScan(prefix.data(), vals.data(), len, total),
-                want)
-          << "trial=" << trial << " level=" << simd::LevelName(level);
-    }
-  }
-}
-
-TEST(SimdMinGapScan, AllDuplicatesYieldNoSplit) {
-  LevelGuard guard;
-  for (std::size_t len : {1u, 2u, 5u, 64u, 257u}) {
-    std::vector<Coord> vals(len, 42);
-    std::vector<double> prefix(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      prefix[i] = static_cast<double>(i + 1);
-    }
-    for (simd::Level level : {simd::Level::kScalar, simd::DetectLevel()}) {
-      ASSERT_TRUE(simd::SetLevel(level));
-      EXPECT_EQ(simd::MinGapScan(prefix.data(), vals.data(), len,
-                                 static_cast<double>(len)),
-                simd::kNoSplit)
-          << "len=" << len << " level=" << simd::LevelName(level);
-    }
-  }
-}
-
-TEST(SimdMinGapScan, ExactGapTiesKeepTheFirstBoundary) {
-  LevelGuard guard;
-  // Symmetric masses make |total - 2*prefix| tie exactly at two
-  // boundaries; the strict-less update keeps the first.
-  const std::vector<Coord> vals = {0, 1, 2, 3};
-  const std::vector<double> prefix = {1.0, 2.0, 3.0, 4.0};
-  const double total = 4.0;  // gaps: |4-2|=2, |4-4|=0, |4-6|=2
-  for (simd::Level level : {simd::Level::kScalar, simd::DetectLevel()}) {
-    ASSERT_TRUE(simd::SetLevel(level));
-    EXPECT_EQ(simd::MinGapScan(prefix.data(), vals.data(), vals.size(),
-                               total),
-              1u)
-        << simd::LevelName(level);
-  }
-  // Make boundary 1 ineligible via a duplicate run: the tie winner must
-  // move to the first remaining minimum (boundary 0 and 2 tie at 2.0).
-  const std::vector<Coord> dup_vals = {0, 1, 1, 3};
-  for (simd::Level level : {simd::Level::kScalar, simd::DetectLevel()}) {
-    ASSERT_TRUE(simd::SetLevel(level));
-    EXPECT_EQ(simd::MinGapScan(prefix.data(), dup_vals.data(),
-                               dup_vals.size(), total),
-              0u)
-        << simd::LevelName(level);
   }
 }
 

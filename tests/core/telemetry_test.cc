@@ -347,6 +347,35 @@ TEST(TelemetrySpan, ProductBuildPhasesObserveOncePerFinalize) {
   }
 }
 
+TEST(TelemetrySpan, KdPresortNestsInsideTheKdBuildPhase) {
+  // sas.aware.kd_presort_ns gets one value per armed kd build (a product
+  // Finalize runs one), none while disarmed, and the presort never takes
+  // longer than the kd_build phase around it.
+  Histogram* presort = GetHistogram("sas.aware.kd_presort_ns");
+  Histogram* kd_build = GetHistogram("sas.aware.kd_build_ns");
+  std::vector<WeightedKey> items;
+  for (KeyId i = 0; i < 3000; ++i) {
+    items.push_back({i, 1.0 + static_cast<double>(i % 29),
+                     {(i * 2654435761ULL) & 0xFFFF, (i * 40503ULL) & 0xFFFF}});
+  }
+  SummarizerConfig cfg;
+  cfg.s = 100.0;
+  auto build = [&](bool armed) {
+    ScopedEnabled scope(armed);
+    auto builder = MakeSummarizer("product", cfg);
+    builder->AddBatch(items);
+    builder->Finalize();
+  };
+  const std::uint64_t count = presort->count();
+  build(false);
+  EXPECT_EQ(presort->count(), count);
+  const std::uint64_t presort_sum = presort->sum();
+  const std::uint64_t kd_build_sum = kd_build->sum();
+  build(true);
+  ASSERT_EQ(presort->count(), count + 1);
+  EXPECT_LE(presort->sum() - presort_sum, kd_build->sum() - kd_build_sum);
+}
+
 TEST(TelemetrySpan, ProductBuildRecordsKdNodeCount) {
   // sas.aware.kd_nodes gets one value per armed product build: the node
   // count of its kd tree, which is cut at cells of mass <= 1.
