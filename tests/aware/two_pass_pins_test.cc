@@ -1,8 +1,10 @@
-// Bit pins of the Section 5 two-pass constructions: for fixed inputs and
-// seeds, every two-pass registry key (and the TwoPassProductSample free
-// function) must return exactly these sampled ids, in sample order, and
-// exactly this tau. A refactor of the two-pass machinery that changes any
-// draw, the pass-2 cell routing or the final aggregation order fails here.
+// Bit pins of the Section 5 two-pass constructions and of the Section 4
+// product-space sampler: for fixed inputs and seeds, every two-pass
+// registry key (and the TwoPassProductSample free function), and `product`
+// / `nd` through each of their ingest paths, must return exactly these
+// sampled ids, in sample order, and exactly this tau. A refactor that
+// changes any draw, the pass-2 cell routing, the kd tree or the final
+// aggregation order fails here.
 //
 // On a mismatch the failure message prints the actual pin in table syntax.
 
@@ -36,6 +38,7 @@ struct Inputs {
   std::vector<WeightedKey> items;
   std::vector<int> range_of;
   Hierarchy h;
+  std::vector<Coord> z;  // third axis of the d = 3 product points
 };
 
 const Inputs& TheInputs() {
@@ -50,6 +53,10 @@ const Inputs& TheInputs() {
     }
     Rng tree_rng(20112);
     r.h = Hierarchy::Random(kN, 4, &tree_rng);
+    Rng z_rng(20113);
+    for (std::size_t i = 0; i < kN; ++i) {
+      r.z.push_back(z_rng.NextBounded(Coord{1} << 16));
+    }
     return r;
   }();
   return in;
@@ -241,6 +248,170 @@ TEST(TwoPassPositions, IdsDoNotSteerTheStructure) {
       EXPECT_EQ(shifted.ids, plain.ids) << c.key << " seed " << seed;
     }
   }
+}
+
+// --- product / nd -----------------------------------------------------------
+
+enum class Feed { kAdd, kAddBatch, kAddCoords, kAddCoordsKeyed };
+
+/// Caller ids of the keyed coordinate path: distinct from the insertion
+/// index, so the pin shows which of the two the sample carries.
+KeyId KeyedId(KeyId k) { return 5 * k + 3; }
+
+/// Feeds the common inputs to `key` at `dims` through `feed`. Coordinate
+/// ingest sends point i as (x, y, z)[0, dims).
+Pin RunProduct(const char* key, int dims, Feed feed, std::uint64_t seed) {
+  const Inputs& in = TheInputs();
+  SummarizerConfig cfg;
+  cfg.s = kS;
+  cfg.seed = seed;
+  cfg.structure = StructureSpec::Nd(dims);
+  auto builder = MakeSummarizer(key, cfg);
+  for (std::size_t i = 0; i < kN; ++i) {
+    const WeightedKey& it = in.items[i];
+    const Coord point[3] = {it.pt.x, it.pt.y, in.z[i]};
+    if (feed == Feed::kAdd) {
+      builder->Add(it);
+    } else if (feed == Feed::kAddCoords) {
+      builder->AddCoords(point, dims, it.weight);
+    } else if (feed == Feed::kAddCoordsKeyed) {
+      builder->AddCoordsKeyed(KeyedId(it.id), point, dims, it.weight);
+    }
+  }
+  if (feed == Feed::kAddBatch) builder->AddBatch(in.items);
+  const auto summary = builder->Finalize();
+  const SampleSummary* sample = summary->AsSample();
+  EXPECT_NE(sample, nullptr);
+  return sample == nullptr ? Pin{} : PinOf(sample->sample());
+}
+
+void ExpectProductPins(const char* key, int dims, Feed feed,
+                       const Pin (&want)[3]) {
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE(testing::Message() << key << " dims=" << dims
+                                    << " seed=" << kSeeds[i]);
+    ExpectPin(RunProduct(key, dims, feed, kSeeds[i]), want[i]);
+  }
+}
+
+TEST(ProductPins, ProductAddBatch) {
+  const Pin want[3] = {
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 5, 27, 38, 43, 70, 82, 92, 102, 133, 144, 151, 165,
+        241, 263, 272, 312, 326, 351, 358, 391}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 11, 14, 27, 29, 70, 92, 99, 181, 220, 248, 257, 272,
+        282, 325, 338, 347, 351, 353, 363, 390}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 48, 78, 81, 93, 100, 103, 137, 164, 171, 179, 199, 202,
+        222, 231, 272, 280, 331, 347, 360, 389}},
+  };
+  ExpectProductPins(keys::kProduct, 2, Feed::kAddBatch, want);
+}
+
+TEST(ProductPins, NdAddDims1) {
+  const Pin want[3] = {
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 45, 57, 93, 98, 168, 191, 231, 242, 270, 272, 280, 284,
+        311, 326, 330, 338, 351, 363, 375, 386}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 7, 19, 27, 47, 62, 80, 92, 98, 103, 129, 168, 174, 228,
+        247, 266, 272, 274, 329, 330, 341}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 27, 30, 43, 92, 102, 137, 176, 181, 189, 214, 272, 276,
+        282, 323, 329, 343, 357, 361, 392, 397}},
+  };
+  ExpectProductPins(keys::kNd, 1, Feed::kAdd, want);
+}
+
+TEST(ProductPins, NdAddDims2) {
+  const Pin want[3] = {
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 5, 27, 38, 43, 70, 82, 92, 102, 133, 144, 151, 165,
+        241, 263, 272, 312, 326, 351, 358, 391}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 11, 14, 27, 29, 70, 92, 99, 181, 220, 248, 257, 272,
+        282, 325, 338, 347, 351, 353, 363, 390}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 48, 78, 81, 93, 100, 103, 137, 164, 171, 179, 199, 202,
+        222, 231, 272, 280, 331, 347, 360, 389}},
+  };
+  ExpectProductPins(keys::kNd, 2, Feed::kAdd, want);
+}
+
+TEST(ProductPins, NdAddCoordsDims1) {
+  const Pin want[3] = {
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 45, 57, 93, 98, 168, 191, 231, 242, 270, 272, 280, 284,
+        311, 326, 330, 338, 351, 363, 375, 386}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 7, 19, 27, 47, 62, 80, 92, 98, 103, 129, 168, 174, 228,
+        247, 266, 272, 274, 329, 330, 341}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 27, 30, 43, 92, 102, 137, 176, 181, 189, 214, 272, 276,
+        282, 323, 329, 343, 357, 361, 392, 397}},
+  };
+  ExpectProductPins(keys::kNd, 1, Feed::kAddCoords, want);
+}
+
+TEST(ProductPins, NdAddCoordsDims2) {
+  const Pin want[3] = {
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 5, 27, 38, 43, 70, 82, 92, 102, 133, 144, 151, 165,
+        241, 263, 272, 312, 326, 351, 358, 391}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 11, 14, 27, 29, 70, 92, 99, 181, 220, 248, 257, 272,
+        282, 325, 338, 347, 351, 353, 363, 390}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 48, 78, 81, 93, 100, 103, 137, 164, 171, 179, 199, 202,
+        222, 231, 272, 280, 331, 347, 360, 389}},
+  };
+  ExpectProductPins(keys::kNd, 2, Feed::kAddCoords, want);
+}
+
+TEST(ProductPins, NdAddCoordsDims3) {
+  const Pin want[3] = {
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 27, 48, 53, 69, 101, 126, 159, 168, 201, 206, 213, 217,
+        263, 272, 328, 338, 339, 353, 376, 386}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 0, 1, 27, 30, 33, 47, 60, 61, 69, 139, 165, 184, 193,
+        208, 213, 243, 272, 277, 294, 323}},
+      {0x404f159feb37bf10ULL,
+       {49, 64, 84, 374, 10, 27, 33, 53, 85, 92, 93, 114, 146, 174, 178, 180,
+        208, 263, 272, 307, 323, 331, 339, 382}},
+  };
+  ExpectProductPins(keys::kNd, 3, Feed::kAddCoords, want);
+}
+
+TEST(ProductPins, NdAddCoordsKeyedDims3) {
+  const Pin want[3] = {
+      {0x404f159feb37bf10ULL,
+       {248, 323, 423, 1873, 138, 243, 268, 348, 508, 633, 798, 843, 1008, 1033,
+        1068, 1088, 1318, 1363, 1643, 1693, 1698, 1768, 1883, 1933}},
+      {0x404f159feb37bf10ULL,
+       {248, 323, 423, 1873, 3, 8, 138, 153, 168, 238, 303, 308, 348, 698, 828,
+        923, 968, 1043, 1068, 1218, 1363, 1388, 1473, 1618}},
+      {0x404f159feb37bf10ULL,
+       {248, 323, 423, 1873, 53, 138, 168, 268, 428, 463, 468, 573, 733, 873,
+        893, 903, 1043, 1318, 1363, 1538, 1618, 1658, 1698, 1913}},
+  };
+  ExpectProductPins(keys::kNd, 3, Feed::kAddCoordsKeyed, want);
+}
+
+TEST(ProductPins, ShardedNdAddCoordsDims3) {
+  const Pin want[3] = {
+      {0x404f159feb37bf0dULL,
+       {27, 374, 32, 34, 45, 89, 191, 246, 248, 274, 278, 297, 312, 333, 358,
+        49, 64, 84, 272, 53, 75, 323, 351, 353}},
+      {0x404f159feb37bf0bULL,
+       {27, 64, 84, 45, 124, 195, 198, 202, 338, 375, 49, 272, 374, 70, 94, 114,
+        139, 153, 163, 201, 256, 263, 278, 386}},
+      {0x404f159feb37bf12ULL,
+       {33, 45, 167, 170, 171, 180, 392, 27, 49, 64, 84, 272, 374, 4, 7, 16, 30,
+        53, 93, 204, 220, 274, 289, 362}},
+  };
+  ExpectProductPins("sharded:2:nd", 3, Feed::kAddCoords, want);
 }
 
 }  // namespace
