@@ -410,7 +410,11 @@ void BM_OrderRebuild(benchmark::State& state) {
 BENCHMARK(BM_OrderRebuild);
 
 void BM_ProductRebuild(benchmark::State& state) {
-  SummarizerRebuildLoop(state, ProductSummarizeInto);
+  SummarizerRebuildLoop(
+      state, [](const std::vector<WeightedKey>& items, double s, Rng* rng,
+                SummarizeScratch* scratch, SummarizeOutput* out) {
+        ProductSummarizeInto(items, /*dims=*/2, {}, s, rng, scratch, out);
+      });
 }
 BENCHMARK(BM_ProductRebuild);
 

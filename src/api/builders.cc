@@ -167,142 +167,100 @@ class DisjointBuilder : public StructureBuilder {
   }
 };
 
+/// `product` and `nd`: one buffered product-space builder (Section 4).
+/// Every ingest path stores a WeightedKey. A coordinate point becomes an
+/// item whose id is the caller's (AddCoordsKeyed) or its admitted-insertion
+/// index (AddCoords) and whose pt is its first two axes; at dims > 2 its
+/// full coordinates also go to coords_. `product` is this builder at
+/// dims = 2 with no coordinate path, which NdBuilder adds.
 class ProductBuilder : public BufferingSummarizer {
  public:
-  using BufferingSummarizer::BufferingSummarizer;
+  explicit ProductBuilder(SummarizerConfig cfg,
+                          const char* key = keys::kProduct, int dims = 2)
+      : BufferingSummarizer(std::move(cfg)), key_(key), dims_(dims) {}
+
+  void Add(const WeightedKey& item) override {
+    Enter(Ingest::kItems);
+    BufferingSummarizer::Add(item);
+  }
+  void AddBatch(std::span<const WeightedKey> items) override {
+    if (items.empty()) return;
+    Enter(Ingest::kItems);
+    BufferingSummarizer::AddBatch(items);
+  }
+
+  /// Mergeable via Add and AddCoordsKeyed, whose ids are caller-stable
+  /// across a partition; AddCoords ids are per-builder insertion indices,
+  /// so the sharded wrapper routes AddCoords through AddCoordsKeyed.
   bool Mergeable() const override { return true; }
+
+  bool Reset(std::uint64_t seed) override {
+    coords_.clear();  // the ingest mode resets with the emptied items_
+    return BufferingSummarizer::Reset(seed);
+  }
+
   std::unique_ptr<RangeSummary> Finalize() override {
     Rng rng(cfg_.seed);
-    ProductSummarizeInto(items_, cfg_.s, &rng, &scratch_, &out_);
-    return TakeSampleSummary(keys::kProduct, items_, &out_);
+    ProductSummarizeInto(items_, dims_, coords_, cfg_.s, &rng, &scratch_,
+                         &out_);
+    return TakeSampleSummary(key_, items_, &out_);
+  }
+
+ protected:
+  /// The ingest path of the admitted points; a builder takes one.
+  enum class Ingest { kItems, kCoords, kKeyedCoords };
+
+  /// Admits one coordinate point under `id` through `mode`.
+  void AddPoint(Ingest mode, KeyId id, const Coord* coords, int dims,
+                Weight w) {
+    if (dims != dims_) {
+      InvalidConfig(keys::kNd, "AddCoords dims does not match structure");
+    }
+    Enter(mode);
+    if (!AdmitWeight(w)) return;
+    items_.push_back({id, w, {coords[0], dims > 1 ? coords[1] : 0}});
+    if (dims > 2) coords_.insert(coords_.end(), coords, coords + dims);
   }
 
  private:
-  SummarizeScratch scratch_;
-  SummarizeOutput out_;
-};
-
-/// d-dimensional product sampler. Points enter via AddCoords (any d) or via
-/// Add (d <= 2, coordinates taken from the item's Point2D).
-class NdBuilder : public Summarizer {
- public:
-  explicit NdBuilder(SummarizerConfig cfg) : Summarizer(std::move(cfg)) {}
-
-  void Add(const WeightedKey& item) override {
-    const int dims = cfg_.structure.dims;
-    if (dims > 2) {
+  /// Throws std::logic_error unless points may enter through `mode`: Add
+  /// carries at most 2 axes, and no two modes mix once a point is admitted.
+  void Enter(Ingest mode) {
+    if (mode == Ingest::kItems && dims_ > 2) {
       throw std::logic_error(
           "nd summarizer: Add carries only 2 coordinates; use AddCoords "
           "for dims > 2");
     }
-    if (used_coords_) {
-      throw std::logic_error("nd summarizer: do not mix Add and AddCoords");
-    }
-    if (!AdmitWeight(item.weight)) return;
-    coords_.push_back(item.pt.x);
-    if (dims == 2) coords_.push_back(item.pt.y);
-    weights_.push_back(item.weight);
-    originals_.push_back(item);
+    if (items_.empty()) mode_ = mode;
+    if (mode == mode_) return;
+    throw std::logic_error(
+        mode == Ingest::kItems || mode_ == Ingest::kItems
+            ? "nd summarizer: do not mix Add and AddCoords"
+            : "nd summarizer: do not mix AddCoords and AddCoordsKeyed");
   }
 
-  void AddBatch(std::span<const WeightedKey> items) override {
-    coords_.reserve(coords_.size() +
-                    items.size() * (cfg_.structure.dims == 2 ? 2 : 1));
-    weights_.reserve(weights_.size() + items.size());
-    originals_.reserve(originals_.size() + items.size());
-    for (const WeightedKey& it : items) Add(it);
-  }
+  const char* const key_;
+  const int dims_;
+  Ingest mode_ = Ingest::kItems;
+  std::vector<Coord> coords_;  // dims > 2 only: point i at [i*dims_, +dims_)
+  SummarizeScratch scratch_;
+  SummarizeOutput out_;
+};
 
-  /// Mergeable via Add and AddCoordsKeyed, whose ids are caller-stable
-  /// across a partition. Plain AddCoords synthesizes ids from the builder's
-  /// own insertion index, which a hash partition would collide across
-  /// shards — the sharded wrapper therefore assigns global ids itself and
-  /// routes through AddCoordsKeyed.
-  bool Mergeable() const override { return true; }
-
-  bool Reset(std::uint64_t seed) override {
-    coords_.clear();
-    weights_.clear();
-    coord_ids_.clear();
-    originals_.clear();
-    used_coords_ = false;
-    stats_ = IngestStats{};
-    cfg_.seed = seed;
-    return true;
-  }
+/// d-dimensional product sampler: `product` at structure.dims axes, plus
+/// the coordinate ingest path.
+class NdBuilder final : public ProductBuilder {
+ public:
+  using ProductBuilder::ProductBuilder;
 
   void AddCoords(const Coord* coords, int dims, Weight w) override {
-    if (dims != cfg_.structure.dims) {
-      InvalidConfig(keys::kNd, "AddCoords dims does not match structure");
-    }
-    if (!originals_.empty()) {
-      throw std::logic_error("nd summarizer: do not mix Add and AddCoords");
-    }
-    if (!coord_ids_.empty()) {
-      throw std::logic_error(
-          "nd summarizer: do not mix AddCoords and AddCoordsKeyed");
-    }
-    if (!AdmitWeight(w)) return;
-    used_coords_ = true;
-    coords_.insert(coords_.end(), coords, coords + dims);
-    weights_.push_back(w);
+    AddPoint(Ingest::kCoords, static_cast<KeyId>(items_.size()), coords,
+             dims, w);
   }
-
   void AddCoordsKeyed(KeyId id, const Coord* coords, int dims,
                       Weight w) override {
-    if (dims != cfg_.structure.dims) {
-      InvalidConfig(keys::kNd, "AddCoords dims does not match structure");
-    }
-    if (!originals_.empty()) {
-      throw std::logic_error("nd summarizer: do not mix Add and AddCoords");
-    }
-    if (coord_ids_.size() != weights_.size()) {
-      throw std::logic_error(
-          "nd summarizer: do not mix AddCoords and AddCoordsKeyed");
-    }
-    if (!AdmitWeight(w)) return;
-    used_coords_ = true;
-    coord_ids_.push_back(id);
-    coords_.insert(coords_.end(), coords, coords + dims);
-    weights_.push_back(w);
+    AddPoint(Ingest::kKeyedCoords, id, coords, dims, w);
   }
-
-  std::unique_ptr<RangeSummary> Finalize() override {
-    const int dims = cfg_.structure.dims;
-    Rng rng(cfg_.seed);
-    ProductSummarizeNdInto(coords_, dims, weights_, cfg_.s, &rng, &scratch_,
-                           &out_);
-    std::vector<WeightedKey> entries;
-    entries.reserve(out_.chosen.size());
-    for (std::size_t i : out_.chosen) {
-      if (i < originals_.size()) {
-        entries.push_back(originals_[i]);
-      } else {
-        // Synthesized key for AddCoords input: id = caller-provided (keyed
-        // path) or insertion index, point from the first two axes (queries
-        // beyond 2-D go through sample()).
-        WeightedKey k;
-        k.id = coord_ids_.empty() ? static_cast<KeyId>(i) : coord_ids_[i];
-        k.weight = weights_[i];
-        k.pt.x = coords_[i * static_cast<std::size_t>(dims)];
-        k.pt.y = dims > 1 ? coords_[i * static_cast<std::size_t>(dims) + 1]
-                          : 0;
-        entries.push_back(k);
-      }
-    }
-    return std::make_unique<SampleSummary>(
-        keys::kNd, Sample(out_.tau, std::move(entries)),
-        std::move(out_.probs));
-  }
-
- private:
-  std::vector<Coord> coords_;
-  std::vector<Weight> weights_;
-  std::vector<KeyId> coord_ids_;        // empty unless fed via AddCoordsKeyed
-  std::vector<WeightedKey> originals_;  // empty when fed via AddCoords
-  bool used_coords_ = false;
-  SummarizeScratch scratch_;
-  ResultNd out_;
 };
 
 // ---------------------------------------------------------------------------
@@ -529,7 +487,8 @@ std::vector<std::pair<std::string, SummarizerFactory>> BuiltinSummarizers() {
       {keys::kNd,
        [](const SummarizerConfig& cfg) {
          RequireDims(keys::kNd, cfg);
-         return std::unique_ptr<Summarizer>(new NdBuilder(cfg));
+         return std::unique_ptr<Summarizer>(
+             new NdBuilder(cfg, keys::kNd, cfg.structure.dims));
        }},
       {keys::kAware, Plain<TwoPassProductBuilder>()},
       {keys::kOrderTwoPass,

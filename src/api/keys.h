@@ -27,7 +27,8 @@ inline constexpr const char kDisjoint[] = "disjoint";
 inline constexpr const char kProduct[] = "product";
 /// In-memory sampler over a d-dimensional product domain,
 /// cfg.structure.dims in [1, 16]; points enter via AddCoords (any d) or
-/// Add (d <= 2). Mergeable through the Add path only.
+/// Add (d <= 2). Mergeable: `sharded:` routes Add input as is and AddCoords
+/// input through AddCoordsKeyed under global ids.
 inline constexpr const char kNd[] = "nd";
 
 // Streaming two-pass constructions (Section 5). "aware" is the two-pass

@@ -81,42 +81,36 @@ struct IngestStats {
 
 /// Describes the structure on the key domain that a structure-aware method
 /// should preserve (Section 2 of the paper). Baseline methods ignore it.
+/// The registry key selects the method, and so which fields it reads.
 struct StructureSpec {
-  /// Which structure family the method should preserve; selects which of
-  /// the fields below are read.
-  enum class Kind { kOrder, kHierarchy, kDisjoint, kProduct, kNd };
-
-  Kind kind = Kind::kProduct;
-  /// For kHierarchy: the key hierarchy (not owned; must outlive the
+  /// For `hierarchy`: the key hierarchy (not owned; must outlive the
   /// summarizer). Keys must be added in key-id order, item k at hierarchy
   /// leaf leaf_of_key(k).
   const Hierarchy* hierarchy = nullptr;
-  /// For kDisjoint: range_of[i] is the range (in [0, num_ranges)) of the
+  /// For `disjoint`: range_of[i] is the range (in [0, num_ranges)) of the
   /// i-th item *added*, so it must have exactly one entry per item.
   /// Add items in key-id order if you want id-keyed semantics.
   std::vector<int> range_of;
   int num_ranges = 0;
-  /// For kNd: number of axes (points fed via AddCoords, or via Add when
+  /// For `nd`: number of axes (points fed via AddCoords, or via Add when
   /// dims <= 2).
   int dims = 2;
 
   /// 1-D total order over the key ids.
-  static StructureSpec Order() { return {Kind::kOrder, nullptr, {}, 0, 1}; }
+  static StructureSpec Order() { return {nullptr, {}, 0, 1}; }
   /// Key hierarchy; `h` is borrowed and must outlive the summarizer.
   static StructureSpec OverHierarchy(const Hierarchy* h) {
-    return {Kind::kHierarchy, h, {}, 0, 1};
+    return {h, {}, 0, 1};
   }
   /// Disjoint flat ranges: range_of[i] is the range of the i-th item added.
   static StructureSpec Disjoint(std::vector<int> range_of, int num_ranges) {
-    return {Kind::kDisjoint, nullptr, std::move(range_of), num_ranges, 1};
+    return {nullptr, std::move(range_of), num_ranges, 1};
   }
   /// 2-D product domain (the default).
   static StructureSpec Product() { return {}; }
   /// d-dimensional product domain, dims in [1, 16] (validated by the
   /// registry at MakeSummarizer time).
-  static StructureSpec Nd(int dims) {
-    return {Kind::kNd, nullptr, {}, 0, dims};
-  }
+  static StructureSpec Nd(int dims) { return {nullptr, {}, 0, dims}; }
 };
 
 /// Which Section 5 partition the two-pass hierarchy construction uses.

@@ -13,15 +13,15 @@
 // The discrepancy on an axis-parallel box R behaves like a VarOpt sample on
 // a subset of expected size mu <= min{p(R), 2d s^((d-1)/d)} (Appendix E).
 //
-// One summarize body serves both entry points: ProductSummarizeInto over
-// the 2-D points of WeightedKey items (the evaluation datasets) and
-// ProductSummarizeNdInto over flat d-dimensional coordinates. On the same
-// points the two are the same draw for draw.
+// One entry point serves every d: ProductSummarizeInto reads item i's
+// point from its Point2D at d <= 2 (d = 1 uses x only) and from flat
+// coordinates beside the items at d > 2, so `product` (d = 2) and `nd`
+// draw the same sample on the same points and seed.
 
 #ifndef SAS_AWARE_PRODUCT_SUMMARIZER_H_
 #define SAS_AWARE_PRODUCT_SUMMARIZER_H_
 
-#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "aware/kd_hierarchy.h"
@@ -39,30 +39,17 @@ namespace sas {
 void KdAggregate(std::vector<double>* probs, const KdHierarchy& tree,
                  Rng* rng, SummarizeScratch* scratch);
 
-/// Draws a structure-aware VarOpt sample of (expected) size s over the 2-D
-/// points of `items`, with all working memory from `scratch` (see
-/// aware/summarize_scratch.h for the reuse contract). out->chosen lists the
-/// certain inclusions (p == 1) in ascending index order first, then the
-/// aggregation picks in open-subset order.
-void ProductSummarizeInto(const std::vector<WeightedKey>& items, double s,
-                          Rng* rng, SummarizeScratch* scratch,
-                          SummarizeOutput* out);
-
-/// Result of the d-dimensional summarizer.
-struct ResultNd {
-  double tau = 0.0;
-  std::vector<double> probs;        // snapped initial IPPS probabilities
-  std::vector<std::size_t> chosen;  // indices of sampled keys
-};
-
-/// Structure-aware VarOpt sample of (expected) size s over d-dimensional
-/// points (flat coords, point i at coords[i*dims .. i*dims+dims), one
-/// weight per point), with the same sample order and reuse contract as
-/// ProductSummarizeInto.
-void ProductSummarizeNdInto(const std::vector<Coord>& coords, int dims,
-                            const std::vector<Weight>& weights, double s,
-                            Rng* rng, SummarizeScratch* scratch,
-                            ResultNd* out);
+/// Draws a structure-aware VarOpt sample of (expected) size s over the
+/// points of `items` in `dims` axes: item i's point is
+/// coords[i*dims .. i*dims+dims) when dims > 2 (coords holds one point per
+/// item) and its `pt` otherwise (coords is then not read). All working
+/// memory comes from `scratch` (see aware/summarize_scratch.h for the reuse
+/// contract). out->chosen lists the certain inclusions (p == 1) in
+/// ascending index order first, then the aggregation picks in open-subset
+/// order.
+void ProductSummarizeInto(const std::vector<WeightedKey>& items, int dims,
+                          std::span<const Coord> coords, double s, Rng* rng,
+                          SummarizeScratch* scratch, SummarizeOutput* out);
 
 }  // namespace sas
 

@@ -48,22 +48,17 @@ struct SummarizeScratch {
 };
 
 /// Caller-owned result of an Into-style summarization; reusable across
-/// builds the same way the scratch is (ProductSummarizeNdInto reuses its
-/// ResultNd likewise). Indices refer to the build input.
+/// builds the same way the scratch is. Indices refer to the build input.
 struct SummarizeOutput {
   double tau = 0.0;
   std::vector<double> probs;          // snapped initial IPPS probabilities
-  std::vector<std::uint32_t> chosen;  // indices of sampled keys, ascending
+  std::vector<std::uint32_t> chosen;  // indices of sampled keys
 };
 
-/// The body of the order / hierarchy / disjoint *SummarizeInto: snapped
-/// IPPS probabilities for the exact threshold tau_s into *out, a copy of
-/// them settled by `settle(&scratch->work)`, and out->chosen = the
-/// positions the settle set to 1.
-template <class SettleFn>
-void SummarizeWith(const std::vector<WeightedKey>& items, double s,
-                   SummarizeScratch* scratch, SummarizeOutput* out,
-                   SettleFn settle) {
+/// The prologue of every *SummarizeInto: the items' weights, the exact
+/// threshold tau_s and the snapped IPPS probabilities into *out.
+inline void SnappedIppsInto(const std::vector<WeightedKey>& items, double s,
+                            SummarizeScratch* scratch, SummarizeOutput* out) {
   auto& weights = scratch->weights;
   weights.clear();
   weights.reserve(items.size());
@@ -71,7 +66,17 @@ void SummarizeWith(const std::vector<WeightedKey>& items, double s,
   out->tau = SolveTau(weights, s, &scratch->ipps);
   IppsProbabilities(weights, out->tau, &out->probs);
   for (auto& q : out->probs) q = SnapProbability(q);
+}
 
+/// The body of the order / hierarchy / disjoint *SummarizeInto: the
+/// prologue, a copy of the probabilities settled by
+/// `settle(&scratch->work)`, and out->chosen = the positions the settle set
+/// to 1, ascending.
+template <class SettleFn>
+void SummarizeWith(const std::vector<WeightedKey>& items, double s,
+                   SummarizeScratch* scratch, SummarizeOutput* out,
+                   SettleFn settle) {
+  SnappedIppsInto(items, s, scratch, out);
   auto& work = scratch->work;
   work.assign(out->probs.begin(), out->probs.end());
   settle(&work);

@@ -156,7 +156,7 @@ TEST(RegistryEquivalence, DisjointMatchesLegacyFreeFunction) {
 TEST(RegistryEquivalence, NdMatchesLegacyFreeFunction) {
   Rng data_rng(15);
   const auto items = RandomItems(250, 1 << 10, &data_rng);
-  // Flatten exactly as the adapter's Add does: x then y per item.
+  // The same points as flat 2-D coordinates: x then y per item.
   std::vector<Coord> coords;
   std::vector<Weight> weights;
   for (const auto& it : items) {

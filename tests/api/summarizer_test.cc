@@ -6,6 +6,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "api/adapters.h"
@@ -174,6 +175,57 @@ TEST(Summarizer, NdRejectsMixingAddAndAddCoordsEitherOrder) {
   auto add_first = MakeSummarizer(keys::kNd, cfg);
   add_first->Add({0, 1.0, {3, 4}});
   EXPECT_THROW(add_first->AddCoords(p, 2, 1.0), std::logic_error);
+}
+
+TEST(Summarizer, NdRecyclesAfterCoordinateIngest) {
+  // Reset clears the ingest mode and the stored coordinates: a builder fed
+  // through AddCoords takes AddCoordsKeyed after Reset, and samples exactly
+  // like a fresh builder under the new seed.
+  SummarizerConfig cfg;
+  cfg.s = 12.0;
+  cfg.seed = 41;
+  cfg.structure = StructureSpec::Nd(3);
+  Rng rng(43);
+  std::vector<Coord> pts;
+  std::vector<Weight> weights;
+  for (int i = 0; i < 200; ++i) {
+    for (int a = 0; a < 3; ++a) pts.push_back(rng.NextBounded(1 << 12));
+    weights.push_back(rng.NextPareto(1.2));
+  }
+  // Other points than the first feed, so stale coordinates would show.
+  auto feed_keyed = [&](Summarizer* b) {
+    const std::size_t n = weights.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      b->AddCoordsKeyed(static_cast<KeyId>(1000 + i), &pts[(n - 1 - i) * 3],
+                        3, weights[i]);
+    }
+  };
+  auto pin = [](const RangeSummary& summary) {
+    const SampleSummary* sample = summary.AsSample();
+    EXPECT_NE(sample, nullptr);
+    std::vector<KeyId> ids;
+    for (const auto& e : sample->sample().entries()) ids.push_back(e.id);
+    return std::make_pair(sample->tau(), ids);
+  };
+
+  auto recycled = MakeSummarizer(keys::kNd, cfg);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    recycled->AddCoords(&pts[i * 3], 3, weights[i]);
+  }
+  EXPECT_THROW(recycled->AddCoordsKeyed(7, pts.data(), 3, 1.0),
+               std::logic_error);
+  recycled->Finalize();
+  ASSERT_TRUE(recycled->Reset(97));
+  feed_keyed(recycled.get());
+  const auto got = pin(*recycled->Finalize());
+
+  cfg.seed = 97;
+  auto fresh = MakeSummarizer(keys::kNd, cfg);
+  feed_keyed(fresh.get());
+  const auto want = pin(*fresh->Finalize());
+  EXPECT_EQ(got.first, want.first);
+  EXPECT_EQ(got.second, want.second);
+  EXPECT_EQ(got.second.size(), 12u);
 }
 
 TEST(RangeSummary, DescribeReportsMethodAndFamily) {

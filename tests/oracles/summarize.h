@@ -7,6 +7,7 @@
 #ifndef SAS_TESTS_ORACLES_SUMMARIZE_H_
 #define SAS_TESTS_ORACLES_SUMMARIZE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -75,23 +76,41 @@ inline SummarizeResult DisjointSummarize(
   return ToResult(items, std::move(out));
 }
 
-/// ProductSummarizeInto's draws and sample order.
+/// ProductSummarizeInto's draws and sample order over 2-D items.
 inline SummarizeResult ProductSummarize(const std::vector<WeightedKey>& items,
                                         double s, Rng* rng) {
   thread_local SummarizeScratch scratch;
   SummarizeOutput out;
-  ProductSummarizeInto(items, s, rng, &scratch, &out);
+  ProductSummarizeInto(items, /*dims=*/2, {}, s, rng, &scratch, &out);
   return ToResult(items, std::move(out));
 }
 
-/// ProductSummarizeNdInto's draws and sample order.
+/// Result of ProductSummarizeNd: indices into the flat input.
+struct ResultNd {
+  double tau = 0.0;
+  std::vector<double> probs;        // snapped initial IPPS probabilities
+  std::vector<std::size_t> chosen;  // indices of sampled keys
+};
+
+/// ProductSummarizeInto's draws and sample order over flat d-dimensional
+/// points (point i at coords[i*dims .. i*dims+dims), one weight each),
+/// laid out as the `nd` builder stores them: item i keyed i, with its first
+/// two axes as pt.
 inline ResultNd ProductSummarizeNd(const std::vector<Coord>& coords, int dims,
                                    const std::vector<Weight>& weights,
                                    double s, Rng* rng) {
+  const std::size_t ud = static_cast<std::size_t>(dims);
+  std::vector<WeightedKey> items;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const Coord* c = coords.data() + i * ud;
+    items.push_back(
+        {static_cast<KeyId>(i), weights[i], {c[0], dims > 1 ? c[1] : 0}});
+  }
   thread_local SummarizeScratch scratch;
-  ResultNd out;
-  ProductSummarizeNdInto(coords, dims, weights, s, rng, &scratch, &out);
-  return out;
+  SummarizeOutput out;
+  ProductSummarizeInto(items, dims, coords, s, rng, &scratch, &out);
+  return {out.tau, std::move(out.probs),
+          std::vector<std::size_t>(out.chosen.begin(), out.chosen.end())};
 }
 
 /// The aggregate functions with a thread-local scratch.
