@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "api/registry.h"
@@ -28,6 +29,8 @@ std::vector<WeightedKey> ParetoItems(std::size_t n, std::uint64_t seed) {
 }
 
 void BM_MergeSamples(benchmark::State& state) {
+  // Two-way merge of equal-threshold halves through one reused scratch,
+  // the windowed wrapper's call shape.
   const std::size_t s = static_cast<std::size_t>(state.range(0));
   const auto items = ParetoItems(8 * s, 31);
   Rng rng(32);
@@ -37,17 +40,56 @@ void BM_MergeSamples(benchmark::State& state) {
                                         items.end());
   const Sample a = VarOptOffline(half_a, static_cast<double>(s), &rng);
   const Sample b = VarOptOffline(half_b, static_cast<double>(s), &rng);
+  const Sample* parts[2] = {&a, &b};
+  MergeScratch scratch;
+  // A fresh seed per merge, as in the windowed ring. (state.iterations()
+  // does not advance inside the loop, and replaying one draw sequence lets
+  // the branch predictor learn the whole settle.)
+  std::uint64_t seed = 0;
   for (auto _ : state) {
-    Rng merge_rng(state.iterations());
-    benchmark::DoNotOptimize(MergeSamples(a, b, s, &merge_rng));
+    Rng merge_rng(++seed);
+    benchmark::DoNotOptimize(
+        MergeSampleParts(parts, 2, s, &merge_rng, &scratch));
   }
   // One "item" = one merged input entry.
   state.SetItemsProcessed(state.iterations() * (a.size() + b.size()));
 }
 BENCHMARK(BM_MergeSamples)->Arg(100)->Arg(1000)->Arg(10000);
 
+Sample ProductSample(const std::vector<WeightedKey>& items, double s,
+                     std::uint64_t seed) {
+  SummarizerConfig cfg;
+  cfg.s = s;
+  cfg.seed = seed;
+  auto builder = MakeSummarizer("product", cfg);
+  builder->AddBatch(items);
+  return builder->Finalize()->AsSample()->sample();
+}
+
+void BM_MergeBucketIntoWindow(benchmark::State& state) {
+  // The merge of a windowed epoch crossing: the product sample of a fresh
+  // ~1,100-item bucket folded into a 1,000-entry aggregate of many older
+  // buckets, whose threshold is far larger. The merged probabilities mix
+  // the bucket's small ones with the aggregate's near-1 ones.
+  constexpr std::size_t kS = 1000;
+  const Sample bucket = ProductSample(ParetoItems(1100, 36), kS, 37);
+  const Sample aggregate = ProductSample(ParetoItems(24000, 38), kS, 39);
+  const Sample* parts[2] = {&aggregate, &bucket};
+  MergeScratch scratch;
+  std::uint64_t seed = 0;  // a fresh seed per merge, as in BM_MergeSamples
+  for (auto _ : state) {
+    Rng merge_rng(++seed);
+    benchmark::DoNotOptimize(
+        MergeSampleParts(parts, 2, kS, &merge_rng, &scratch));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (aggregate.size() + bucket.size()));
+  state.counters["tau_ratio"] = aggregate.tau() / bucket.tau();
+}
+BENCHMARK(BM_MergeBucketIntoWindow);
+
 void BM_AbsorbIntoCombiner(benchmark::State& state) {
-  // Streaming alternative to MergeSamples: Absorb feeds a shard sample's
+  // Streaming alternative to the merge: Absorb feeds a shard sample's
   // entries into a StreamVarOpt combiner at their adjusted weights.
   const std::size_t s = 1000;
   const auto items = ParetoItems(8 * s, 33);

@@ -228,7 +228,7 @@ class Summarizer {
   virtual std::unique_ptr<RangeSummary> Finalize() = 0;
 
   /// Mergeable capability: true when (a) Finalize() produces a sample-backed
-  /// summary whose Sample can be combined with others via MergeSamples
+  /// summary whose Sample can be combined with others via MergeAllSamples
   /// (core/merge.h), and (b) the method's semantics survive feeding it an
   /// arbitrary subset of the input (so a hash-partitioned shard sees a valid
   /// input). Methods with positional config (hierarchy/disjoint, whose

@@ -10,7 +10,7 @@
 //                      IppsScratch workspace): expected O(n) instead of the
 //                      classic sort-based O(n log n), with zero steady-state
 //                      allocations. It runs on every StreamVarOpt overflow
-//                      resolution, every MergeSamples, and every summary
+//                      resolution, every sample merge, and every summary
 //                      build, so its constant factor matters.
 //  * StreamTau       — Algorithm 4: one-pass streaming tracker using a heap
 //                      of at most s weights and O(s) memory.

@@ -1,11 +1,14 @@
 #include "core/merge.h"
 
 #include <cassert>
+#include <cstddef>
 #include <numeric>
+#include <optional>
 
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "core/settle.h"
+#include "core/telemetry.h"
 
 namespace sas {
 namespace {
@@ -16,6 +19,11 @@ namespace {
 Sample MergeParts(const Sample* const* parts, std::size_t num_parts,
                   std::size_t s, Rng* rng, MergeScratch* scratch) {
   assert(s >= 1);
+  // Resolved once: the registry is cold, the spans are not.
+  static telemetry::Histogram* const solve_tau_ns =
+      telemetry::GetHistogram("sas.merge.solve_tau_ns");
+  static telemetry::Histogram* const settle_ns =
+      telemetry::GetHistogram("sas.merge.settle_ns");
   std::size_t total = 0;
   for (std::size_t p = 0; p < num_parts; ++p) total += parts[p]->size();
 
@@ -24,59 +32,61 @@ Sample MergeParts(const Sample* const* parts, std::size_t num_parts,
   // (inclusion probability tau_src/tau_new) is adjusted to tau_new by
   // Sample::AdjustedWeight while a pre-settled heavy entry keeps its value.
   std::vector<WeightedKey>& entries = scratch->entries;
-  entries.clear();
-  entries.reserve(total);
+  std::vector<Weight>& weights = scratch->weights;
+  entries.resize(total);
+  weights.resize(total);
+  std::size_t n = 0;
   for (std::size_t p = 0; p < num_parts; ++p) {
-    for (const WeightedKey& e : parts[p]->entries()) {
-      entries.push_back({e.id, parts[p]->AdjustedWeight(e), e.pt});
+    const Sample& part = *parts[p];
+    for (const WeightedKey& e : part.entries()) {
+      const Weight w = part.AdjustedWeight(e);
+      entries[n] = {e.id, w, e.pt};
+      weights[n++] = w;
     }
   }
 
   if (total <= s) {
     // Everything fits: keep all entries at their adjusted weights. The
     // threshold must not disturb them, so it is 0 ("include everything").
-    return Sample(0.0, {entries.begin(), entries.end()});
+    return Sample(0.0, entries);
   }
 
-  std::vector<Weight>& weights = scratch->weights;
-  weights.clear();
-  weights.reserve(total);
-  for (const WeightedKey& e : entries) weights.push_back(e.weight);
-  const double tau = SolveTau(weights.data(), weights.size(),
-                              static_cast<double>(s), &scratch->ipps);
-
+  std::optional<telemetry::Span> phase;
+  phase.emplace("merge.solve_tau", solve_tau_ns);
+  const double tau =
+      SolveTau(weights.data(), total, static_cast<double>(s), &scratch->ipps);
   std::vector<double>& probs = scratch->probs;
   IppsProbabilities(weights, tau, &probs);
   for (double& q : probs) q = SnapProbability(q);
 
   // Structure-oblivious settling: the order settle over a uniformly random
   // order of the entries. The shuffle draws raw bounded integers before
-  // the settle's batched draw stream starts.
+  // the settle's batched draw stream starts; it runs on a local copy of the
+  // generator, whose state the swaps' stores then cannot alias.
+  phase.emplace("merge.settle", settle_ns);
   std::vector<std::size_t>& order = scratch->order;
   order.resize(total);
   std::iota(order.begin(), order.end(), 0);
+  Rng shuffle = *rng;
   for (std::size_t i = total; i > 1; --i) {
-    std::swap(order[i - 1], order[rng->NextBounded(i)]);
+    std::swap(order[i - 1], order[shuffle.NextBounded(i)]);
   }
+  *rng = shuffle;
   OrderAggregate(&probs, order, rng);
+  phase.reset();
 
-  Sample out;
-  out.set_tau(tau);
-  out.Reserve(s + 1);
+  // Compact the sampled entries to the front of the scratch, in entry
+  // order, then copy them out at exact size.
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < total; ++i) {
-    if (probs[i] == 1.0) out.Append(entries[i]);
+    entries[kept] = entries[i];
+    kept += probs[i] == 1.0 ? 1 : 0;
   }
-  return out;
+  return Sample(tau, {entries.begin(),
+                      entries.begin() + static_cast<std::ptrdiff_t>(kept)});
 }
 
 }  // namespace
-
-Sample MergeSamples(const Sample& a, const Sample& b, std::size_t s,
-                    Rng* rng) {
-  const Sample* parts[2] = {&a, &b};
-  MergeScratch scratch;
-  return MergeParts(parts, 2, s, rng, &scratch);
-}
 
 Sample MergeAllSamples(const std::vector<Sample>& parts, std::size_t s,
                        Rng* rng) {

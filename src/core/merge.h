@@ -40,25 +40,23 @@ struct MergeScratch {
   IppsScratch ipps;
 };
 
-/// Merges two VarOpt samples into one of (expected) size s. Entries are
-/// combined at their adjusted weights, so the result is unbiased for the
-/// union of the data the inputs summarized. When the inputs together hold
-/// at most s entries, everything is kept (threshold 0) and no randomness is
-/// consumed. Requires s >= 1.
-Sample MergeSamples(const Sample& a, const Sample& b, std::size_t s,
-                    Rng* rng);
-
-/// N-way merge: one joint threshold resolution over all parts' entries.
-/// Statistically preferable to a cascade of pairwise merges (one
-/// re-sampling round instead of N-1).
+/// N-way merge into one sample of (expected) size s: one joint threshold
+/// resolution over all parts' entries, statistically preferable to a
+/// cascade of pairwise merges (one re-sampling round instead of N-1).
+/// Entries are combined at their adjusted weights, so the result is
+/// unbiased for the union of the data the inputs summarized. When the
+/// inputs together hold at most s entries, everything is kept (threshold 0)
+/// and no randomness is consumed. Requires s >= 1.
 Sample MergeAllSamples(const std::vector<Sample>& parts, std::size_t s,
                        Rng* rng);
 
-/// Pointer-flavored N-way merge for callers that assemble their parts from
-/// non-contiguous storage (the windowed wrapper merges samples held on its
-/// two stacks) and want buffer reuse across merges. `scratch` may be nullptr
-/// (per-call buffers are then used). Null part pointers are not allowed;
-/// zero-entry parts are.
+/// Pointer-flavored N-way merge, the same draws as MergeAllSamples, for
+/// callers that assemble their parts from non-contiguous storage (the
+/// windowed wrapper merges samples held on its two stacks) and want buffer
+/// reuse across merges. `scratch` may be nullptr (per-call buffers are then
+/// used). Null part pointers are not allowed; zero-entry parts are. The
+/// threshold solve and the settle are timed by the spans merge.solve_tau
+/// and merge.settle.
 Sample MergeSampleParts(const Sample* const* parts, std::size_t num_parts,
                         std::size_t s, Rng* rng, MergeScratch* scratch);
 

@@ -1,6 +1,8 @@
 #include "core/pair_aggregate.h"
 
+#include <bit>
 #include <cassert>
+#include <cstdint>
 
 namespace sas {
 
@@ -45,62 +47,90 @@ std::size_t ChainAggregate(std::vector<double>* probs,
                              carry, &draws);
 }
 
+namespace {
+
+/// Position of the first open entry of indices[from..count), or count.
+std::size_t NextOpen(const double* p, const std::size_t* indices,
+                     std::size_t from, std::size_t count) {
+  while (from < count && IsSet(p[indices[from]])) ++from;
+  return from;
+}
+
+/// a where mask is all ones, b where it is zero: a bitwise select, so the
+/// chosen operand is exact and no branch is taken on the mask.
+double Select(std::uint64_t mask, double a, double b) {
+  return std::bit_cast<double>((std::bit_cast<std::uint64_t>(a) & mask) |
+                               (std::bit_cast<std::uint64_t>(b) & ~mask));
+}
+
+std::size_t Select(std::size_t mask, std::size_t a, std::size_t b) {
+  return (a & mask) | (b & ~mask);
+}
+
+/// [sum >= 1] as 1.0 or 0.0. A two-lane compare leaves the mask in the
+/// floating-point register that holds sum, so the carry's next mass,
+/// sum - [sum >= 1], waits on no move through an integer register (and a
+/// plain `sum >= 1.0 ? 1.0 : 0.0` compiles to a branch).
+double AtLeastOne(double sum) {
+  using Lanes = double __attribute__((vector_size(16)));
+  using Mask = std::int64_t __attribute__((vector_size(16)));
+  const Lanes one = {1.0, 1.0};
+  const Mask ge = Lanes{sum, sum} >= one;
+  return std::bit_cast<Lanes>(ge & std::bit_cast<Mask>(one))[0];
+}
+
+}  // namespace
+
 std::size_t ChainAggregateRange(double* p, const std::size_t* indices,
                                 std::size_t count, std::size_t carry,
                                 RngStream* draws) {
-  // The carry probability lives in `pa`; p[active] is written only when the
+  // The carry probability lives in `pa`; p[carry] is written only when the
   // carry settles or the chain ends. Each merge performs the PairAggregate
   // arithmetic in registers, consumes exactly one draw, and issues a single
   // store for the entry that settled; the open side continues as the carry.
-  std::size_t active = kNoEntry;
-  double pa = 0.0;
-  if (carry != kNoEntry && !IsSet(p[carry])) {
-    active = carry;
-    pa = p[carry];
+  //
+  // The carry's mass does not depend on the draw, only its identity does.
+  // With ge = [pa + pi >= 1], PairAggregate's two cases are one: the draw
+  // compares against (1 - pi) / (2 - sum) or pa / sum, the entry that
+  // settles goes to ge, and the carry continues at sum - ge. Operands are
+  // picked by masks, so the case and the winner cost no branch; the mask
+  // selects are exact, so the division sees PairAggregate's operands.
+  std::size_t k = 0;
+  if (carry == kNoEntry || IsSet(p[carry])) {
+    k = NextOpen(p, indices, 0, count);
+    if (k == count) return kNoEntry;
+    carry = indices[k++];
   }
-  for (std::size_t k = 0; k < count; ++k) {
+  double pa = p[carry];
+  for (; k < count; ++k) {
     const std::size_t i = indices[k];
     const double pi = p[i];
     if (IsSet(pi)) continue;
-    if (active == kNoEntry) {
-      active = i;
-      pa = pi;
-      continue;
-    }
     const double u = draws->NextDouble();
     const double sum = pa + pi;
-    if (sum < 1.0) {
-      // All mass moves onto one of the two keys; the other is excluded.
-      const double v = SnapProbability(sum);  // can snap up to 1
-      const bool keep_active = u < pa / sum;
-      const std::size_t winner = keep_active ? active : i;
-      const std::size_t loser = keep_active ? i : active;
-      p[loser] = 0.0;
-      if (IsSet(v)) {
-        p[winner] = v;
-        active = kNoEntry;
-      } else {
-        active = winner;
-        pa = v;
-      }
-    } else {
-      // One key is included outright; the other keeps sum - 1.
-      const double leftover = SnapProbability(sum - 1.0);  // can snap to 0
-      const bool active_is_one = u < (1.0 - pi) / (2.0 - sum);
-      const std::size_t one = active_is_one ? active : i;
-      const std::size_t rest = active_is_one ? i : active;
-      p[one] = 1.0;
-      if (IsSet(leftover)) {
-        p[rest] = leftover;
-        active = kNoEntry;
-      } else {
-        active = rest;
-        pa = leftover;
-      }
+    const bool ge = sum >= 1.0;
+    const std::uint64_t ge_mask = 0 - static_cast<std::uint64_t>(ge);
+    const double num = Select(ge_mask, 1.0 - pi, pa);
+    const double den = Select(ge_mask, 2.0 - sum, sum);
+    const double settled_to = AtLeastOne(sum);
+    // The new entry takes the carry iff (u < num / den) == ge.
+    const std::size_t take_mask =
+        0 - static_cast<std::size_t>((u < num / den) == ge);
+    p[Select(take_mask, carry, i)] = settled_to;
+    carry = Select(take_mask, i, carry);
+    pa = sum - settled_to;
+    if (pa <= kProbEps || pa >= 1.0 - kProbEps) {
+      // The carry snapped to 0 or 1: it settles, and the next open entry
+      // starts a new carry without a draw.
+      p[carry] = SnapProbability(pa);
+      k = NextOpen(p, indices, k + 1, count);
+      if (k == count) return kNoEntry;
+      carry = indices[k];
+      pa = p[carry];
     }
   }
-  if (active != kNoEntry) p[active] = pa;
-  return active;
+  p[carry] = pa;
+  return carry;
 }
 
 void ResolveResidual(std::vector<double>* probs, std::size_t entry,

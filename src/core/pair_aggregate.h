@@ -52,8 +52,10 @@ std::size_t ChainAggregate(std::vector<double>* probs,
 /// The chain step of the settle loop (core/settle.h), which shares one
 /// RngStream across all of a settle's chains: consumes one draw per merge
 /// from `draws`, keeps the carry probability in a register so settled
-/// entries are skipped without a draw, and settles each entry with a single
-/// store. Arithmetic and draws are bit-identical to PairAggregate.
+/// entries are skipped without a draw, picks PairAggregate's case and the
+/// entry that keeps the carry by masks rather than branches, and settles
+/// each entry with a single store. Arithmetic and draws are bit-identical
+/// to PairAggregate.
 /// `indices[0..count)` must be distinct and in range; `carry` may be
 /// kNoEntry or an entry index (it may also already be settled).
 std::size_t ChainAggregateRange(double* probs, const std::size_t* indices,

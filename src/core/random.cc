@@ -1,5 +1,6 @@
 #include "core/random.h"
 
+#include <bit>
 #include <cmath>
 
 #include "core/simd.h"
@@ -18,27 +19,9 @@ std::uint64_t Mix64(std::uint64_t x) {
   return SplitMix64(&s);
 }
 
-namespace {
-inline std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& w : s_) w = SplitMix64(&sm);
-}
-
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 double Rng::NextDouble() {
@@ -97,22 +80,6 @@ void RngStream::Flush() {
   pos_ = 0;
 }
 
-std::uint64_t Rng::NextBounded(std::uint64_t bound) {
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  std::uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 bool Rng::NextBernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -144,12 +111,13 @@ std::uint64_t ForkSeed(std::uint64_t seed, std::uint64_t stream) {
 
 Rng Rng::Fork(std::uint64_t stream) const {
   const std::uint64_t digest =
-      s_[0] ^ Rotl(s_[1], 13) ^ Rotl(s_[2], 29) ^ Rotl(s_[3], 43);
+      s_[0] ^ std::rotl(s_[1], 13) ^ std::rotl(s_[2], 29) ^
+      std::rotl(s_[3], 43);
   return Rng(ForkSeed(digest, stream));
 }
 
 Rng Rng::Split() {
-  std::uint64_t derive = s_[0] ^ Rotl(s_[2], 29);
+  std::uint64_t derive = s_[0] ^ std::rotl(s_[2], 29);
   // Advance self so successive Split() calls give distinct children.
   (void)Next();
   return Rng(Mix64(derive));

@@ -8,6 +8,7 @@
 #ifndef SAS_CORE_RANDOM_H_
 #define SAS_CORE_RANDOM_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -32,8 +33,19 @@ class Rng {
   /// Seeds the four words of state from `seed` via SplitMix64.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Next raw 64-bit output.
-  std::uint64_t Next();
+  /// Next raw 64-bit output. Defined inline (as is NextBounded), so a
+  /// hot loop over a local generator keeps the state in registers.
+  std::uint64_t Next() {
+    const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double NextDouble();
@@ -45,8 +57,21 @@ class Rng {
   void FillDoubles(double* out, std::size_t n);
 
   /// Uniform integer in [0, bound). Requires bound > 0. Unbiased
-  /// (Lemire's rejection method).
-  std::uint64_t NextBounded(std::uint64_t bound);
+  /// (Lemire's nearly-divisionless rejection method).
+  std::uint64_t NextBounded(std::uint64_t bound) {
+    std::uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);

@@ -42,7 +42,7 @@ class StreamVarOpt {
   /// Merge entry point: feeds every entry of a finished VarOpt sample at
   /// its *adjusted* weight, so a combiner sketch absorbing shard samples
   /// stays unbiased for the union of the shards' data (law of total
-  /// expectation). This is the streaming counterpart of MergeSamples
+  /// expectation). This is the streaming counterpart of MergeAllSamples
   /// (core/merge.h).
   void Absorb(const Sample& sample);
 

@@ -73,7 +73,7 @@ TEST(Sharded, TotalPreservedExactlyAndSizeIsS) {
   Weight exact_total = 0.0;
   for (const auto& it : items) exact_total += it.weight;
 
-  for (const std::string key :
+  for (const std::string& key :
        {std::string("sharded:4:obliv"), std::string("sharded:3:product"),
         std::string("sharded:2:aware"), std::string("sharded:2:order")}) {
     SummarizerConfig cfg;
@@ -103,9 +103,9 @@ TEST(Sharded, BoxEstimatesWithinHtToleranceOfUnsharded) {
   // of `exact`; averaged over seeds their means must both land within a
   // few standard errors. With s=1000 a single estimate is already within a
   // few percent, so a 10-seed mean at 3% is a comfortable HT bound.
-  for (const std::string inner : {std::string("obliv"),
-                                  std::string("product"),
-                                  std::string("aware")}) {
+  for (const std::string& inner : {std::string("obliv"),
+                                   std::string("product"),
+                                   std::string("aware")}) {
     double sharded_mean = 0.0, unsharded_mean = 0.0;
     const int seeds = 10;
     for (int t = 0; t < seeds; ++t) {

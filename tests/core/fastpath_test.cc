@@ -731,18 +731,50 @@ TEST(OneSelectionTau, NetworkShardMatchesReference) {
 
 // --- ChainAggregateRange ---------------------------------------------------
 
+/// Runs ChainAggregateRange and the classic chain on copies of `init` from
+/// the same seed: the probability vectors, the leftover entry and the Rng
+/// state afterwards must all be identical.
+void ExpectChainMatchesReference(const std::vector<double>& init,
+                                 const std::vector<std::size_t>& indices,
+                                 std::size_t carry, std::uint64_t seed) {
+  std::vector<double> p_ref = init;
+  Rng rng_ref(seed);
+  const std::size_t left_ref =
+      ref::ChainAggregate(&p_ref, indices, carry, &rng_ref);
+
+  std::vector<double> p_new = init;
+  Rng rng_new(seed);
+  std::size_t left_new;
+  {
+    RngStream draws(&rng_new);
+    left_new = ChainAggregateRange(p_new.data(), indices.data(),
+                                   indices.size(), carry, &draws);
+  }
+  ASSERT_EQ(left_new, left_ref);
+  ASSERT_EQ(0, std::memcmp(p_new.data(), p_ref.data(),
+                           init.size() * sizeof(double)));
+  ExpectSameRngState(rng_ref, rng_new);
+}
+
+/// Shuffles `v` with draws from `rng`.
+template <class T>
+void Shuffle(std::vector<T>* v, Rng* rng) {
+  for (std::size_t i = v->size(); i > 1; --i) {
+    std::swap((*v)[i - 1], (*v)[rng->NextBounded(i)]);
+  }
+}
+
 TEST(FastChainAggregate, BitIdenticalToReference) {
   Rng meta(555);
   for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial=" << trial);
     const std::size_t n = 1 + meta.NextBounded(400);
     const std::vector<double> init =
         OpenProbs(n, 1000 + trial, trial % 3 == 0 ? 0.3 : 0.0);
     // Random duplicate-free index subset, in random order.
     std::vector<std::size_t> indices(n);
     std::iota(indices.begin(), indices.end(), 0);
-    for (std::size_t i = n; i > 1; --i) {
-      std::swap(indices[i - 1], indices[meta.NextBounded(i)]);
-    }
+    Shuffle(&indices, &meta);
     const std::size_t keep = 1 + meta.NextBounded(n);
     // Carry must not alias an index in the list (callers never do that, and
     // the classic loop would self-alias PairAggregate); draw it from the
@@ -751,25 +783,55 @@ TEST(FastChainAggregate, BitIdenticalToReference) {
                                   ? indices[keep + meta.NextBounded(n - keep)]
                                   : kNoEntry;
     indices.resize(keep);
+    ExpectChainMatchesReference(init, indices, carry, 9000 + trial);
+  }
 
-    const std::uint64_t seed = 9000 + trial;
-    std::vector<double> p_ref = init;
-    Rng rng_ref(seed);
-    const std::size_t left_ref =
-        ref::ChainAggregate(&p_ref, indices, carry, &rng_ref);
-
-    std::vector<double> p_new = init;
-    Rng rng_new(seed);
-    std::size_t left_new;
-    {
-      RngStream draws(&rng_new);
-      left_new = ChainAggregateRange(p_new.data(), indices.data(),
-                                     indices.size(), carry, &draws);
+  // Merge-shaped: a bucket's small probabilities and an aggregate's
+  // near-1 ones, shuffled, so either case of PairAggregate is a coin flip.
+  // Up to 4 * RngStream::kBlock entries: chains cross draw-block refills.
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(testing::Message() << "merge-shaped trial=" << trial);
+    const std::size_t n = 2 + meta.NextBounded(4 * RngStream::kBlock);
+    std::vector<double> init(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      init[i] = i % 2 == 0 ? 0.02 + 0.23 * meta.NextDouble() : 0.96;
     }
-    ASSERT_EQ(left_new, left_ref) << "trial=" << trial;
-    ASSERT_EQ(0, std::memcmp(p_new.data(), p_ref.data(), n * sizeof(double)))
-        << "trial=" << trial;
-    ExpectSameRngState(rng_ref, rng_new);
+    std::vector<std::size_t> indices(n);
+    std::iota(indices.begin(), indices.end(), 0);
+    Shuffle(&indices, &meta);
+    ExpectChainMatchesReference(init, indices, kNoEntry, 9500 + trial);
+  }
+
+  // Sums within kProbEps of 1: the carry snaps to 1 or its leftover to 0,
+  // it dissolves, and the next open entry starts a new carry without a
+  // draw. Settled entries sit between the pairs.
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(testing::Message() << "dissolve trial=" << trial);
+    constexpr double kNudge[] = {-0.5 * kProbEps, 0.0, 0.5 * kProbEps,
+                                 -4.0 * kProbEps, 4.0 * kProbEps};
+    std::vector<double> init;
+    while (init.size() < 2 * RngStream::kBlock + 40) {
+      const double a = 0.05 + 0.9 * meta.NextDouble();
+      init.push_back(a);
+      if (meta.NextBounded(3) == 0) {
+        init.push_back(static_cast<double>(meta.NextBounded(2)));
+      }
+      init.push_back(1.0 - a + kNudge[meta.NextBounded(5)]);
+    }
+    std::vector<std::size_t> indices(init.size());
+    std::iota(indices.begin(), indices.end(), 0);
+    ExpectChainMatchesReference(init, indices, kNoEntry, 9600 + trial);
+  }
+
+  // A carry that is already settled is ignored: the chain starts at the
+  // first open entry.
+  for (double settled : {0.0, 1.0}) {
+    SCOPED_TRACE(testing::Message() << "settled carry " << settled);
+    std::vector<double> init = OpenProbs(300, 77, 0.2);
+    init.push_back(settled);
+    std::vector<std::size_t> indices(300);
+    std::iota(indices.begin(), indices.end(), 0);
+    ExpectChainMatchesReference(init, indices, /*carry=*/300, 9700);
   }
 }
 

@@ -1,4 +1,4 @@
-// MergeSamples / MergeAllSamples correctness: exact invariants (everything
+// MergeSampleParts / MergeAllSamples correctness: exact invariants (everything
 // fits, total preservation, output size) and statistical unbiasedness of
 // the merged Horvitz-Thompson estimates over order-, hierarchy-, and
 // product-structured data (fixed-seed tolerance tests).
@@ -30,6 +30,13 @@ std::vector<WeightedKey> ParetoItems(std::size_t n, Coord domain, Rng* rng) {
   return items;
 }
 
+/// The two-way merge, in the windowed wrapper's call shape.
+Sample MergeTwo(const Sample& a, const Sample& b, std::size_t s, Rng* rng,
+                MergeScratch* scratch = nullptr) {
+  const Sample* parts[2] = {&a, &b};
+  return MergeSampleParts(parts, 2, s, rng, scratch);
+}
+
 Weight ExactBox(const std::vector<WeightedKey>& items, const Box& box) {
   Weight total = 0.0;
   for (const auto& it : items) {
@@ -38,11 +45,11 @@ Weight ExactBox(const std::vector<WeightedKey>& items, const Box& box) {
   return total;
 }
 
-TEST(MergeSamples, KeepsEverythingWhenItFits) {
+TEST(MergeSampleParts, KeepsEverythingWhenItFits) {
   const Sample a(2.0, {{0, 1.0, {0, 0}}, {1, 5.0, {1, 0}}});
   const Sample b(3.0, {{2, 1.5, {2, 0}}, {3, 9.0, {3, 0}}});
   Rng rng(1);
-  const Sample merged = MergeSamples(a, b, 100, &rng);
+  const Sample merged = MergeTwo(a, b, 100, &rng);
   ASSERT_EQ(merged.size(), 4u);
   EXPECT_DOUBLE_EQ(merged.tau(), 0.0);
   // Entries are carried at their adjusted weights: the light entries (1.0
@@ -54,15 +61,15 @@ TEST(MergeSamples, KeepsEverythingWhenItFits) {
   EXPECT_DOUBLE_EQ(merged.EstimateBox(left), a.EstimateBox(left));
 }
 
-TEST(MergeSamples, NoRandomnessConsumedWhenItFits) {
+TEST(MergeSampleParts, NoRandomnessConsumedWhenItFits) {
   const Sample a(0.0, {{0, 1.0, {0, 0}}});
   const Sample b(0.0, {{1, 2.0, {1, 0}}});
   Rng rng(7), untouched(7);
-  (void)MergeSamples(a, b, 10, &rng);
+  (void)MergeTwo(a, b, 10, &rng);
   EXPECT_EQ(rng.Next(), untouched.Next());
 }
 
-TEST(MergeSamples, OutputSizeAndTotalPreservation) {
+TEST(MergeSampleParts, OutputSizeAndTotalPreservation) {
   Rng data_rng(21);
   const auto items = ParetoItems(600, 1 << 12, &data_rng);
   const std::vector<WeightedKey> half_a(items.begin(), items.begin() + 300);
@@ -74,7 +81,7 @@ TEST(MergeSamples, OutputSizeAndTotalPreservation) {
     Rng rng = seeder.Split();
     const Sample a = VarOptOffline(half_a, static_cast<double>(s), &rng);
     const Sample b = VarOptOffline(half_b, static_cast<double>(s), &rng);
-    const Sample merged = MergeSamples(a, b, s, &rng);
+    const Sample merged = MergeTwo(a, b, s, &rng);
 
     // VarOpt keeps the sample size fixed (floating-point residual may move
     // it by one) and preserves the total estimate deterministically.
@@ -106,13 +113,13 @@ void CheckMergedBoxUnbiased(const std::vector<WeightedKey>& items,
     Rng rng = seeder.Split();
     const Sample a = sample_half(half_a, /*first=*/true, &rng);
     const Sample b = sample_half(half_b, /*first=*/false, &rng);
-    const Sample merged = MergeSamples(a, b, s, &rng);
+    const Sample merged = MergeTwo(a, b, s, &rng);
     sum += merged.EstimateBox(box);
   }
   EXPECT_NEAR(sum / trials / exact, 1.0, rel_tol);
 }
 
-TEST(MergeSamples, UnbiasedOverOrderData) {
+TEST(MergeSampleParts, UnbiasedOverOrderData) {
   // 1-D order-structured halves summarized by the order-aware sampler.
   Rng data_rng(31);
   std::vector<WeightedKey> items(400);
@@ -128,7 +135,7 @@ TEST(MergeSamples, UnbiasedOverOrderData) {
       });
 }
 
-TEST(MergeSamples, UnbiasedOverHierarchyData) {
+TEST(MergeSampleParts, UnbiasedOverHierarchyData) {
   // Each half carries its own random hierarchy over its local key ids.
   Rng data_rng(32);
   std::vector<WeightedKey> items(400);
@@ -147,7 +154,7 @@ TEST(MergeSamples, UnbiasedOverHierarchyData) {
       });
 }
 
-TEST(MergeSamples, UnbiasedOverProductData) {
+TEST(MergeSampleParts, UnbiasedOverProductData) {
   Rng data_rng(34);
   const auto items = ParetoItems(400, 1 << 10, &data_rng);
   const Box box{{0, 1 << 9}, {0, 1 << 10}};
@@ -188,7 +195,7 @@ TEST(MergeAllSamples, NWayMatchesExactTotalAndIsUnbiased) {
   EXPECT_NEAR(sum_box / trials / exact_box, 1.0, 0.04);
 }
 
-TEST(MergeSamples, RepeatedMergeStaysUnbiased) {
+TEST(MergeSampleParts, RepeatedMergeStaysUnbiased) {
   // A small aggregation tree: ((a+b)+(c+d)) — intermediate results are
   // themselves samples, so cascaded merges must stay unbiased.
   Rng data_rng(37);
@@ -205,9 +212,9 @@ TEST(MergeSamples, RepeatedMergeStaysUnbiased) {
                                            items.begin() + (p + 1) * 100);
       leaves.push_back(VarOptOffline(slice, 40.0, &rng));
     }
-    const Sample left = MergeSamples(leaves[0], leaves[1], 40, &rng);
-    const Sample right = MergeSamples(leaves[2], leaves[3], 40, &rng);
-    const Sample root = MergeSamples(left, right, 40, &rng);
+    const Sample left = MergeTwo(leaves[0], leaves[1], 40, &rng);
+    const Sample right = MergeTwo(leaves[2], leaves[3], 40, &rng);
+    const Sample root = MergeTwo(left, right, 40, &rng);
     EXPECT_NEAR(root.EstimateTotal() / exact_total, 1.0, 1e-9);
   }
 }
@@ -239,10 +246,10 @@ TEST(MergeAllSamples, ZeroEntryPartsAreCarriedHarmlessly) {
   EXPECT_DOUBLE_EQ(empty.EstimateTotal(), 0.0);
 }
 
-TEST(MergeSampleParts, ScratchReuseMatchesPlainMerge) {
-  // The pointer/scratch flavor is the same merge: identical draws from an
+TEST(MergeSampleParts, ScratchReuseMatchesPerCallBuffers) {
+  // A reused scratch is only a buffer pool: identical draws from an
   // identically-seeded RNG must give the identical sample, across repeated
-  // reuse of one scratch.
+  // reuse of one scratch, as per-call buffers (a null scratch).
   Rng rng(40);
   std::vector<WeightedKey> items;
   for (KeyId i = 0; i < 400; ++i) {
@@ -256,15 +263,15 @@ TEST(MergeSampleParts, ScratchReuseMatchesPlainMerge) {
   MergeScratch scratch;
   for (int round = 0; round < 3; ++round) {
     Rng r1(123), r2(123);
-    const Sample plain = MergeSamples(a, b, 60, &r1);
-    const Sample* parts[2] = {&a, &b};
-    const Sample pooled = MergeSampleParts(parts, 2, 60, &r2, &scratch);
+    const Sample plain = MergeTwo(a, b, 60, &r1);
+    const Sample pooled = MergeTwo(a, b, 60, &r2, &scratch);
     ASSERT_EQ(plain.size(), pooled.size());
     EXPECT_DOUBLE_EQ(plain.tau(), pooled.tau());
     for (std::size_t i = 0; i < plain.size(); ++i) {
       EXPECT_EQ(plain.entries()[i].id, pooled.entries()[i].id);
       EXPECT_DOUBLE_EQ(plain.entries()[i].weight, pooled.entries()[i].weight);
     }
+    EXPECT_EQ(r1.Next(), r2.Next());
   }
 }
 

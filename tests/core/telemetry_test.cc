@@ -23,6 +23,7 @@
 #include "core/fault.h"
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
+#include "window/windowed.h"
 
 namespace sas {
 namespace telemetry {
@@ -420,6 +421,59 @@ TEST(TelemetrySpan, ProductBuildRecordsKdNodeCount) {
             static_cast<std::uint64_t>(capped.num_nodes()));
   EXPECT_LT(capped.num_nodes(),
             KdHierarchy::Build(coords, 2, mass).num_nodes());
+}
+
+TEST(TelemetrySpan, MergePhasesNestInWindowAndShardMerges) {
+  // merge.solve_tau and merge.settle record once each per merge that has to
+  // sample (parts that fit in s are kept whole, untimed), nothing while
+  // disarmed, and inside the window.merge / shard.merge span around them.
+  Histogram* solve_tau = GetHistogram("sas.merge.solve_tau_ns");
+  Histogram* settle = GetHistogram("sas.merge.settle_ns");
+  Histogram* window_merge = GetHistogram("sas.window.merge_ns");
+  Histogram* shard_merge = GetHistogram("sas.shard.merge_ns");
+  std::vector<WeightedKey> items;
+  for (KeyId i = 0; i < 2000; ++i) {
+    items.push_back({i, 1.0 + static_cast<double>(i % 31),
+                     {(i * 2654435761ULL) & 0xFFFF, (i * 40503ULL) & 0xFFFF}});
+  }
+  SummarizerConfig cfg;
+  cfg.s = 50.0;
+  cfg.seed = 3;
+  auto windowed = [&](bool armed) {
+    ScopedEnabled scope(armed);
+    auto builder = MakeSummarizer("windowed:8:4:obliv", cfg);
+    WindowedSummarizer* win = builder->AsWindowed();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      win->AddTimed(20.0 * static_cast<double>(i) / 2000.0, items[i]);
+    }
+    builder->Finalize();
+  };
+  auto sharded = [&](bool armed) {
+    ScopedEnabled scope(armed);
+    auto builder = MakeSummarizer("sharded:2:obliv", cfg);
+    builder->AddBatch(items);
+    builder->Finalize();
+  };
+  auto check = [&](const auto& run, Histogram* outer) {
+    const std::uint64_t quiet_solve = solve_tau->count();
+    const std::uint64_t quiet_settle = settle->count();
+    run(false);
+    EXPECT_EQ(solve_tau->count(), quiet_solve);
+    EXPECT_EQ(settle->count(), quiet_settle);
+    const std::uint64_t solve0 = solve_tau->count(), settle0 = settle->count();
+    const std::uint64_t outer0 = outer->count();
+    const std::uint64_t ns0 = solve_tau->sum() + settle->sum();
+    const std::uint64_t outer_ns0 = outer->sum();
+    run(true);
+    const std::uint64_t settles = settle->count() - settle0;
+    EXPECT_GT(settles, 0u);
+    EXPECT_LE(settles, outer->count() - outer0);
+    EXPECT_EQ(solve_tau->count() - solve0, settles);
+    EXPECT_LE(solve_tau->sum() + settle->sum() - ns0,
+              outer->sum() - outer_ns0);
+  };
+  check(windowed, window_merge);
+  check(sharded, shard_merge);
 }
 
 }  // namespace

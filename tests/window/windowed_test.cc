@@ -144,7 +144,7 @@ TEST(Windowed, MatchesBatchBuildOverWindowWithinHtTolerance) {
   const Weight exact = ExactBox(window_items, box);
   ASSERT_GT(exact, 0.0);
 
-  for (const std::string inner :
+  for (const std::string& inner :
        {std::string("obliv"), std::string("product"), std::string("aware")}) {
     double windowed_mean = 0.0, batch_mean = 0.0;
     const int seeds = 10;
@@ -453,8 +453,8 @@ TEST(Windowed, RecycledBuilderMatchesFreshBuilder) {
   const std::vector<WeightedKey> second_half(items.begin() + 3000,
                                              items.end());
 
-  for (const std::string inner : {std::string("obliv"), std::string("order"),
-                                  std::string("product"), std::string("nd")}) {
+  for (const std::string& inner : {std::string("obliv"), std::string("order"),
+                                   std::string("product"), std::string("nd")}) {
     SummarizerConfig cfg;
     cfg.s = 100.0;
     cfg.seed = 5;
@@ -681,7 +681,7 @@ TEST(WindowedStacks, SixtyBucketWindowMatchesBatchBuildWithinHtTolerance) {
   const Weight exact = ExactBox(window_items, box);
   ASSERT_GT(exact, 0.0);
 
-  for (const std::string inner :
+  for (const std::string& inner :
        {std::string("obliv"), std::string("product"), std::string("aware")}) {
     double windowed_mean = 0.0, batch_mean = 0.0;
     const int seeds = 10;
