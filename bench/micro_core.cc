@@ -6,10 +6,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "api/registry.h"
@@ -109,25 +112,103 @@ void BM_StreamVarOptPush(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamVarOptPush)->Arg(100)->Arg(10000);
 
-void BM_SolveTau(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::vector<Weight> weights = ParetoWeights(n, 11);
-  const double s = static_cast<double>(n) / 100.0;
+/// Solves the inputs in turn, one per iteration, with one reused scratch:
+/// cycling keeps the branch predictor from learning one input's search.
+void SolveTauLoop(benchmark::State& state,
+                  const std::vector<std::vector<Weight>>& inputs, double s) {
+  IppsScratch scratch;
   // Warm up once so one-time scratch growth is not charged to the loop;
   // the steady state must then be allocation-free.
-  benchmark::DoNotOptimize(SolveTau(weights, s));
+  for (const auto& w : inputs) {
+    benchmark::DoNotOptimize(SolveTau(w.data(), w.size(), s, &scratch));
+  }
   const std::size_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveTau(weights, s));
+    const std::vector<Weight>& w = inputs[next];
+    next = next + 1 == inputs.size() ? 0 : next + 1;
+    benchmark::DoNotOptimize(SolveTau(w.data(), w.size(), s, &scratch));
   }
   const std::size_t allocs =
       g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
   state.counters["allocs_per_iter"] =
       static_cast<double>(allocs) / static_cast<double>(state.iterations());
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(inputs[0].size()));
+}
+
+constexpr std::uint64_t kTauInputs = 8;
+
+/// n Pareto(1.2) weights at s = n / 100, 8 seeds.
+void BM_SolveTau(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<Weight>> inputs;
+  for (std::uint64_t i = 0; i < kTauInputs; ++i) {
+    inputs.push_back(ParetoWeights(n, 11 + i));
+  }
+  SolveTauLoop(state, inputs, static_cast<double>(n) / 100.0);
 }
 BENCHMARK(BM_SolveTau)->Arg(1000)->Arg(100000);
+
+/// The adjusted weights of one sample of size 1,000 drawn from
+/// `population` Pareto(1.2) weights: the heavy weights as they are, and the
+/// threshold for each of the rest.
+void AppendSampleWeights(std::size_t population, Rng* rng,
+                         std::vector<Weight>* out) {
+  std::vector<Weight> w(population);
+  for (auto& x : w) x = rng->NextPareto(1.2);
+  const double tau = SolveTau(w, 1000.0);
+  std::size_t heavy = 0;
+  for (Weight x : w) {
+    if (x >= tau) {
+      out->push_back(x);
+      ++heavy;
+    }
+  }
+  out->insert(out->end(), 1000 - heavy, tau);
+}
+
+/// The window merge of stream_serve at s = 1,000: a bucket's sample of
+/// ~1,100 rows and the aggregate's sample of 59 such buckets, whose
+/// thresholds differ ~60x. 2,000 adjusted weights, shuffled, 8 seeds.
+void BM_SolveTauMerge(benchmark::State& state) {
+  std::vector<std::vector<Weight>> inputs;
+  for (std::uint64_t i = 0; i < kTauInputs; ++i) {
+    Rng rng(41 + i);
+    std::vector<Weight> w;
+    AppendSampleWeights(1100, &rng, &w);
+    AppendSampleWeights(59 * 1100, &rng, &w);
+    for (std::size_t j = w.size(); j > 1; --j) {
+      std::swap(w[j - 1], w[rng.NextBounded(j)]);
+    }
+    inputs.push_back(std::move(w));
+  }
+  SolveTauLoop(state, inputs, 1000.0);
+}
+BENCHMARK(BM_SolveTauMerge);
+
+/// w_i = 0.9^i, n = 6,000, s = 4,000: each Newton pass moves only ~65
+/// more weights to the heavy side (90 passes unguarded), so the solve
+/// takes the guard. 8 shuffles of the one input.
+void BM_SolveTauStall(benchmark::State& state) {
+  std::vector<Weight> w(6000);
+  double x = 1.0;
+  for (auto& v : w) {
+    v = x;
+    x *= 0.9;
+  }
+  std::vector<std::vector<Weight>> inputs;
+  Rng rng(51);
+  for (std::uint64_t i = 0; i < kTauInputs; ++i) {
+    inputs.push_back(w);
+    for (std::size_t j = w.size(); j > 1; --j) {
+      std::swap(w[j - 1], w[rng.NextBounded(j)]);
+    }
+  }
+  SolveTauLoop(state, inputs, 4000.0);
+}
+BENCHMARK(BM_SolveTauStall);
 
 void BM_ChainAggregate(benchmark::State& state) {
   // Full order-structure aggregation pass over n open probabilities: the
@@ -360,10 +441,11 @@ void BM_TwoPassBuild(benchmark::State& state) {
     items[i] = {static_cast<KeyId>(i), rng.NextPareto(1.2),
                 {rng.NextBounded(1 << 20), rng.NextBounded(1 << 20)}};
   }
+  std::uint64_t seed = 0;  // per iteration: state.iterations() is constant
   for (auto _ : state) {
     SummarizerConfig cfg;
     cfg.s = 1000.0;
-    cfg.seed = state.iterations();
+    cfg.seed = ++seed;
     auto builder = MakeSummarizer(keys::kAware, cfg);
     builder->AddBatch(items);
     benchmark::DoNotOptimize(builder->Finalize());

@@ -95,8 +95,9 @@ void BM_AbsorbIntoCombiner(benchmark::State& state) {
   const auto items = ParetoItems(8 * s, 33);
   Rng rng(34);
   const Sample part = VarOptOffline(items, static_cast<double>(s), &rng);
+  std::uint64_t seed = 0;  // per iteration: state.iterations() is constant
   for (auto _ : state) {
-    StreamVarOpt combiner(s, Rng(state.iterations()));
+    StreamVarOpt combiner(s, Rng(++seed));
     combiner.Absorb(part);
     benchmark::DoNotOptimize(combiner.TakeSample());
   }
@@ -113,10 +114,11 @@ void BM_ShardedBuild(benchmark::State& state) {
   static const std::vector<WeightedKey> items = ParetoItems(kBuildN, 35);
   const std::string key =
       "sharded:" + std::to_string(state.range(0)) + ":obliv";
+  std::uint64_t seed = 0;  // per iteration: state.iterations() is constant
   for (auto _ : state) {
     SummarizerConfig cfg;
     cfg.s = 1000.0;
-    cfg.seed = state.iterations();
+    cfg.seed = ++seed;
     auto builder = MakeSummarizer(key, cfg);
     builder->AddBatch(items);
     benchmark::DoNotOptimize(builder->Finalize());
@@ -128,10 +130,11 @@ BENCHMARK(BM_ShardedBuild)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 void BM_UnshardedBuild(benchmark::State& state) {
   static const std::vector<WeightedKey> items = ParetoItems(kBuildN, 35);
+  std::uint64_t seed = 0;  // per iteration: state.iterations() is constant
   for (auto _ : state) {
     SummarizerConfig cfg;
     cfg.s = 1000.0;
-    cfg.seed = state.iterations();
+    cfg.seed = ++seed;
     auto builder = MakeSummarizer(keys::kObliv, cfg);
     builder->AddBatch(items);
     benchmark::DoNotOptimize(builder->Finalize());
@@ -147,10 +150,11 @@ void BM_ShardedBuildProduct(benchmark::State& state) {
       ParetoItems(kBuildN / 4, 36);
   const std::string key =
       "sharded:" + std::to_string(state.range(0)) + ":product";
+  std::uint64_t seed = 0;  // per iteration: state.iterations() is constant
   for (auto _ : state) {
     SummarizerConfig cfg;
     cfg.s = 1000.0;
-    cfg.seed = state.iterations();
+    cfg.seed = ++seed;
     auto builder = MakeSummarizer(key, cfg);
     builder->AddBatch(items);
     benchmark::DoNotOptimize(builder->Finalize());

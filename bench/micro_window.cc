@@ -53,10 +53,11 @@ void BM_WindowIngest(benchmark::State& state) {
   // Spread the n items over two full windows so every run seals and
   // retires buckets (16 epochs).
   const double horizon = 2.0 * kWindow;
+  std::uint64_t seed = 0;  // per iteration: state.iterations() is constant
   for (auto _ : state) {
     SummarizerConfig cfg;
     cfg.s = 1000.0;
-    cfg.seed = state.iterations();
+    cfg.seed = ++seed;
     auto builder = MakeSummarizer(kKey, cfg);
     WindowedSummarizer* win = AsWindowed(*builder);
     for (std::size_t i = 0; i < n; ++i) {

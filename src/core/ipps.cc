@@ -2,13 +2,23 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <limits>
 
 #include "core/simd.h"
+#include "core/telemetry.h"
 
 namespace sas {
 
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Passes, the first one at x = +inf included, before the guard takes over.
+// Every solve of a perfbench stream_serve or batch_product run ends within
+// 6 passes, 95% of them within 4, so the guard never starts there; a
+// stalled solve pays at most these 8 passes on top of the selection search
+// it falls back to.
+constexpr int kMaxPasses = 8;
 
 /// Numerical fallback: bisection on the monotone function
 /// f(tau) = sum_i min(1, w_i/tau) - s over the positive weights in
@@ -29,57 +39,29 @@ double BisectTau(const Weight* buf, std::size_t n, double total, double s) {
   return 0.5 * (lo + hi);
 }
 
-}  // namespace
-
-// With the weights sorted descending and rest[t] = sum of sorted[t..n-1],
-// the threshold for t certainly-included keys is tau(t) = rest[t] / (s - t);
-// it is consistent iff sorted[t-1] >= tau(t) and sorted[t] < tau(t). The
-// smallest t whose *lower* condition holds automatically satisfies the upper
-// one (if t-1 fails its lower check, sorted[t-1] * (s-t+1) >= rest[t-1]
-// rearranges to sorted[t-1] >= tau(t)), and the lower condition is monotone
-// in t — so the consistent t can be found by partition-based binary search
-// over an unsorted buffer instead of a full sort: expected O(n) and
-// allocation-free against a warm scratch. The consistent t never exceeds
-// floor(s), so the first selection goes straight to rank floor(s): one O(n)
-// pass leaves at most floor(s) + 1 candidates for the halving rounds.
-double SolveTau(const Weight* weights, std::size_t n_in, double s,
-                IppsScratch* scratch) {
-  assert(s > 0.0);
-  auto& buf = scratch->buf;
-  buf.resize(n_in);
-  std::size_t n = 0;
-  double total = 0.0;
-  Weight wmin = 0.0, wmax = 0.0;
-  for (std::size_t i = 0; i < n_in; ++i) {
-    const Weight w = weights[i];
-    assert(w >= 0.0);
-    if (w > 0.0) {
-      if (n == 0) {
-        wmin = wmax = w;
-      } else {
-        wmin = w < wmin ? w : wmin;
-        wmax = w > wmax ? w : wmax;
-      }
-      total += w;
-      buf[n++] = w;
-    }
-  }
-  if (static_cast<double>(n) <= s) return 0.0;  // everyone has probability 1
-  if (wmin == wmax) return total / s;  // all-equal: tau = n*w/s, exactly
-
-  // Partition search: t* lies in [lo, hi]; elements left of lo are known
-  // heavy (among the t* largest), elements right of hi are known light with
-  // sum right_sum and maximum right_max.
+// The selection search over the positive weights buf[0, n), n > s: returns
+// a cut x whose heavy set {w >= x} is the consistent one, with `above` for
+// "none of buf is heavy" (or the bisected tau when no candidate is). With
+// the weights sorted descending and rest[t] the sum of sorted[t..n-1], the
+// threshold for t certainly-included keys is tau(t) = rest[t] / (s - t); it
+// is consistent iff sorted[t-1] >= tau(t) and sorted[t] < tau(t). The
+// smallest t whose *lower* condition holds automatically satisfies the
+// upper one, and the lower condition is monotone in t — so the consistent
+// t can be found by partition-based binary search over the unsorted
+// buffer: expected O(n). It never exceeds floor(s), so the first selection
+// goes straight to rank floor(s).
+double SelectCut(Weight* buf, std::size_t n, double s, double above) {
+  // t* lies in [lo, hi]; elements left of lo are known heavy, elements
+  // right of hi are known light with sum right_sum and maximum right_max.
   std::size_t lo = 0, hi = n;
   double right_sum = 0.0;
   Weight right_max = 0.0;
   constexpr std::size_t kSmallWindow = 32;
-  // floor(s) < n here, since n > s.
   std::size_t mid = static_cast<std::size_t>(s);
   while (hi - lo > kSmallWindow) {
-    std::nth_element(buf.begin() + lo, buf.begin() + mid, buf.begin() + hi,
-                     std::greater<>());
-    const double rest = simd::SuffixSum(buf.data(), mid, hi, right_sum);
+    std::nth_element(buf + lo, buf + mid, buf + hi, std::greater<>());
+    const double rest =
+        simd::ThresholdPass(buf + mid, hi - mid, kInf).light_sum + right_sum;
     const double denom = s - static_cast<double>(mid);
     // t* <= floor(s) always, so a non-positive denominator means "go left".
     if (denom <= 0.0 || buf[mid] < rest / denom) {
@@ -93,7 +75,7 @@ double SolveTau(const Weight* weights, std::size_t n_in, double s,
   }
 
   // Resolve the remaining window by the classic scan over sorted candidates.
-  std::sort(buf.begin() + lo, buf.begin() + hi, std::greater<>());
+  std::sort(buf + lo, buf + hi, std::greater<>());
   double suffix[kSmallWindow + 1];
   suffix[hi - lo] = right_sum;
   for (std::size_t i = hi; i-- > lo;) {
@@ -102,11 +84,69 @@ double SolveTau(const Weight* weights, std::size_t n_in, double s,
   for (std::size_t t = lo; t <= hi && t < n; ++t) {
     const double denom = s - static_cast<double>(t);
     if (denom <= 0.0) break;
-    const double tau = suffix[t - lo] / denom;
     const Weight w_t = t < hi ? buf[t] : right_max;
-    if (w_t < tau) return tau;
+    // buf[t - 1] is the t-th largest: inside the sorted window, or the
+    // rank a selection fixed when it moved lo past it.
+    if (w_t < suffix[t - lo] / denom) return t == 0 ? above : buf[t - 1];
   }
-  return BisectTau(buf.data(), n, total, s);
+  return BisectTau(buf, n, simd::ThresholdPass(buf, n, kInf).light_sum, s);
+}
+
+/// The guard: every weight >= `above` is heavy (above >= tau*), so the
+/// selection search runs on the weights below it with target s - #heavy.
+double GuardedCut(const Weight* weights, std::size_t n, double s,
+                  double above, IppsScratch* scratch) {
+  static telemetry::Counter* const fallbacks =
+      telemetry::GetCounter("sas.ipps.tau_fallbacks");
+  if (telemetry::Enabled()) fallbacks->Inc();
+  auto& buf = scratch->buf;
+  buf.resize(n);
+  std::size_t m = 0, heavy = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Weight w = weights[i];
+    buf[m] = w;
+    m += (w > 0.0) & (w < above);
+    heavy += w >= above;
+  }
+  return SelectCut(buf.data(), m, s - static_cast<double>(heavy), above);
+}
+
+}  // namespace
+
+// Newton's method on g(x) = sum_i min(x, w_i) - s x, which is concave and
+// piecewise linear with its root at tau*. With c(x) = #{w >= x} and
+// L(x) = sum of the w < x, the step is x <- L(x) / (s - c(x)): started at
+// or above tau*, it stays there, falls monotonically, and lands on tau*
+// once x shares tau*'s linear piece. Each step is one ThresholdPass, and
+// t = L / (s - c) is the answer when the cut at x is consistent:
+// largest light < t <= smallest heavy. The first pass, at x = +inf, gives
+// the total; its t is x0 = total / s >= tau*. A step with t < x also
+// certifies x >= tau* (g(x) < 0), which is where the guard may start.
+//
+// Whichever way the cut is found, tau is L / (s - c) from one pass at it,
+// and that pass adds in a fixed association on every SIMD level, so tau is
+// a function of the weight sequence alone.
+double SolveTau(const Weight* weights, std::size_t n, double s,
+                IppsScratch* scratch) {
+  assert(s > 0.0);
+  simd::ThresholdSplit p = simd::ThresholdPass(weights, n, kInf);
+  if (static_cast<double>(p.light_count) <= s) return 0.0;  // all certain
+  double x = kInf, above = kInf;
+  for (int pass = 1;; ++pass) {
+    const double slack = s - static_cast<double>(p.heavy_count);
+    if (!(slack > 0.0)) break;  // x is below tau*
+    const double t = p.light_sum / slack;
+    if (p.max_light < t && t <= p.min_heavy) return t;
+    if (!(t < x)) break;  // a stalled or reversed step
+    above = x;
+    if (pass == kMaxPasses) break;
+    x = t;
+    p = simd::ThresholdPass(weights, n, x);
+  }
+  const double cut = GuardedCut(weights, n, s, above, scratch);
+  p = simd::ThresholdPass(weights, n, cut);
+  const double slack = s - static_cast<double>(p.heavy_count);
+  return slack > 0.0 ? p.light_sum / slack : cut;
 }
 
 double SolveTau(const std::vector<Weight>& weights, double s,

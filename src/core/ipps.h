@@ -5,13 +5,12 @@
 // tau_s solves sum_i min{1, w_i / tau_s} = s (Appendix A of the paper).
 //
 // Two implementations are provided:
-//  * SolveTau        — exact offline solver over a weight vector. The solver
-//                      is selection-based (std::nth_element over a reusable
-//                      IppsScratch workspace): expected O(n) instead of the
-//                      classic sort-based O(n log n), with zero steady-state
-//                      allocations. It runs on every StreamVarOpt overflow
-//                      resolution, every sample merge, and every summary
-//                      build, so its constant factor matters.
+//  * SolveTau        — exact offline solver over a weight vector: Newton
+//                      passes from above, each one branch-free
+//                      simd::ThresholdPass, with a selection-search guard
+//                      for inputs where Newton stalls. It runs in every
+//                      sample merge and every summary build, so its
+//                      constant factor matters.
 //  * StreamTau       — Algorithm 4: one-pass streaming tracker using a heap
 //                      of at most s weights and O(s) memory.
 
@@ -34,8 +33,9 @@ inline double IppsProbability(Weight w, double tau) {
   return p >= 1.0 ? 1.0 : p;
 }
 
-/// Reusable workspace for SolveTau. The buffer grows to the largest input
-/// seen and is then reused, so a caller that keeps one scratch alive pays no
+/// Reusable workspace for SolveTau's guard, which compacts the weights it
+/// searches into `buf`. The buffer grows to the largest input seen and is
+/// then reused, so a caller that keeps one scratch alive pays no
 /// allocations in steady state. A scratch may be reused freely across calls
 /// but must not be shared by concurrent calls.
 struct IppsScratch {
@@ -44,13 +44,19 @@ struct IppsScratch {
 
 /// Exact offline IPPS threshold: returns tau such that
 /// sum_i min{1, w_i/tau} == s. If s >= (number of positive weights), returns
-/// 0 (every key has probability 1). Requires s > 0 and all weights >= 0.
+/// 0 (every key has probability 1). Requires s > 0 and no negative weight.
 ///
-/// Expected O(n) via quickselect-style partitioning of `scratch->buf`
-/// (the input is not modified): one selection at rank floor(s), then
-/// halving over the at most floor(s) + 1 candidates left of it. Exact early-outs cover the boundary inputs
-/// that used to fall through to bisection: all-equal positive weights
-/// (tau = total/s) and s >= n after zero-filtering (tau = 0).
+/// Newton passes from x0 = total/s, each O(n) and branch-free: a pass at x
+/// splits the weights into heavy (w >= x, count c) and light (sum L), and
+/// the step is x <- L / (s - c). It stops at the cut where largest light
+/// < L / (s - c) <= smallest heavy, usually after 3-4 passes, the first of
+/// which sums the total. After 8
+/// passes, or a step that does not lower x, the guard compacts the weights
+/// below x and runs a quickselect-style search on them (expected O(n),
+/// counted in `sas.ipps.tau_fallbacks`). Either way tau is L / (s - c)
+/// from one pass at the final cut, summed in an association that is the
+/// same on every SIMD level, so tau does not depend on the level. Zero and
+/// NaN weights count as neither heavy nor light.
 double SolveTau(const Weight* weights, std::size_t n, double s,
                 IppsScratch* scratch);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <limits>
 
 // The AVX2 paths exist only when the build opts in (SAS_SIMD, see
@@ -18,10 +19,13 @@ namespace simd {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 // -------------------------------------------------------------------------
-// Scalar reference kernels. These are verbatim the loops the callers used
-// before the facade existed; the golden-seed suite pins their outputs, so
-// they must never change behavior.
+// Scalar reference kernels: the loops the callers used before the facade
+// existed, and ThresholdPass, whose lanes define SolveTau's sums. The
+// golden-seed and pin suites fix their outputs, so they must never change
+// behavior.
 
 double FillIppsProbabilitiesScalar(const double* w, std::size_t n, double tau,
                                    double* probs) {
@@ -34,11 +38,58 @@ double FillIppsProbabilitiesScalar(const double* w, std::size_t n, double tau,
   return sum;
 }
 
-double SuffixSumScalar(const double* buf, std::size_t begin, std::size_t end,
-                       double init) {
-  double acc = init;
-  for (std::size_t i = end; i-- > begin;) acc += buf[i];
-  return acc;
+// ThresholdPass, with the light weights of lane k (the weights i with
+// i mod 4 == k, and the tail in lane 0) summed in order. A compare yields
+// an all-ones or zero lane mask, a masked weight adds +0.0 (which leaves a
+// non-negative sum's bits as they are), and no branch depends on a weight.
+// The scalar level runs lanes {0, 1} and {2, 3} as generic two-lane
+// vectors (SSE2 on x86-64, scalar code where there is no vector unit).
+using Lanes2 = double __attribute__((vector_size(16)));
+using Mask2 = std::int64_t __attribute__((vector_size(16)));
+
+struct HalfSplit {
+  Lanes2 sum = {0.0, 0.0};
+  Lanes2 max_light = {0.0, 0.0};
+  Lanes2 min_heavy = {kInf, kInf};
+  Mask2 light = {0, 0};  // minus the count: a true lane is -1
+  Mask2 heavy = {0, 0};
+
+  void Add(Lanes2 v, Lanes2 x) {
+    const Lanes2 zero = {0.0, 0.0};
+    const Lanes2 inf = {kInf, kInf};
+    const Mask2 is_light = (v > zero) & (v < x);
+    const Mask2 is_heavy = v >= x;
+    const Lanes2 lv = std::bit_cast<Lanes2>(is_light & std::bit_cast<Mask2>(v));
+    const Lanes2 hv = is_heavy ? v : inf;
+    sum += lv;
+    max_light = max_light < lv ? lv : max_light;
+    min_heavy = hv < min_heavy ? hv : min_heavy;
+    light += is_light;
+    heavy += is_heavy;
+  }
+};
+
+ThresholdSplit ThresholdPassScalar(const double* w, std::size_t n, double x) {
+  const Lanes2 vx = {x, x};
+  HalfSplit lo, hi;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lo.Add(Lanes2{w[i], w[i + 1]}, vx);
+    hi.Add(Lanes2{w[i + 2], w[i + 3]}, vx);
+  }
+  // Into lane 0, beside a zero, which is neither light nor heavy.
+  for (; i < n; ++i) lo.Add(Lanes2{w[i], 0.0}, vx);
+  ThresholdSplit out;
+  out.light_sum = (lo.sum[0] + lo.sum[1]) + (hi.sum[0] + hi.sum[1]);
+  out.max_light = std::max({lo.max_light[0], lo.max_light[1],
+                            hi.max_light[0], hi.max_light[1]});
+  out.min_heavy = std::min({lo.min_heavy[0], lo.min_heavy[1],
+                            hi.min_heavy[0], hi.min_heavy[1]});
+  out.light_count = static_cast<std::size_t>(
+      -(lo.light[0] + lo.light[1] + hi.light[0] + hi.light[1]));
+  out.heavy_count = static_cast<std::size_t>(
+      -(lo.heavy[0] + lo.heavy[1] + hi.heavy[0] + hi.heavy[1]));
+  return out;
 }
 
 void U64ToUnitDoublesScalar(const std::uint64_t* raw, double* out,
@@ -70,7 +121,8 @@ std::uint64_t InBoxesMaskScalar(const WeightedKey* entries, std::size_t n,
 // -------------------------------------------------------------------------
 // AVX2/FMA kernels. Per-lane arithmetic mirrors the scalar ops exactly
 // (division, min, abs, and the fused total - 2*prefix, whose 2*prefix term
-// is a power-of-two scale and hence exact); only reductions re-associate.
+// is a power-of-two scale and hence exact); only the probability fill's
+// sum re-associates.
 
 #if defined(SAS_SIMD_X86)
 
@@ -133,22 +185,55 @@ __attribute__((target("avx2,fma"))) double FillIppsProbabilitiesAvx2(
   return sum;
 }
 
-__attribute__((target("avx2,fma"))) double SuffixSumAvx2(const double* buf,
-                                                         std::size_t begin,
-                                                         std::size_t end,
-                                                         double init) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(buf + i));
-  }
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);
-  double sum =
-      init + _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; i < end; ++i) sum += buf[i];
-  return sum;
+// The scalar level's four lanes in one register each.
+struct QuadSplit {
+  __m256d sum, max_light, min_heavy;
+  __m256i light, heavy;  // minus the counts: a true lane is -1
+};
+
+// HalfSplit::Add on four lanes: the same masks, the same +0.0 for a masked
+// weight.
+__attribute__((target("avx2,fma"))) inline void AddQuad(__m256d v,
+                                                        __m256d x,
+                                                        QuadSplit* q) {
+  const __m256d is_light =
+      _mm256_and_pd(_mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ),
+                    _mm256_cmp_pd(v, x, _CMP_LT_OQ));
+  const __m256d is_heavy = _mm256_cmp_pd(v, x, _CMP_GE_OQ);
+  const __m256d lv = _mm256_and_pd(is_light, v);
+  const __m256d hv = _mm256_blendv_pd(_mm256_set1_pd(kInf), v, is_heavy);
+  q->sum = _mm256_add_pd(q->sum, lv);
+  q->max_light = _mm256_max_pd(q->max_light, lv);
+  q->min_heavy = _mm256_min_pd(q->min_heavy, hv);
+  q->light = _mm256_add_epi64(q->light, _mm256_castpd_si256(is_light));
+  q->heavy = _mm256_add_epi64(q->heavy, _mm256_castpd_si256(is_heavy));
+}
+
+__attribute__((target("avx2,fma"))) ThresholdSplit ThresholdPassAvx2(
+    const double* w, std::size_t n, double x) {
+  const __m256d vx = _mm256_set1_pd(x);
+  QuadSplit q = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                 _mm256_set1_pd(kInf), _mm256_setzero_si256(),
+                 _mm256_setzero_si256()};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) AddQuad(_mm256_loadu_pd(w + i), vx, &q);
+  for (; i < n; ++i) AddQuad(_mm256_set_pd(0.0, 0.0, 0.0, w[i]), vx, &q);
+  alignas(32) double sums[4], maxs[4], mins[4];
+  alignas(32) std::int64_t lights[4], heavies[4];
+  _mm256_store_pd(sums, q.sum);
+  _mm256_store_pd(maxs, q.max_light);
+  _mm256_store_pd(mins, q.min_heavy);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lights), q.light);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(heavies), q.heavy);
+  ThresholdSplit out;
+  out.light_sum = (sums[0] + sums[1]) + (sums[2] + sums[3]);
+  out.max_light = std::max({maxs[0], maxs[1], maxs[2], maxs[3]});
+  out.min_heavy = std::min({mins[0], mins[1], mins[2], mins[3]});
+  out.light_count = static_cast<std::size_t>(
+      -(lights[0] + lights[1] + lights[2] + lights[3]));
+  out.heavy_count = static_cast<std::size_t>(
+      -(heavies[0] + heavies[1] + heavies[2] + heavies[3]));
+  return out;
 }
 
 __attribute__((target("avx2,fma"))) void U64ToUnitDoublesAvx2(
@@ -323,14 +408,11 @@ double FillIppsProbabilities(const double* w, std::size_t n, double tau,
   return FillIppsProbabilitiesScalar(w, n, tau, probs);
 }
 
-double SuffixSum(const double* buf, std::size_t begin, std::size_t end,
-                 double init) {
+ThresholdSplit ThresholdPass(const double* w, std::size_t n, double x) {
 #if defined(SAS_SIMD_X86)
-  if (ActiveLevel() == Level::kAvx2) {
-    return SuffixSumAvx2(buf, begin, end, init);
-  }
+  if (ActiveLevel() == Level::kAvx2) return ThresholdPassAvx2(w, n, x);
 #endif
-  return SuffixSumScalar(buf, begin, end, init);
+  return ThresholdPassScalar(w, n, x);
 }
 
 void U64ToUnitDoubles(const std::uint64_t* raw, double* out, std::size_t n) {

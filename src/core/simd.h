@@ -16,13 +16,15 @@
 //    just stays on the scalar path.
 //  * Equivalence: kernels whose outputs are pure per-lane operations
 //    (FillIppsProbabilities elements, U64ToUnitDoubles, InBoxesMask)
-//    return bit-identical results on every level. Kernels that reduce
-//    over floats (the probability *sum*, SuffixSum) may differ
-//    from the scalar path in the last few ulps because vector lanes
-//    re-associate the additions; the documented bound is
-//    |simd - scalar| <= 4 * eps * n * max|term| and the equivalence tests
-//    in tests/core/simd_test.cc pin a 1e-12 relative tolerance. The scalar
-//    results never change: they are the golden-seed reference.
+//    return bit-identical results on every level, and so does
+//    ThresholdPass, whose sum both levels add in one fixed 4-lane
+//    association. The FillIppsProbabilities *sum* is the one float
+//    reduction that may differ from the scalar path in the last few ulps,
+//    because the vector lanes re-associate its additions; the documented
+//    bound is |simd - scalar| <= 4 * eps * n * max|term| and the
+//    equivalence tests in tests/core/simd_test.cc pin a 1e-12 relative
+//    tolerance. The scalar results never change: they are the golden-seed
+//    reference.
 //
 // Adding a kernel: declare it here, implement <Name>Scalar in simd.cc (this
 // becomes the reference — copy the loop you are replacing verbatim), add an
@@ -36,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "core/types.h"
 
@@ -71,11 +74,23 @@ const char* LevelName(Level level);
 double FillIppsProbabilities(const double* w, std::size_t n, double tau,
                              double* probs);
 
-/// The SolveTau partition scan: init + buf[end-1] + buf[end-2] + ... +
-/// buf[begin], accumulated in exactly that (reverse) order on the scalar
-/// path. Float reduction: AVX2 re-associates.
-double SuffixSum(const double* buf, std::size_t begin, std::size_t end,
-                 double init);
+/// One pass of SolveTau at the cut x: weights w >= x are heavy, weights
+/// 0 < w < x are light, and zero and NaN weights are neither (every compare
+/// is ordered). x = +inf makes every positive finite weight light.
+struct ThresholdSplit {
+  double light_sum = 0.0;  // sum of the light weights
+  double max_light = 0.0;  // largest light weight; 0 when there is none
+  // Smallest heavy weight; +inf when there is none.
+  double min_heavy = std::numeric_limits<double>::infinity();
+  std::size_t light_count = 0;
+  std::size_t heavy_count = 0;
+};
+
+/// The split of w[0, n) at x. Both levels add the light weights in one
+/// association: weight i into lane i mod 4 over the full groups of four,
+/// the tail into lane 0, then (l0 + l1) + (l2 + l3). So the result is
+/// bit-identical on every level.
+ThresholdSplit ThresholdPass(const double* w, std::size_t n, double x);
 
 /// Block conversion behind Rng::FillDoubles: out[i] =
 /// double(raw[i] >> 11) * 2^-53, the xoshiro256++ unit-interval mapping.

@@ -1,4 +1,4 @@
-// Shared helpers for the api test suites.
+// Shared helpers for the test suites.
 
 #ifndef SAS_TESTS_API_TEST_UTIL_H_
 #define SAS_TESTS_API_TEST_UTIL_H_
@@ -7,7 +7,10 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "core/random.h"
+#include "core/simd.h"
 #include "core/types.h"
 
 namespace sas::test {
@@ -25,6 +28,21 @@ inline std::vector<WeightedKey> RandomItems(std::size_t n, Coord domain,
     items.push_back({id++, rng->NextPareto(1.3), {x, y}});
   }
   return items;
+}
+
+/// Runs `check` with the kernels dispatched to the scalar level, then to
+/// the best level of this build and host, and restores the active level.
+/// A pin checked this way fails the default build when an output bit
+/// depends on the level, not only a scalar-only build.
+template <class Check>
+void AtEverySimdLevel(Check check) {
+  const simd::Level saved = simd::ActiveLevel();
+  for (const simd::Level level : {simd::Level::kScalar, simd::DetectLevel()}) {
+    simd::SetLevel(level);
+    SCOPED_TRACE(testing::Message() << "simd=" << simd::LevelName(level));
+    check();
+  }
+  simd::SetLevel(saved);
 }
 
 }  // namespace sas::test

@@ -29,15 +29,18 @@
 //    product / disjoint / nd), run against the reference chain given the
 //    same inputs.
 //
-// SolveTau is the one explicitly re-baselined primitive: the selection
-// search accumulates suffix sums in a different order than the classic
-// descending sort, so tau may differ in the last ulps. Tests therefore pin
-// near-equality against the reference plus the exact early-out identities
-// on boundary inputs.
+// SolveTau is the one explicitly re-baselined primitive: its Newton passes
+// sum the light weights in a fixed 4-lane association, not in the classic
+// descending sort's order, so tau may differ in the last ulps. Tests
+// therefore pin near-equality against the reference (and the constraint
+// sum_i min(1, w_i / tau) = s), the exact identities on boundary inputs,
+// the guard on inputs that stall Newton, and tau's bits across SIMD
+// levels.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -54,7 +57,9 @@
 #include "core/pair_aggregate.h"
 #include "core/random.h"
 #include "core/simd.h"
+#include "core/telemetry.h"
 #include "data/network_gen.h"
+#include "oracles/lane_sum.h"
 #include "oracles/summarize.h"
 #include "structure/hierarchy.h"
 
@@ -583,14 +588,13 @@ TEST(FastSolveTau, ScratchReuseMatchesFreshScratch) {
 }
 
 // Regression tests for the boundary inputs whose candidate scan used to be
-// able to fall through to the 200-iteration bisection: they now hit exact
-// early-outs.
+// able to fall through to the 200-iteration bisection: all-equal weights
+// now end at the first pass (every weight light, tau = total / s).
 TEST(FastSolveTau, AllEqualWeightsExact) {
   for (std::size_t n : {3u, 10u, 1000u}) {
     for (double w : {0.1, 1.0, 3.75}) {
       std::vector<Weight> weights(n, w);
-      double total = 0.0;
-      for (double x : weights) total += x;
+      const double total = LaneSum(weights);
       for (double s : {0.5, 1.0, static_cast<double>(n) - 0.5,
                        static_cast<double>(n) - 1.0}) {
         if (s <= 0.0 || s >= static_cast<double>(n)) continue;
@@ -603,7 +607,7 @@ TEST(FastSolveTau, AllEqualWeightsExact) {
 
 TEST(FastSolveTau, AllEqualWithZerosExact) {
   // s >= the number of *positive* weights after zero-filtering: tau = 0;
-  // below it, the all-equal early-out still applies to the positives.
+  // below it, the positives are all equal and tau = total / s exactly.
   std::vector<Weight> w{2.0, 0.0, 2.0, 0.0, 2.0};
   EXPECT_DOUBLE_EQ(SolveTau(w, 3.0), 0.0);
   EXPECT_DOUBLE_EQ(SolveTau(w, 4.0), 0.0);
@@ -620,7 +624,7 @@ TEST(FastSolveTau, SampleSizeAtLeastPositiveCount) {
 
 TEST(FastSolveTau, SinglePositiveWeight) {
   std::vector<Weight> w{0.0, 5.0, 0.0};
-  EXPECT_DOUBLE_EQ(SolveTau(w, 0.5), 10.0);  // all-equal early-out: 5 / 0.5
+  EXPECT_DOUBLE_EQ(SolveTau(w, 0.5), 10.0);  // all light: 5 / 0.5
   EXPECT_DOUBLE_EQ(SolveTau(w, 1.0), 0.0);
 }
 
@@ -727,6 +731,204 @@ TEST(OneSelectionTau, NetworkShardMatchesReference) {
   for (double s : {1000.0, 1000.5, 65867.0}) {
     ExpectTauMatchesReference(weights, s);
   }
+}
+
+/// w_i = r^i for i < n, shuffled: each Newton pass moves only a few more
+/// weights to the heavy side, so the solve stalls into the guard.
+std::vector<Weight> GeometricWeights(std::size_t n, double r,
+                                     std::uint64_t seed) {
+  std::vector<Weight> w(n);
+  double x = 1.0;
+  for (auto& v : w) {
+    v = x;
+    x *= r;
+  }
+  Rng rng(seed);
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(w[i - 1], w[rng.NextBounded(i)]);
+  }
+  return w;
+}
+
+/// The adjusted weights of a window merge at s = 1,000: the sample of a
+/// ~1,100-row bucket and the sample of 59 such buckets (each heavy weight
+/// as it is, every other entry at its part's threshold), shuffled. The two
+/// thresholds differ ~60x, and each part contributes a long run of ties.
+std::vector<Weight> MergeShapedWeights(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Weight> out;
+  for (std::size_t population : {1100u, 59u * 1100u}) {
+    std::vector<Weight> w(population);
+    for (auto& x : w) x = rng.NextPareto(1.2);
+    const double tau = SolveTau(w, 1000.0);
+    std::size_t heavy = 0;
+    for (Weight x : w) {
+      if (x >= tau) {
+        out.push_back(x);
+        ++heavy;
+      }
+    }
+    out.insert(out.end(), 1000 - heavy, tau);
+  }
+  for (std::size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[rng.NextBounded(i)]);
+  }
+  return out;
+}
+
+/// Fallbacks counted while `fn` runs with telemetry armed.
+template <class Fn>
+std::uint64_t CountFallbacks(Fn fn) {
+  telemetry::Counter* fallbacks =
+      telemetry::GetCounter("sas.ipps.tau_fallbacks");
+  const bool armed = telemetry::Enabled();
+  telemetry::SetEnabled(true);
+  const std::uint64_t before = fallbacks->value();
+  fn();
+  const std::uint64_t after = fallbacks->value();
+  telemetry::SetEnabled(armed);
+  return after - before;
+}
+
+TEST(FastSolveTau, StallInputsTakeTheGuard) {
+  const struct {
+    std::size_t n;
+    double r, s;
+  } cases[] = {{6000, 0.9, 4000.0}, {6000, 0.9, 1000.0},
+               {100000, 0.995, 50000.0}, {2000, 0.99, 1500.5}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " r=" << c.r
+                                    << " s=" << c.s);
+    const std::vector<Weight> w = GeometricWeights(c.n, c.r, 61);
+    EXPECT_EQ(CountFallbacks([&] { ExpectTauMatchesReference(w, c.s); }), 1u);
+  }
+  // Pareto inputs, which converge in a few passes, never take it.
+  EXPECT_EQ(CountFallbacks([] {
+              for (std::uint64_t seed = 0; seed < 20; ++seed) {
+                ExpectTauMatchesReference(ParetoWeights(3000, 1.2, seed), 30.0);
+              }
+            }),
+            0u);
+}
+
+TEST(FastSolveTau, ArmedTelemetryLeavesTauUnchanged) {
+  for (const auto& [w, s] :
+       {std::pair{GeometricWeights(6000, 0.9, 62), 4000.0},
+        std::pair{ParetoWeights(5000, 1.2, 63), 50.0}}) {
+    const double quiet = SolveTau(w, s);
+    double armed = 0.0;
+    CountFallbacks([&] { armed = SolveTau(w, s); });
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(armed),
+              std::bit_cast<std::uint64_t>(quiet));
+  }
+}
+
+TEST(OneSelectionTau, TiesStraddleTau) {
+  // 5 heavy keys of 100, ten ties at 1.0 and 40 keys of 0.25: at s = 25 the
+  // exact tau is 1.0, where the ties are both light (tau = 20 / 20) and
+  // heavy (tau = 10 / 10); only the heavy cut is consistent. Nearby s put
+  // tau just above or just below the ties.
+  std::vector<Weight> w;
+  w.insert(w.end(), 5, 100.0);
+  w.insert(w.end(), 10, 1.0);
+  w.insert(w.end(), 40, 0.25);
+  Rng rng(64);
+  for (int shuffle = 0; shuffle < 4; ++shuffle) {
+    for (std::size_t i = w.size(); i > 1; --i) {
+      std::swap(w[i - 1], w[rng.NextBounded(i)]);
+    }
+    for (double s : {25.0, std::nextafter(25.0, 0.0),
+                     std::nextafter(25.0, 30.0), 24.999999, 25.000001, 24.5,
+                     25.5, 15.0, 14.5}) {
+      ExpectTauMatchesReference(w, s);
+    }
+    EXPECT_EQ(SolveTau(w, 25.0), 1.0);
+  }
+  // Random tie runs: few distinct values, so tau often sits at a tie.
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Weight> t(50 + rng.NextBounded(500));
+    for (auto& x : t) x = static_cast<double>(1 + rng.NextBounded(6));
+    const double s =
+        1.0 + static_cast<double>(rng.NextBounded(t.size() - 1)) +
+        (trial % 2 == 0 ? 0.0 : rng.NextDouble());
+    SCOPED_TRACE(testing::Message() << "trial=" << trial);
+    ExpectTauMatchesReference(t, s);
+  }
+}
+
+TEST(OneSelectionTau, SampleSizeJustBelowPositiveCountWithNaNs) {
+  // NaN weights, like zeros, are neither heavy nor light.
+  std::vector<Weight> w = ParetoWeights(1500, 1.2, 65);
+  w.insert(w.end(), 100, 0.0);
+  w.insert(w.end(), 100, std::numeric_limits<double>::quiet_NaN());
+  Rng rng(66);
+  for (std::size_t i = w.size(); i > 1; --i) {
+    std::swap(w[i - 1], w[rng.NextBounded(i)]);
+  }
+  std::vector<Weight> positive;
+  for (Weight x : w) {
+    if (x > 0.0) positive.push_back(x);
+  }
+  for (double s : {1499.0, 1499.5, 1499.999, std::nextafter(1500.0, 0.0)}) {
+    ExpectTauMatchesReference(positive, s);
+    const double tau = SolveTau(w, s);
+    EXPECT_NEAR(tau, ref::SolveTau(positive, s), 1e-12 * tau) << "s=" << s;
+  }
+  EXPECT_EQ(SolveTau(w, 1500.0), 0.0);
+}
+
+TEST(OneSelectionTau, WeightsFrom1e300Down) {
+  // Weights spread over 600 decades: a few huge keys and a long light tail
+  // whose sum the threshold must still carry.
+  Rng rng(67);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<Weight> w(100 + rng.NextBounded(3000));
+    for (auto& x : w) {
+      x = std::pow(10.0, -300.0 + 600.0 * rng.NextDouble());
+    }
+    const double s =
+        1.0 + static_cast<double>(rng.NextBounded(w.size() - 1)) +
+        rng.NextDouble() * 0.5;
+    SCOPED_TRACE(testing::Message() << "trial=" << trial);
+    ExpectTauMatchesReference(w, s);
+  }
+}
+
+TEST(OneSelectionTau, TauBitsDoNotDependOnTheSimdLevel) {
+  // The shapes SolveTau meets in the pipelines: window merges, window
+  // bucket seals, one Network shard, and stalled inputs through the guard.
+  // Lengths cover every tail size (n mod 4).
+  std::vector<std::pair<std::vector<Weight>, double>> inputs;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    std::vector<Weight> merge = MergeShapedWeights(70 + seed);
+    merge.resize(merge.size() - seed % 4);
+    inputs.push_back({merge, 1000.0});
+    inputs.push_back({ParetoWeights(1100 + seed, 1.2, 80 + seed), 1000.0});
+    inputs.push_back({ParetoWeights(1825 + seed, 1.1, 90 + seed), 1000.0});
+  }
+  const Dataset2D data = GenerateNetwork(NetworkConfig{});
+  std::vector<Weight> shard;
+  for (const auto& it : data.items) {
+    if (ShardIndex(it.id, /*seed=*/1, /*num_shards=*/3) == 0) {
+      shard.push_back(it.weight);
+    }
+  }
+  inputs.push_back({shard, 1000.0});
+  inputs.push_back({GeometricWeights(6000, 0.9, 68), 4000.0});
+  inputs.push_back({GeometricWeights(2000, 0.99, 69), 1500.5});
+  const simd::Level saved = simd::ActiveLevel();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const auto& [w, s] = inputs[i];
+    simd::SetLevel(simd::Level::kScalar);
+    const double scalar = SolveTau(w, s);
+    simd::SetLevel(simd::DetectLevel());
+    const double best = SolveTau(w, s);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(best),
+              std::bit_cast<std::uint64_t>(scalar))
+        << "input " << i;
+    ExpectTauMatchesReference(w, s);
+  }
+  simd::SetLevel(saved);
 }
 
 // --- ChainAggregateRange ---------------------------------------------------

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/random.h"
+#include "oracles/lane_sum.h"
 
 namespace sas {
 namespace {
@@ -80,11 +81,10 @@ TEST(SolveTau, FractionalTarget) {
 
 TEST(SolveTau, AllEqualWeightsAreExact) {
   // Regression: all-equal inputs used to rely on the candidate scan (and
-  // could drift into the bisection fallback near the s ~ n boundary); they
-  // now hit an exact early-out tau = total/s.
+  // could drift into the bisection fallback near the s ~ n boundary); the
+  // first pass now finds every weight light, so tau = total/s exactly.
   std::vector<Weight> w(1000, 0.1);
-  double total = 0.0;
-  for (Weight x : w) total += x;
+  const double total = LaneSum(w);
   EXPECT_DOUBLE_EQ(SolveTau(w, 999.5), total / 999.5);
   EXPECT_DOUBLE_EQ(SolveTau(w, 1.0), total);
   EXPECT_DOUBLE_EQ(SolveTau(w, 1000.0), 0.0);

@@ -3,8 +3,10 @@
 //
 //  * per-lane kernels (FillIppsProbabilities elements, U64ToUnitDoubles,
 //    Rng::FillDoubles, InBoxesMask) are bit-identical on every level;
-//  * float reductions (the FillIppsProbabilities *sum*, SuffixSum) agree
-//    within a 1e-12 relative tolerance, with the scalar result fixed as the
+//  * ThresholdPass, a reduction in one fixed 4-lane association, is
+//    bit-identical on every level too;
+//  * the FillIppsProbabilities *sum*, a float reduction, agrees within a
+//    1e-12 relative tolerance, with the scalar result fixed as the
 //    golden-seed reference;
 //  * the dispatch override (SetLevel) honors DetectLevel as a ceiling.
 //
@@ -16,15 +18,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "core/random.h"
 #include "core/simd.h"
 #include "core/types.h"
+#include "oracles/lane_sum.h"
 
 namespace sas {
 namespace {
@@ -149,35 +154,96 @@ TEST(SimdFillIppsProbabilities, QuotientsExactOverWideDynamicRange) {
   }
 }
 
-// --- SuffixSum -------------------------------------------------------------
+// --- ThresholdPass ---------------------------------------------------------
 
-TEST(SimdSuffixSum, ScalarMatchesReverseAccumulate) {
+/// The pass as SolveTau's contract defines it, one weight at a time: heavy
+/// iff w >= x, light iff 0 < w < x, the light sum in LaneSum's association.
+simd::ThresholdSplit ReferencePass(const std::vector<double>& w, double x) {
+  simd::ThresholdSplit r;
+  for (double v : w) {
+    if (v >= x) {
+      ++r.heavy_count;
+      r.min_heavy = std::min(r.min_heavy, v);
+    } else if (v > 0.0 && v < x) {
+      ++r.light_count;
+      r.max_light = std::max(r.max_light, v);
+    }
+  }
+  r.light_sum =
+      LaneSum(w, [&](std::size_t i) { return w[i] > 0.0 && w[i] < x; });
+  return r;
+}
+
+void ExpectSameSplit(const simd::ThresholdSplit& got,
+                     const simd::ThresholdSplit& want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.light_sum),
+            std::bit_cast<std::uint64_t>(want.light_sum));
+  EXPECT_EQ(got.max_light, want.max_light);
+  EXPECT_EQ(got.min_heavy, want.min_heavy);
+  EXPECT_EQ(got.light_count, want.light_count);
+  EXPECT_EQ(got.heavy_count, want.heavy_count);
+}
+
+TEST(SimdThresholdPass, BitIdenticalAcrossLevelsForEveryTail) {
   LevelGuard guard;
-  ASSERT_TRUE(simd::SetLevel(simd::Level::kScalar));
-  const std::vector<double> buf = ParetoWeights(1000, 7);
-  Rng rng(8);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t begin = rng.NextBounded(buf.size());
-    const std::size_t end = begin + rng.NextBounded(buf.size() - begin + 1);
-    const double init = rng.NextDouble();
-    double want = init;
-    for (std::size_t i = end; i-- > begin;) want += buf[i];
-    ASSERT_EQ(simd::SuffixSum(buf.data(), begin, end, init), want)
-        << "begin=" << begin << " end=" << end;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(4711);
+  for (std::size_t n = 0; n <= 67; ++n) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<double> w(n);
+      for (auto& v : w) {
+        const double u = rng.NextDouble();
+        v = u < 0.1    ? 0.0
+            : u < 0.15 ? nan
+            : u < 0.25 ? 2.0
+                       : rng.NextPareto(1.1);
+      }
+      // x = 2 puts the repeated 2.0 weights exactly on the cut (heavy).
+      for (double x : {0.5, 2.0, 3.0, 1e300, inf}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial
+                                        << " x=" << x);
+        const simd::ThresholdSplit want = ReferencePass(w, x);
+        ASSERT_TRUE(simd::SetLevel(simd::Level::kScalar));
+        ExpectSameSplit(simd::ThresholdPass(w.data(), n, x), want);
+        simd::SetLevel(simd::DetectLevel());
+        ExpectSameSplit(simd::ThresholdPass(w.data(), n, x), want);
+      }
+    }
   }
 }
 
-TEST(SimdSuffixSum, LevelsAgreeWithinReductionTolerance) {
+TEST(SimdThresholdPass, EmptyAndAllMaskedInputs) {
   LevelGuard guard;
-  const std::vector<double> buf = ParetoWeights(4096, 21);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> masked = {0.0, nan, 0.0, nan, 0.0, 0.0, nan};
+  for (simd::Level level : {simd::Level::kScalar, simd::DetectLevel()}) {
+    simd::SetLevel(level);
+    for (std::size_t n : {std::size_t{0}, masked.size()}) {
+      const simd::ThresholdSplit r = simd::ThresholdPass(masked.data(), n, inf);
+      EXPECT_EQ(r.light_sum, 0.0);
+      EXPECT_FALSE(std::signbit(r.light_sum));
+      EXPECT_EQ(r.max_light, 0.0);
+      EXPECT_EQ(r.min_heavy, inf);
+      EXPECT_EQ(r.light_count, 0u);
+      EXPECT_EQ(r.heavy_count, 0u);
+    }
+  }
+}
+
+TEST(SimdThresholdPass, LongInputsBitIdenticalAcrossLevels) {
+  LevelGuard guard;
+  const std::vector<double> w = ParetoWeights(4096, 21);
   for (std::size_t n : kSizes) {
-    if (n > buf.size()) continue;
-    ASSERT_TRUE(simd::SetLevel(simd::Level::kScalar));
-    const double scalar = simd::SuffixSum(buf.data(), 0, n, 0.5);
-    simd::SetLevel(simd::DetectLevel());
-    const double best = simd::SuffixSum(buf.data(), 0, n, 0.5);
-    ASSERT_NEAR(best, scalar, 1e-12 * (1.0 + std::fabs(scalar)))
-        << "n=" << n;
+    for (double x : {1.0, 5.0, std::numeric_limits<double>::infinity()}) {
+      ASSERT_TRUE(simd::SetLevel(simd::Level::kScalar));
+      const simd::ThresholdSplit scalar = simd::ThresholdPass(w.data(), n, x);
+      simd::SetLevel(simd::DetectLevel());
+      SCOPED_TRACE(testing::Message() << "n=" << n << " x=" << x);
+      ExpectSameSplit(simd::ThresholdPass(w.data(), n, x), scalar);
+      ExpectSameSplit(scalar, ReferencePass({w.begin(), w.begin() + n}, x));
+    }
   }
 }
 

@@ -9,8 +9,10 @@
 // A pin is per published sample: the bits of tau, the entry count, and a
 // 64-bit digest of the entries' ids and weight bits in sample order. A
 // window merge whose parts fit in s keeps them whole (tau 0), but the
-// entries' weights still carry the back-stack and fold merges' bits. On a
-// mismatch the failure message prints the actual pins in table syntax.
+// entries' weights still carry the back-stack and fold merges' bits. Every
+// pin is checked with the kernels at the scalar level and at the best level
+// of the build. On a mismatch the failure message prints the actual pins in
+// table syntax.
 
 #include <gtest/gtest.h>
 
@@ -129,108 +131,112 @@ TEST(WindowedPins, ServedProduct) {
   const std::vector<Pin> want[3] = {
       {
           {0x0ULL, 32, 0xbce8f80b055a728ULL},
-          {0x0ULL, 32, 0xce9f5195c98776c3ULL},
-          {0x0ULL, 32, 0x8e16e244575d5156ULL},
-          {0x0ULL, 32, 0xd2a3d74ca1135347ULL},
-          {0x0ULL, 32, 0x7060db34c0f4f41dULL},
+          {0x0ULL, 32, 0x92f90da10c45ef75ULL},
+          {0x0ULL, 32, 0x363b55b8f128fb6cULL},
+          {0x0ULL, 32, 0x132cdc868a7cc205ULL},
+          {0x0ULL, 32, 0x4c611152a9618911ULL},
           {0x0ULL, 32, 0x72ee529490769c0dULL},
-          {0x405b295d6955fff2ULL, 32, 0xae27ff990099409dULL},
-          {0x405d30eab0a3270eULL, 32, 0xc55c8faacfaeb7e2ULL},
-          {0x405ea9e0ab131a85ULL, 32, 0x613d11bf91524669ULL},
-          {0x405e8182308352b4ULL, 32, 0xdd12a1823a262f87ULL},
-          {0x0ULL, 32, 0xa62956c22427dd53ULL},
-          {0x0ULL, 32, 0x1cd01186b0d0078bULL},
-          {0x405bac30819aad7eULL, 32, 0x890c2c793af9d9dfULL},
+          {0x405b295d6955ffeeULL, 32, 0x237c82aa5550e50fULL},
+          {0x405d30eab0a32700ULL, 32, 0x734b11a7414032c2ULL},
+          {0x405ea9e0ab131a85ULL, 32, 0x5cc78a8f6c85b077ULL},
+          {0x405e8182308352bcULL, 32, 0xce58f7a7c09a367cULL},
+          {0x0ULL, 32, 0xebde4982bf7b12edULL},
+          {0x0ULL, 32, 0x2ecd13bb6ff7c00eULL},
+          {0x405bac30819aad7aULL, 32, 0xb5cf0bfbe8d4a619ULL},
       },
       {
           {0x0ULL, 32, 0x528a6ea237a225e8ULL},
-          {0x0ULL, 32, 0x783e7f623e1bc557ULL},
-          {0x0ULL, 32, 0xc5809051c7ec59aaULL},
-          {0x0ULL, 32, 0xec1ceadd7243abd8ULL},
-          {0x0ULL, 32, 0x436d16f43f63fce7ULL},
+          {0x0ULL, 32, 0x7119fff6b41f1361ULL},
+          {0x0ULL, 32, 0x7007dfe0d41c07beULL},
+          {0x0ULL, 32, 0xf7b3407fa9ebbfb6ULL},
+          {0x0ULL, 32, 0xe3e9a4b4b5d72369ULL},
           {0x0ULL, 32, 0x75e8eecfda5478e3ULL},
-          {0x405b295d6955fff2ULL, 32, 0x560801a130deebbeULL},
-          {0x405d30eab0a3270eULL, 32, 0xca9c75285bd377f0ULL},
-          {0x405ea9e0ab131a86ULL, 32, 0xc2bec0c71ab53fa5ULL},
-          {0x405e8182308352b4ULL, 32, 0xe7bbf95abf822449ULL},
-          {0x0ULL, 32, 0xdedadc40fb22213cULL},
-          {0x0ULL, 32, 0x1027af3598e5c389ULL},
-          {0x405bac30819aad7eULL, 32, 0x4cea2d7fd7fd5c05ULL},
+          {0x405b295d6955ffeeULL, 32, 0x74f1b0e5b9303963ULL},
+          {0x405d30eab0a32700ULL, 32, 0x75802cb75f3032d5ULL},
+          {0x405ea9e0ab131a85ULL, 32, 0xc68d924705ec511fULL},
+          {0x405e8182308352bcULL, 32, 0x7b48387d58dc9f3bULL},
+          {0x0ULL, 32, 0x919cbb44279f03f6ULL},
+          {0x0ULL, 32, 0x1726f0b19dfb8debULL},
+          {0x405bac30819aad79ULL, 32, 0x78d6e6782be37f37ULL},
       },
       {
           {0x0ULL, 32, 0xac3397c65db5d978ULL},
-          {0x0ULL, 32, 0x8827f64a02c15ea0ULL},
-          {0x0ULL, 32, 0x4f3818876463d0adULL},
-          {0x0ULL, 32, 0x8efaf19eedcd89d1ULL},
-          {0x0ULL, 32, 0x174aca928d834861ULL},
+          {0x0ULL, 32, 0x2ce2cd12bd1fee12ULL},
+          {0x0ULL, 32, 0x4917d689595fcfa7ULL},
+          {0x0ULL, 32, 0xd7f3a5e8248cee5ULL},
+          {0x0ULL, 32, 0x698d74a8b700e113ULL},
           {0x0ULL, 32, 0x8b7079a09ac8d074ULL},
-          {0x405b295d6955fff2ULL, 32, 0xfcf7804ad41ee20eULL},
-          {0x405d30eab0a3270dULL, 32, 0xd76065ff51ab9900ULL},
-          {0x405ea9e0ab131a85ULL, 32, 0x8495488be5355cc8ULL},
-          {0x405e8182308352b4ULL, 32, 0x3c5c445e585ba7d0ULL},
-          {0x0ULL, 32, 0x1a9111348f7e4a50ULL},
-          {0x0ULL, 32, 0x78c8ca772ad1b7d2ULL},
-          {0x405bac30819aad7eULL, 32, 0xf59e8bd6ea53bbf9ULL},
+          {0x405b295d6955fff1ULL, 32, 0x9b747c95d233dba3ULL},
+          {0x405d30eab0a32702ULL, 32, 0xae45b388b8031e3ULL},
+          {0x405ea9e0ab131a85ULL, 32, 0x3c43a52364472127ULL},
+          {0x405e8182308352b6ULL, 32, 0xd080f1bbc1b76edeULL},
+          {0x0ULL, 32, 0x84f8097417b5e5c9ULL},
+          {0x0ULL, 32, 0x776f6edcbbae7838ULL},
+          {0x405bac30819aad7aULL, 32, 0x4ef2107dc091aa5eULL},
       },
   };
-  for (int i = 0; i < 3; ++i) {
-    SCOPED_TRACE(testing::Message() << "seed=" << kSeeds[i]);
-    ExpectPins(ServedProductPins(kSeeds[i]), want[i]);
-  }
+  test::AtEverySimdLevel([&] {
+    for (int i = 0; i < 3; ++i) {
+      SCOPED_TRACE(testing::Message() << "seed=" << kSeeds[i]);
+      ExpectPins(ServedProductPins(kSeeds[i]), want[i]);
+    }
+  });
 }
 
 TEST(WindowedPins, HookedObliv) {
   const std::vector<Pin> want[3] = {
       {
           {0x0ULL, 32, 0x5d46a619f209fd27ULL},
-          {0x0ULL, 32, 0x2f984e6c958ba7b9ULL},
-          {0x0ULL, 32, 0x1c9a516da1f62b0ULL},
+          {0x0ULL, 32, 0x72770d09949985a6ULL},
+          {0x0ULL, 32, 0x3f1cfd5ce1fd53a4ULL},
           {0x0ULL, 32, 0x1539a4a7f041c659ULL},
-          {0x0ULL, 32, 0xcfef2dd4446a1124ULL},
+          {0x0ULL, 32, 0xfe9b073972418d73ULL},
           {0x0ULL, 32, 0x83cdde5330c0c165ULL},
-          {0x405b295d6955fff1ULL, 32, 0xc03aaecde50a342cULL},
-          {0x405d30eab0a3270eULL, 32, 0x461561a988aeac88ULL},
-          {0x405ea9e0ab131a86ULL, 32, 0x312cac7c16c66734ULL},
-          {0x405e8182308352b4ULL, 32, 0x395c01ec80728744ULL},
-          {0x0ULL, 32, 0x71f5a7547d35a491ULL},
-          {0x0ULL, 32, 0xcdb51b278bace8e9ULL},
-          {0x405bac30819aad7eULL, 32, 0xe3971eb092ce333ULL},
+          {0x405b295d6955ffefULL, 32, 0x9c60c8bc5ce8f21cULL},
+          {0x405d30eab0a32702ULL, 32, 0xa64d9046a3c42830ULL},
+          {0x405ea9e0ab131a85ULL, 32, 0x714af51bdb7742e6ULL},
+          {0x405e8182308352b6ULL, 32, 0xc492f293c567483cULL},
+          {0x0ULL, 32, 0x534a0a580ec7be43ULL},
+          {0x0ULL, 32, 0x1f551eae6b886db7ULL},
+          {0x405bac30819aad7aULL, 32, 0x71af934a0df15e5eULL},
       },
       {
           {0x0ULL, 32, 0x596985e656cfcc9ULL},
-          {0x0ULL, 32, 0xc4706e3bd1145609ULL},
-          {0x0ULL, 32, 0x7c5284a5575a1d65ULL},
+          {0x0ULL, 32, 0x741702c55c436ce5ULL},
+          {0x0ULL, 32, 0x781979142992045ULL},
           {0x0ULL, 32, 0xe4af0075913043ecULL},
-          {0x0ULL, 32, 0x1a82dcdbb914cba6ULL},
+          {0x0ULL, 32, 0x5e28aabe9622225cULL},
           {0x0ULL, 32, 0x48d1e3fc03c6b885ULL},
-          {0x405b295d6955fff1ULL, 32, 0xf02186833203597cULL},
-          {0x405d30eab0a3270eULL, 32, 0xd7fac9140fdefe44ULL},
-          {0x405ea9e0ab131a86ULL, 32, 0x7a4fec8f26470dULL},
-          {0x405e8182308352b4ULL, 32, 0xae2bfdf7c5cc4428ULL},
-          {0x0ULL, 32, 0xac7cbf11ea2111f8ULL},
-          {0x0ULL, 32, 0x37f9f03802357cb7ULL},
-          {0x405bac30819aad7eULL, 32, 0x5eeb1ce101b2bb77ULL},
+          {0x405b295d6955ffefULL, 32, 0x90d40aa5aaba82baULL},
+          {0x405d30eab0a32700ULL, 32, 0x32be85d551338c88ULL},
+          {0x405ea9e0ab131a85ULL, 32, 0x8ee9469e9ceb926aULL},
+          {0x405e8182308352b7ULL, 32, 0x86d1cad6189f0b6aULL},
+          {0x0ULL, 32, 0xa229056353e9ce36ULL},
+          {0x0ULL, 32, 0xf28ebb4187012cf3ULL},
+          {0x405bac30819aad7aULL, 32, 0xc5aba97975ae23f5ULL},
       },
       {
           {0x0ULL, 32, 0xab99eeec38a25aecULL},
-          {0x0ULL, 32, 0xafbfdcee5f65d017ULL},
-          {0x0ULL, 32, 0xdf9014b8dfa0d9b6ULL},
-          {0x0ULL, 32, 0xf41b881d7d77a20aULL},
-          {0x0ULL, 32, 0x1c2b9c5460dc6aa6ULL},
+          {0x0ULL, 32, 0x3c898701c0cb8d14ULL},
+          {0x0ULL, 32, 0xe3fdec0b2d6af940ULL},
+          {0x0ULL, 32, 0xf0d99cb7c426819dULL},
+          {0x0ULL, 32, 0x74535e065aae5f7dULL},
           {0x0ULL, 32, 0x23dfdf1bee02a2eeULL},
-          {0x405b295d6955fff1ULL, 32, 0x4ac4dbe2b8423710ULL},
-          {0x405d30eab0a3270eULL, 32, 0x2d71e975f844fd00ULL},
-          {0x405ea9e0ab131a85ULL, 32, 0x6a9d3b982050e130ULL},
-          {0x405e8182308352b4ULL, 32, 0x87c4b12f46370144ULL},
-          {0x0ULL, 32, 0x5c1f05207c9df855ULL},
-          {0x0ULL, 32, 0x8b07ef1724c893ebULL},
-          {0x405bac30819aad7eULL, 32, 0xa5023ac6fee5f043ULL},
+          {0x405b295d6955ffeeULL, 32, 0x3b5d448dbccd8913ULL},
+          {0x405d30eab0a32700ULL, 32, 0xd60522887a8d639aULL},
+          {0x405ea9e0ab131a85ULL, 32, 0x271e7c30a721590ULL},
+          {0x405e8182308352bcULL, 32, 0x483c025a552152e9ULL},
+          {0x0ULL, 32, 0xea502a4b6023bd59ULL},
+          {0x0ULL, 32, 0x845b231243a33487ULL},
+          {0x405bac30819aad7aULL, 32, 0x141b5cdb62988799ULL},
       },
   };
-  for (int i = 0; i < 3; ++i) {
-    SCOPED_TRACE(testing::Message() << "seed=" << kSeeds[i]);
-    ExpectPins(HookedOblivPins(kSeeds[i]), want[i]);
-  }
+  test::AtEverySimdLevel([&] {
+    for (int i = 0; i < 3; ++i) {
+      SCOPED_TRACE(testing::Message() << "seed=" << kSeeds[i]);
+      ExpectPins(HookedOblivPins(kSeeds[i]), want[i]);
+    }
+  });
 }
 
 }  // namespace
