@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
         cfg.structure = StructureSpec::Nd(d);
         auto builder = MakeSummarizer(keys::kNd, cfg);
         for (std::size_t i = 0; i < n; ++i) {
-          builder->AddCoords(&coords[i * d], d, weights[i]);
+          builder->AddCoords(static_cast<KeyId>(i), &coords[i * d], d,
+                             weights[i]);
         }
         const auto summary = builder->Finalize();
         std::vector<std::size_t> chosen;

@@ -235,16 +235,15 @@ void BM_ChainAggregate(benchmark::State& state) {
 BENCHMARK(BM_ChainAggregate)->Arg(1000)->Arg(100000);
 
 void BM_IppsFill(benchmark::State& state) {
-  // The dispatched probability-fill kernel (probs[i] = min{1, w[i]/tau} +
-  // sum) on its own, the inner loop of IppsProbabilities and the StreamTau
-  // rebuild. bytes_per_second counts the streamed read + write.
+  // The dispatched probability-fill kernel (probs[i] = min{1, w[i]/tau})
+  // on its own, the inner loop of IppsProbabilities. bytes_per_second
+  // counts the streamed read + write.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::vector<Weight> weights = ParetoWeights(n, 21);
   const double tau = SolveTau(weights, static_cast<double>(n) / 100.0);
   std::vector<double> probs(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::FillIppsProbabilities(weights.data(), n, tau, probs.data()));
+    simd::FillIppsProbabilities(weights.data(), n, tau, probs.data());
     benchmark::DoNotOptimize(probs.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -132,13 +132,9 @@ class HierarchyBuilder : public StructureBuilder {
     }
     Rng rng(cfg_.seed);
     if (two_pass_) {
-      const HierarchyTwoPassVariant variant =
-          cfg_.hierarchy_partition == HierarchyPartition::kAncestors
-              ? HierarchyTwoPassVariant::kAncestors
-              : HierarchyTwoPassVariant::kLinearize;
       return std::make_unique<SampleSummary>(
           key, TwoPassHierarchySample(items_, *h, cfg_.s, two_pass_config(),
-                                      variant, &rng));
+                                      cfg_.hierarchy_partition, &rng));
     }
     HierarchySummarizeInto(items_, *h, cfg_.s, &rng, &scratch_, &out_);
     return TakeSampleSummary(key, items_, &out_);
@@ -169,9 +165,8 @@ class DisjointBuilder : public StructureBuilder {
 
 /// `product` and `nd`: one buffered product-space builder (Section 4).
 /// Every ingest path stores a WeightedKey. A coordinate point becomes an
-/// item whose id is the caller's (AddCoordsKeyed) or its admitted-insertion
-/// index (AddCoords) and whose pt is its first two axes; at dims > 2 its
-/// full coordinates also go to coords_. `product` is this builder at
+/// item under the caller's id whose pt is its first two axes; at dims > 2
+/// its full coordinates also go to coords_. `product` is this builder at
 /// dims = 2 with no coordinate path, which NdBuilder adds.
 class ProductBuilder : public BufferingSummarizer {
  public:
@@ -180,18 +175,17 @@ class ProductBuilder : public BufferingSummarizer {
       : BufferingSummarizer(std::move(cfg)), key_(key), dims_(dims) {}
 
   void Add(const WeightedKey& item) override {
-    Enter(Ingest::kItems);
+    Enter(/*coords=*/false);
     BufferingSummarizer::Add(item);
   }
   void AddBatch(std::span<const WeightedKey> items) override {
     if (items.empty()) return;
-    Enter(Ingest::kItems);
+    Enter(/*coords=*/false);
     BufferingSummarizer::AddBatch(items);
   }
 
-  /// Mergeable via Add and AddCoordsKeyed, whose ids are caller-stable
-  /// across a partition; AddCoords ids are per-builder insertion indices,
-  /// so the sharded wrapper routes AddCoords through AddCoordsKeyed.
+  /// Mergeable: every ingest path stores the caller's id, which is stable
+  /// across a partition.
   bool Mergeable() const override { return true; }
 
   bool Reset(std::uint64_t seed) override {
@@ -207,41 +201,36 @@ class ProductBuilder : public BufferingSummarizer {
   }
 
  protected:
-  /// The ingest path of the admitted points; a builder takes one.
-  enum class Ingest { kItems, kCoords, kKeyedCoords };
-
-  /// Admits one coordinate point under `id` through `mode`.
-  void AddPoint(Ingest mode, KeyId id, const Coord* coords, int dims,
-                Weight w) {
+  /// Admits one coordinate point under `id`.
+  void AddPoint(KeyId id, const Coord* coords, int dims, Weight w) {
     if (dims != dims_) {
       InvalidConfig(keys::kNd, "AddCoords dims does not match structure");
     }
-    Enter(mode);
+    Enter(/*coords=*/true);
     if (!AdmitWeight(w)) return;
     items_.push_back({id, w, {coords[0], dims > 1 ? coords[1] : 0}});
     if (dims > 2) coords_.insert(coords_.end(), coords, coords + dims);
   }
 
  private:
-  /// Throws std::logic_error unless points may enter through `mode`: Add
-  /// carries at most 2 axes, and no two modes mix once a point is admitted.
-  void Enter(Ingest mode) {
-    if (mode == Ingest::kItems && dims_ > 2) {
+  /// Throws std::logic_error unless points may enter through Add
+  /// (`coords` false) or AddCoords: Add carries at most 2 axes, and the two
+  /// do not mix once a point is admitted.
+  void Enter(bool coords) {
+    if (!coords && dims_ > 2) {
       throw std::logic_error(
           "nd summarizer: Add carries only 2 coordinates; use AddCoords "
           "for dims > 2");
     }
-    if (items_.empty()) mode_ = mode;
-    if (mode == mode_) return;
-    throw std::logic_error(
-        mode == Ingest::kItems || mode_ == Ingest::kItems
-            ? "nd summarizer: do not mix Add and AddCoords"
-            : "nd summarizer: do not mix AddCoords and AddCoordsKeyed");
+    if (items_.empty()) coords_mode_ = coords;
+    if (coords != coords_mode_) {
+      throw std::logic_error("nd summarizer: do not mix Add and AddCoords");
+    }
   }
 
   const char* const key_;
   const int dims_;
-  Ingest mode_ = Ingest::kItems;
+  bool coords_mode_ = false;   // the admitted points came through AddCoords
   std::vector<Coord> coords_;  // dims > 2 only: point i at [i*dims_, +dims_)
   SummarizeScratch scratch_;
   SummarizeOutput out_;
@@ -253,13 +242,9 @@ class NdBuilder final : public ProductBuilder {
  public:
   using ProductBuilder::ProductBuilder;
 
-  void AddCoords(const Coord* coords, int dims, Weight w) override {
-    AddPoint(Ingest::kCoords, static_cast<KeyId>(items_.size()), coords,
-             dims, w);
-  }
-  void AddCoordsKeyed(KeyId id, const Coord* coords, int dims,
-                      Weight w) override {
-    AddPoint(Ingest::kKeyedCoords, id, coords, dims, w);
+  void AddCoords(KeyId id, const Coord* coords, int dims,
+                 Weight w) override {
+    AddPoint(id, coords, dims, w);
   }
 };
 
@@ -368,12 +353,15 @@ class QDigestBuilder : public BufferingSummarizer {
   }
 };
 
+/// Count-Sketch rows per dyadic level pair.
+constexpr std::size_t kSketchRows = 3;
+
 class SketchBuilder : public Summarizer {
  public:
   explicit SketchBuilder(SummarizerConfig cfg)
       : Summarizer(std::move(cfg)),
         sketch_(cfg_.bits_x, cfg_.bits_y, static_cast<std::size_t>(cfg_.s),
-                cfg_.sketch_rows, Rng(cfg_.seed).Next()) {}
+                kSketchRows, Rng(cfg_.seed).Next()) {}
 
   void Add(const WeightedKey& item) override {
     if (!AdmitWeight(item.weight)) return;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string_view>
@@ -141,6 +142,23 @@ void WrapperSummarizer::Restart(std::uint64_t seed) {
   cfg_.seed = seed;
   stats_ = IngestStats{};
   state_.store(State::kLive, std::memory_order_release);
+}
+
+double WrapperSummarizer::FitToBudget(double s, std::size_t parts) {
+  const std::size_t budget = cfg_.max_bytes;
+  const double before = s;
+  while (budget > 0 && s >= 2.0 &&
+         parts * static_cast<std::size_t>(s) * kBytesPerSampleEntry > budget) {
+    s /= 2.0;
+    CountDegradation();
+  }
+  if (s != before) {
+    std::fprintf(stderr,
+                 "sas: %s: max_bytes=%zu: degraded s %g -> %g (%zu samples "
+                 "held)\n",
+                 key_.c_str(), budget, before, s, parts);
+  }
+  return s;
 }
 
 std::unique_ptr<Summarizer> WrapperSummarizer::MakeInner(

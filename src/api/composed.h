@@ -117,6 +117,14 @@ class WrapperSummarizer : public Summarizer {
     return false;
   }
 
+  /// The one memory-budget model (SummarizerConfig::max_bytes) of the
+  /// merging wrappers, which hold `parts` samples of size s at
+  /// kBytesPerSampleEntry bytes per entry: halves s while that exceeds
+  /// max_bytes and s >= 2, counts each halving in IngestStats::degradations,
+  /// logs any step to stderr once, and returns the fitted s. max_bytes = 0
+  /// is unbounded.
+  double FitToBudget(double s, std::size_t parts);
+
   /// The inner-builder factory: the inner key under this config with
   /// `seed`, `s` and `max_bytes` swapped in, its std::invalid_argument
   /// rethrown naming this key. A merging wrapper's inner builders must be

@@ -27,8 +27,7 @@ inline constexpr const char kDisjoint[] = "disjoint";
 inline constexpr const char kProduct[] = "product";
 /// In-memory sampler over a d-dimensional product domain,
 /// cfg.structure.dims in [1, 16]; points enter via AddCoords (any d) or
-/// Add (d <= 2). Mergeable: `sharded:` routes Add input as is and AddCoords
-/// input through AddCoordsKeyed under global ids.
+/// Add (d <= 2), each under the caller's id. Mergeable.
 inline constexpr const char kNd[] = "nd";
 
 // Streaming two-pass constructions (Section 5). "aware" is the two-pass
@@ -56,7 +55,7 @@ inline constexpr const char kWavelet[] = "wavelet";
 /// 2-D q-digest (cfg.bits_x/bits_y required). Deterministic; not
 /// mergeable.
 inline constexpr const char kQDigest[] = "qdigest";
-/// Dyadic Count-Sketch (cfg.bits_x/bits_y, sketch_rows). Not mergeable.
+/// Dyadic Count-Sketch (cfg.bits_x/bits_y, 3 rows). Not mergeable.
 inline constexpr const char kSketch[] = "sketch";
 /// Brute force over all retained data — testing/debug reference.
 inline constexpr const char kExact[] = "exact";

@@ -1,7 +1,6 @@
 #include "api/sharded.h"
 
 #include <cstddef>
-#include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -104,7 +103,7 @@ struct ShardedSummarizer::Shard {
   std::unique_ptr<RangeSummary> result;
 
   // Telemetry instruments for this shard lane (resolved at construction;
-  // updates are guarded by the builder's TelemetryOn()).
+  // updates are guarded by telemetry::Enabled()).
   telemetry::Gauge* queue_depth = nullptr;
   telemetry::Counter* batches = nullptr;
   telemetry::Counter* items = nullptr;
@@ -114,30 +113,10 @@ ShardedSummarizer::ShardedSummarizer(const ComposedKey& key,
                                      const SummarizerConfig& cfg)
     : WrapperSummarizer(key, cfg) {
   const int num_shards = static_cast<int>(key.fields[0]);
-  // Memory-budget degradation (SummarizerConfig::max_bytes): each worker
-  // retains a sample of expected size inner s, so N shards cost roughly
-  // N * s * kBytesPerSampleEntry across the build. Step the inner s down
-  // by halving until the estimate fits (floor s = 1); estimates stay
-  // unbiased at the smaller s. Counted in IngestStats::degradations.
-  double inner_s = cfg.s;
-  if (cfg.max_bytes > 0) {
-    const auto estimate = [&](double s) {
-      return static_cast<std::size_t>(s) * kBytesPerSampleEntry *
-             static_cast<std::size_t>(num_shards);
-    };
-    while (estimate(inner_s) > cfg.max_bytes && inner_s >= 2.0) {
-      inner_s = inner_s / 2.0;
-      ++degrade_steps_;
-    }
-    if (degrade_steps_ > 0) {
-      std::fprintf(stderr,
-                   "sas: %s: max_bytes=%zu: degraded inner s %g -> %g "
-                   "(%u halvings)\n",
-                   key_.c_str(), cfg.max_bytes, cfg.s, inner_s,
-                   degrade_steps_);
-    }
-  }
-  CountDegradation(degrade_steps_);
+  // Each worker retains a sample of expected size inner s.
+  const double inner_s =
+      FitToBudget(cfg.s, static_cast<std::size_t>(num_shards));
+  degrade_steps_ = stats_.degradations;
   // Cached salt of the ShardIndex partition hash (see its doc for why the
   // partition is seed-salted).
   salt_ = Mix64(cfg.seed ^ kPartitionSaltTag);
@@ -224,12 +203,8 @@ void ShardedSummarizer::AddBatch(std::span<const WeightedKey> items) {
   CountAccepted(items.size());
 }
 
-void ShardedSummarizer::AddCoords(const Coord* coords, int dims, Weight w) {
-  AddCoordsKeyed(next_coord_id_++, coords, dims, w);
-}
-
-void ShardedSummarizer::AddCoordsKeyed(KeyId id, const Coord* coords,
-                                       int dims, Weight w) {
+void ShardedSummarizer::AddCoords(KeyId id, const Coord* coords, int dims,
+                                  Weight w) {
   RequireLive("AddCoords");
   if (!AdmitWeight(w)) return;
   Shard& sh = ShardOf(id);
@@ -273,7 +248,7 @@ void ShardedSummarizer::Enqueue(Shard& sh, Batch batch) {
   // Back-pressure visibility: when the producer actually blocks on a full
   // queue, the wall time spent waiting lands in the wait histogram —
   // unblocked pushes record nothing, so the metric measures stalls only.
-  if (!can_proceed() && TelemetryOn()) {
+  if (!can_proceed() && telemetry::Enabled()) {
     const std::uint64_t t0 = telemetry::NowNs();
     sh.can_push.wait(lock, can_proceed);
     backpressure_wait_ns_->Observe(telemetry::NowNs() - t0);
@@ -284,7 +259,7 @@ void ShardedSummarizer::Enqueue(Shard& sh, Batch batch) {
   // rather than blocking forever — Finalize rethrows worker errors.
   if (sh.error != nullptr || sh.closed) return;
   sh.queue.push_back(std::move(batch));
-  if (TelemetryOn()) {
+  if (telemetry::Enabled()) {
     sh.queue_depth->Set(static_cast<std::int64_t>(sh.queue.size()));
   }
   sh.can_pop.notify_one();
@@ -303,23 +278,23 @@ void ShardedSummarizer::WorkerLoop(Shard* sh) {
         if (sh->queue.empty()) break;  // closed and fully drained
         batch = std::move(sh->queue.front());
         sh->queue.pop_front();
-        if (TelemetryOn()) {
+        if (telemetry::Enabled()) {
           sh->queue_depth->Set(static_cast<std::int64_t>(sh->queue.size()));
         }
         sh->can_push.notify_one();
       }
       FaultPoint(cfg_.faults.get(), fault_sites::kShardWorkerBatch,
                  sh->index);
-      if (TelemetryOn()) {
+      if (telemetry::Enabled()) {
         sh->batches->Inc();
         sh->items->Inc(batch.size());
       }
       if (!batch.items.empty()) sh->inner->AddBatch(batch.items);
       const std::size_t ud = static_cast<std::size_t>(batch.dims);
       for (std::size_t j = 0; j < batch.coord_ids.size(); ++j) {
-        sh->inner->AddCoordsKeyed(batch.coord_ids[j],
-                                  batch.coords.data() + j * ud, batch.dims,
-                                  batch.coord_weights[j]);
+        sh->inner->AddCoords(batch.coord_ids[j],
+                             batch.coords.data() + j * ud, batch.dims,
+                             batch.coord_weights[j]);
       }
       batch.clear();
       {
@@ -398,7 +373,7 @@ std::unique_ptr<RangeSummary> ShardedSummarizer::Finalize() {
   }
 
   Rng merge_rng(ForkSeed(cfg_.seed, shards_.size()));
-  telemetry::Span merge_span("shard.merge", merge_ns_, TelemetryOn());
+  telemetry::Span merge_span("shard.merge", merge_ns_);
   Sample merged =
       MergeAllSamples(parts, static_cast<std::size_t>(cfg_.s), &merge_rng);
   return std::make_unique<SampleSummary>(key_, std::move(merged));
@@ -424,7 +399,6 @@ bool ShardedSummarizer::Reset(std::uint64_t seed) {
     sh->result.reset();
   }
   salt_ = Mix64(seed ^ kPartitionSaltTag);
-  next_coord_id_ = 0;
   joined_ = false;
   Restart(seed);
   stats_.degradations = degrade_steps_;

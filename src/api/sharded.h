@@ -109,16 +109,12 @@ class ShardedSummarizer final : public WrapperSummarizer {
   /// to adding the items one at a time.
   void AddBatch(std::span<const WeightedKey> items) override;
 
-  /// Routes one d-dimensional point. AddCoords assigns the point an id
-  /// from a wrapper-global insertion counter (so ids are unique across
-  /// shards, exactly as an unsharded "nd" builder would number the whole
-  /// stream) and forwards to AddCoordsKeyed, which hash-routes on the id
-  /// like Add and replays into the shard's builder via its AddCoordsKeyed.
-  /// Inner methods without coordinate support throw on the worker thread;
-  /// Finalize rethrows.
-  void AddCoords(const Coord* coords, int dims, Weight w) override;
-  void AddCoordsKeyed(KeyId id, const Coord* coords, int dims,
-                      Weight w) override;
+  /// Routes one d-dimensional point: hash-routes on the caller's id like
+  /// Add and replays the point into the shard's builder via its AddCoords,
+  /// so a sampled point carries the id its caller gave it, as it would in
+  /// an unsharded "nd" builder. Inner methods without coordinate support
+  /// throw on the worker thread; Finalize rethrows.
+  void AddCoords(KeyId id, const Coord* coords, int dims, Weight w) override;
 
   /// Flushes, joins the workers, finalizes every shard, and merges the
   /// shard samples into one of (expected) size cfg.s. If any workers
@@ -155,9 +151,8 @@ class ShardedSummarizer final : public WrapperSummarizer {
 
   std::uint64_t salt_ = 0;  // partition-hash salt derived from cfg.seed
   std::vector<std::unique_ptr<Shard>> shards_;
-  KeyId next_coord_id_ = 0;  // global ids handed out by AddCoords
   bool joined_ = false;
-  std::uint32_t degrade_steps_ = 0;  // max_bytes halvings of the inner s
+  std::uint64_t degrade_steps_ = 0;  // max_bytes halvings of the inner s
   // Start latch: each worker bumps it on entering WorkerLoop, and
   // SpawnWorkers waits until all of the pool has (see SpawnWorkers).
   std::atomic<int> workers_started_{0};

@@ -32,44 +32,43 @@ const IngestInstruments& IngestCounters() {
 
 }  // namespace
 
-bool Summarizer::TelemetryOn() const {
-  return cfg_.telemetry && telemetry::Enabled();
-}
-
 void Summarizer::CountAccepted(std::uint64_t n) {
   stats_.accepted += n;
-  if (mirror_ingest_ && TelemetryOn()) IngestCounters().accepted->Inc(n);
+  if (mirror_ingest_ && telemetry::Enabled()) {
+    IngestCounters().accepted->Inc(n);
+  }
 }
 
 void Summarizer::CountRejectedWeight(std::uint64_t n) {
   stats_.rejected_weight += n;
-  if (mirror_ingest_ && TelemetryOn()) IngestCounters().rejected_weight->Inc(n);
+  if (mirror_ingest_ && telemetry::Enabled()) {
+    IngestCounters().rejected_weight->Inc(n);
+  }
 }
 
 void Summarizer::CountRejectedCoord(std::uint64_t n) {
   stats_.rejected_coord += n;
-  if (mirror_ingest_ && TelemetryOn()) IngestCounters().rejected_coord->Inc(n);
+  if (mirror_ingest_ && telemetry::Enabled()) {
+    IngestCounters().rejected_coord->Inc(n);
+  }
 }
 
 void Summarizer::CountDegradation(std::uint64_t n) {
   stats_.degradations += n;
-  if (mirror_ingest_ && TelemetryOn()) IngestCounters().degradations->Inc(n);
+  if (mirror_ingest_ && telemetry::Enabled()) {
+    IngestCounters().degradations->Inc(n);
+  }
 }
 
 telemetry::TelemetrySnapshot Summarizer::DescribeTelemetry() const {
   return telemetry::CaptureSnapshot(cfg_.faults.get());
 }
 
-void Summarizer::AddCoords(const Coord* /*coords*/, int /*dims*/,
-                           Weight /*w*/) {
+void Summarizer::AddCoords(KeyId /*id*/, const Coord* /*coords*/,
+                           int /*dims*/, Weight /*w*/) {
   throw std::logic_error(
       "AddCoords is only supported by the \"nd\" summarizer; use Add for "
       "2-D methods");
-}
-
-void Summarizer::AddCoordsKeyed(KeyId /*id*/, const Coord* coords, int dims,
-                                Weight w) {
-  AddCoords(coords, dims, w);
 }
 
 bool Summarizer::AdmitWeight(Weight w) {

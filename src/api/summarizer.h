@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "api/summary.h"
+#include "aware/two_pass.h"
 #include "core/types.h"
 
 namespace sas {
@@ -113,12 +114,6 @@ struct StructureSpec {
   static StructureSpec Nd(int dims) { return {nullptr, {}, 0, dims}; }
 };
 
-/// Which Section 5 partition the two-pass hierarchy construction uses.
-enum class HierarchyPartition {
-  kLinearize,  // totally order keys by DFS rank; Delta < 2 w.h.p.
-  kAncestors,  // cells = lowest guide-selected ancestors; Delta < 1 w.h.p.
-};
-
 /// Rough bytes one retained sample entry costs (the entry itself plus
 /// reservoir/prob bookkeeping): the unit of the SummarizerConfig::max_bytes
 /// estimates of the sharded and windowed wrappers. Deliberately coarse: the
@@ -152,9 +147,6 @@ struct SummarizerConfig {
   int bits_x = 32;
   int bits_y = 32;
 
-  /// Count-Sketch rows per dyadic level pair (sketch baseline).
-  std::size_t sketch_rows = 3;
-
   /// What to do with invalid records at the ingest boundary (see
   /// IngestPolicy). Composed wrappers validate at their outer surface and
   /// hand inner builders pre-validated batches.
@@ -174,14 +166,6 @@ struct SummarizerConfig {
   /// SAS_FAULTS environment variable. Tests install their own injector
   /// here for isolation; composed wrappers propagate it to inner builders.
   std::shared_ptr<FaultInjector> faults;
-
-  /// Whether this builder participates in process telemetry
-  /// (core/telemetry.h) when it is armed globally. Telemetry is off until
-  /// armed via SetEnabled()/SAS_TELEMETRY regardless of this flag, so the
-  /// default build pays one relaxed atomic load per instrumented site;
-  /// setting this false opts a builder out even of an armed process
-  /// (wrappers propagate it to inner builders like `faults`).
-  bool telemetry = true;
 };
 
 /// Uniform builder: feed items with Add/AddBatch (or AddCoords for the
@@ -205,21 +189,14 @@ class Summarizer {
     for (const WeightedKey& it : items) Add(it);
   }
 
-  /// Adds one d-dimensional point (dims coordinates). Only the "nd" method
-  /// supports general d; the default throws std::logic_error, before any
-  /// state changes, so callers may probe and fall back to Add. The "nd"
-  /// builder rejects a dims mismatch with std::invalid_argument and
+  /// Adds one d-dimensional point (dims coordinates) under the caller's
+  /// key id. Only the "nd" method supports general d; the default throws
+  /// std::logic_error, before any state changes, so callers may probe and
+  /// fall back to Add. The id is stored with the point, so ids stay stable
+  /// under any ingest policy and when a wrapper partitions the stream. The
+  /// "nd" builder rejects a dims mismatch with std::invalid_argument and
   /// mixing Add/AddCoords on one builder with std::logic_error.
-  virtual void AddCoords(const Coord* coords, int dims, Weight w);
-
-  /// Adds one d-dimensional point under a caller-chosen key id. Methods
-  /// that key their samples (the "nd" builder) store the id with the point,
-  /// so ids stay stable when the stream is partitioned across builders —
-  /// this is what lets the sharded wrapper route AddCoords input. The
-  /// default forwards to AddCoords, dropping the id (methods that
-  /// synthesize ids ignore it). Same support/mixing rules as AddCoords.
-  virtual void AddCoordsKeyed(KeyId id, const Coord* coords, int dims,
-                              Weight w);
+  virtual void AddCoords(KeyId id, const Coord* coords, int dims, Weight w);
 
   /// Builds the summary from everything added. Call exactly once; the
   /// builder is spent afterwards (unless recycled via Reset). Input-
@@ -294,11 +271,6 @@ class Summarizer {
   /// non-negative, so AddBatch overrides can skip per-record AdmitWeight
   /// calls (bulk-count into stats_.accepted) on clean input.
   static bool AllFinite(std::span<const WeightedKey> items);
-
-  /// True when this builder feeds the armed process telemetry: one relaxed
-  /// atomic load plus the config flag. The guard for every instrumented
-  /// site, in the style of FaultPoint.
-  bool TelemetryOn() const;
 
   /// IngestStats bumpers that mirror into the process telemetry counters
   /// (`sas.ingest.*`) when armed. Engines route every stats_ mutation

@@ -326,9 +326,9 @@ Sample TwoPassDisjointSample(const std::vector<WeightedKey>& items,
 Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
                               const Hierarchy& h, double s,
                               const TwoPassConfig& cfg,
-                              HierarchyTwoPassVariant variant, Rng* rng) {
+                              HierarchyPartition partition, Rng* rng) {
   assert(items.size() == h.num_keys());
-  if (variant == HierarchyTwoPassVariant::kAncestors) {
+  if (partition == HierarchyPartition::kAncestors) {
     return RunTwoPass(items, s, cfg, rng, [&](const auto& guide) {
       return AncestorPartition(guide, h);
     });

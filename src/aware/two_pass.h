@@ -92,8 +92,9 @@ Sample TwoPassDisjointSample(const std::vector<WeightedKey>& items,
                              int num_ranges, double s,
                              const TwoPassConfig& cfg, Rng* rng);
 
-/// Which Section 5 partition the hierarchy two-pass uses.
-enum class HierarchyTwoPassVariant {
+/// Which Section 5 partition the hierarchy two-pass uses (also the
+/// registry's SummarizerConfig::hierarchy_partition).
+enum class HierarchyPartition {
   kLinearize,  // totally order keys by DFS rank; Delta < 2 w.h.p.
   kAncestors,  // cells = lowest guide-selected ancestors; Delta < 1 w.h.p.
 };
@@ -103,7 +104,7 @@ enum class HierarchyTwoPassVariant {
 Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
                               const Hierarchy& h, double s,
                               const TwoPassConfig& cfg,
-                              HierarchyTwoPassVariant variant, Rng* rng);
+                              HierarchyPartition partition, Rng* rng);
 
 }  // namespace sas
 

@@ -159,21 +159,19 @@ double SolveTau(const std::vector<Weight>& weights, double s) {
   return SolveTau(weights.data(), weights.size(), s, &scratch);
 }
 
-double IppsProbabilities(const std::vector<Weight>& weights, double tau,
-                         std::vector<double>* probs) {
+void IppsProbabilities(const std::vector<Weight>& weights, double tau,
+                       std::vector<double>* probs) {
   probs->resize(weights.size());
   if (tau <= 0.0) {
     // Degenerate threshold ("include everything"): keep the branchy
     // per-element edge handling of IppsProbability.
-    double sum = 0.0;
     for (std::size_t i = 0; i < weights.size(); ++i) {
       (*probs)[i] = IppsProbability(weights[i], tau);
-      sum += (*probs)[i];
     }
-    return sum;
+    return;
   }
-  return simd::FillIppsProbabilities(weights.data(), weights.size(), tau,
-                                     probs->data());
+  simd::FillIppsProbabilities(weights.data(), weights.size(), tau,
+                              probs->data());
 }
 
 StreamTau::StreamTau(double s) : s_(s) { assert(s > 0.0); }

@@ -66,9 +66,9 @@ double SolveTau(const std::vector<Weight>& weights, double s,
                 IppsScratch* scratch);
 double SolveTau(const std::vector<Weight>& weights, double s);
 
-/// Fills `probs` with min{1, w_i/tau}. Returns the sum of probabilities.
-double IppsProbabilities(const std::vector<Weight>& weights, double tau,
-                         std::vector<double>* probs);
+/// Fills `probs` with min{1, w_i/tau}.
+void IppsProbabilities(const std::vector<Weight>& weights, double tau,
+                       std::vector<double>* probs);
 
 /// Algorithm 4 (STREAM-tau): maintains the IPPS threshold for expected
 /// sample size s over a stream of weights, with O(s) memory.

@@ -26,13 +26,6 @@ class Sample {
   const std::vector<WeightedKey>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
 
-  /// Mutation surface for merge/combiner code paths: pre-size the entry
-  /// storage, append selected entries, and set the threshold — so a merge
-  /// assembles its output in place instead of copying a finished vector.
-  void Reserve(std::size_t n) { entries_.reserve(n); }
-  void Append(const WeightedKey& k) { entries_.push_back(k); }
-  void set_tau(double tau) { tau_ = tau; }
-
   /// Horvitz-Thompson adjusted weight for a sampled key: w_i / p_i, which
   /// under IPPS equals w_i when w_i >= tau and tau otherwise.
   Weight AdjustedWeight(const WeightedKey& k) const {

@@ -27,15 +27,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // golden-seed and pin suites fix their outputs, so they must never change
 // behavior.
 
-double FillIppsProbabilitiesScalar(const double* w, std::size_t n, double tau,
-                                   double* probs) {
-  double sum = 0.0;
+void FillIppsProbabilitiesScalar(const double* w, std::size_t n, double tau,
+                                 double* probs) {
   for (std::size_t i = 0; i < n; ++i) {
     const double p = w[i] / tau;
     probs[i] = p >= 1.0 ? 1.0 : p;
-    sum += probs[i];
   }
-  return sum;
 }
 
 // ThresholdPass, with the light weights of lane k (the weights i with
@@ -119,10 +116,7 @@ std::uint64_t InBoxesMaskScalar(const WeightedKey* entries, std::size_t n,
 }
 
 // -------------------------------------------------------------------------
-// AVX2/FMA kernels. Per-lane arithmetic mirrors the scalar ops exactly
-// (division, min, abs, and the fused total - 2*prefix, whose 2*prefix term
-// is a power-of-two scale and hence exact); only the probability fill's
-// sum re-associates.
+// AVX2/FMA kernels. Per-lane arithmetic mirrors the scalar ops exactly.
 
 #if defined(SAS_SIMD_X86)
 
@@ -133,7 +127,7 @@ __attribute__((target("avx2,fma"))) inline __m256d MarksteinQuotient(
   return _mm256_fmadd_pd(r, vy, q0);
 }
 
-__attribute__((target("avx2,fma"))) double FillIppsProbabilitiesAvx2(
+__attribute__((target("avx2,fma"))) void FillIppsProbabilitiesAvx2(
     const double* w, std::size_t n, double* probs, double tau) {
   // Division via Markstein's sequence instead of vdivpd: with the
   // correctly rounded reciprocal y = RN(1/tau), q0 = RN(w*y),
@@ -150,39 +144,12 @@ __attribute__((target("avx2,fma"))) double FillIppsProbabilitiesAvx2(
   const __m256d vy = _mm256_set1_pd(1.0 / tau);
   const __m256d vtau = _mm256_set1_pd(tau);
   const __m256d ones = _mm256_set1_pd(1.0);
-  // Two independent streams hide the correction latency and split the sum
-  // accumulation chain (the sum contract is near-equality, not
-  // bit-identity, so lane/stream re-association is allowed).
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d p0 = _mm256_min_pd(
-        MarksteinQuotient(_mm256_loadu_pd(w + i), vy, vtau), ones);
-    const __m256d p1 = _mm256_min_pd(
-        MarksteinQuotient(_mm256_loadu_pd(w + i + 4), vy, vtau), ones);
-    _mm256_storeu_pd(probs + i, p0);
-    _mm256_storeu_pd(probs + i + 4, p1);
-    acc0 = _mm256_add_pd(acc0, p0);
-    acc1 = _mm256_add_pd(acc1, p1);
-  }
   for (; i + 4 <= n; i += 4) {
-    const __m256d p = _mm256_min_pd(
-        MarksteinQuotient(_mm256_loadu_pd(w + i), vy, vtau), ones);
-    _mm256_storeu_pd(probs + i, p);
-    acc0 = _mm256_add_pd(acc0, p);
+    const __m256d q = MarksteinQuotient(_mm256_loadu_pd(w + i), vy, vtau);
+    _mm256_storeu_pd(probs + i, _mm256_min_pd(q, ones));
   }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);
-  double sum = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; i < n; ++i) {
-    const double p = w[i] / tau;
-    probs[i] = p >= 1.0 ? 1.0 : p;
-    sum += probs[i];
-  }
-  return sum;
+  FillIppsProbabilitiesScalar(w + i, n - i, tau, probs + i);
 }
 
 // The scalar level's four lanes in one register each.
@@ -398,14 +365,15 @@ const char* LevelName(Level level) {
   return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
-double FillIppsProbabilities(const double* w, std::size_t n, double tau,
-                             double* probs) {
+void FillIppsProbabilities(const double* w, std::size_t n, double tau,
+                           double* probs) {
 #if defined(SAS_SIMD_X86)
   if (ActiveLevel() == Level::kAvx2) {
-    return FillIppsProbabilitiesAvx2(w, n, probs, tau);
+    FillIppsProbabilitiesAvx2(w, n, probs, tau);
+    return;
   }
 #endif
-  return FillIppsProbabilitiesScalar(w, n, tau, probs);
+  FillIppsProbabilitiesScalar(w, n, tau, probs);
 }
 
 ThresholdSplit ThresholdPass(const double* w, std::size_t n, double x) {

@@ -14,17 +14,12 @@
 //    __builtin_cpu_supports) and caches the best supported level. A binary
 //    built with SAS_SIMD=ON still runs correctly on a non-AVX2 host — it
 //    just stays on the scalar path.
-//  * Equivalence: kernels whose outputs are pure per-lane operations
-//    (FillIppsProbabilities elements, U64ToUnitDoubles, InBoxesMask)
-//    return bit-identical results on every level, and so does
-//    ThresholdPass, whose sum both levels add in one fixed 4-lane
-//    association. The FillIppsProbabilities *sum* is the one float
-//    reduction that may differ from the scalar path in the last few ulps,
-//    because the vector lanes re-associate its additions; the documented
-//    bound is |simd - scalar| <= 4 * eps * n * max|term| and the
-//    equivalence tests in tests/core/simd_test.cc pin a 1e-12 relative
-//    tolerance. The scalar results never change: they are the golden-seed
-//    reference.
+//  * Equivalence: every kernel returns bit-identical results on every
+//    level. The per-lane kernels (FillIppsProbabilities, U64ToUnitDoubles,
+//    InBoxesMask) do the scalar path's operations lane by lane, and
+//    ThresholdPass, the one reduction, adds its sum in one fixed 4-lane
+//    association on both levels. The scalar results are the golden-seed
+//    reference, and tests/core/simd_test.cc pins each AVX2 kernel to them.
 //
 // Adding a kernel: declare it here, implement <Name>Scalar in simd.cc (this
 // becomes the reference — copy the loop you are replacing verbatim), add an
@@ -68,11 +63,8 @@ const char* LevelName(Level level);
 
 /// IPPS probability fill: probs[i] = min{1, w[i]/tau} for tau > 0 (the
 /// IppsProbability edge cases for tau <= 0 are handled by the caller).
-/// Returns the sum of the probabilities. Elements are bit-identical on
-/// every level; the returned sum is a float reduction (see header
-/// contract).
-double FillIppsProbabilities(const double* w, std::size_t n, double tau,
-                             double* probs);
+void FillIppsProbabilities(const double* w, std::size_t n, double tau,
+                           double* probs);
 
 /// One pass of SolveTau at the cut x: weights w >= x are heavy, weights
 /// 0 < w < x are light, and zero and NaN weights are neither (every compare

@@ -17,7 +17,7 @@
 //   * Every hot site is guarded: `if (telemetry::Enabled())` is one relaxed
 //     atomic load and a predictable branch, the entire cost of a disarmed
 //     build. Arming is global (SetEnabled / the SAS_TELEMETRY environment
-//     variable) with a per-builder opt-out (SummarizerConfig::telemetry).
+//     variable).
 //   * Span is an RAII timer: construction stamps a start time, destruction
 //     feeds the elapsed nanoseconds into a Histogram and appends a trace
 //     event to a fixed-size per-thread ring. ChromeTraceJson() exports the

@@ -18,7 +18,7 @@ struct Dataset2D {
   std::string name;
   std::vector<WeightedKey> items;
   ProductDomain2D domain;
-  // Per-axis hierarchies (owned; domain.x/y.hierarchy point into these).
+  // Per-axis hierarchies (owned).
   std::unique_ptr<Hierarchy> hx;
   std::unique_ptr<Hierarchy> hy;
 

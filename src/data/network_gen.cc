@@ -113,8 +113,8 @@ Dataset2D GenerateNetwork(const NetworkConfig& cfg) {
       Hierarchy::CompressedBinaryTrie(xs, cfg.bits));
   ds.hy = std::make_unique<Hierarchy>(
       Hierarchy::CompressedBinaryTrie(ys, cfg.bits));
-  ds.domain.x = {AxisKind::kHierarchy, cfg.bits, ds.hx.get()};
-  ds.domain.y = {AxisKind::kHierarchy, cfg.bits, ds.hy.get()};
+  ds.domain.x = {cfg.bits};
+  ds.domain.y = {cfg.bits};
   return ds;
 }
 

@@ -73,8 +73,8 @@ Dataset2D GenerateTechTicket(const TechTicketConfig& cfg) {
     ds.items.push_back(k);
   }
 
-  ds.domain.x = {AxisKind::kHierarchy, cfg.bits, ds.hx.get()};
-  ds.domain.y = {AxisKind::kHierarchy, cfg.bits, ds.hy.get()};
+  ds.domain.x = {cfg.bits};
+  ds.domain.y = {cfg.bits};
   return ds;
 }
 

@@ -61,20 +61,21 @@ std::vector<BuiltSummary> BuildMethodsNd(
     Stopwatch sw;
     BuiltSummary b;
     auto builder = MakeSummarizer(method, cfg);
-    // Prefer the coordinate path (all dims axes reach the method); builders
-    // without one throw std::logic_error on the first point, before any
-    // state changes, and take the keyed Add path instead.
+    // Prefer the coordinate path (all dims axes reach the method, each point
+    // under its index); builders without one throw std::logic_error on the
+    // first point, before any state changes, and take the keyed Add path.
     bool coords_path = ds.num_points() > 0;
     if (coords_path) {
       try {
-        builder->AddCoords(ds.point(0), ds.dims, ds.weights[0]);
+        builder->AddCoords(0, ds.point(0), ds.dims, ds.weights[0]);
       } catch (const std::logic_error&) {
         coords_path = false;
       }
     }
     if (coords_path) {
       for (std::size_t i = 1; i < ds.num_points(); ++i) {
-        builder->AddCoords(ds.point(i), ds.dims, ds.weights[i]);
+        builder->AddCoords(static_cast<KeyId>(i), ds.point(i), ds.dims,
+                           ds.weights[i]);
       }
     } else {
       if (keyed.size() != ds.num_points()) {

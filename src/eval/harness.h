@@ -64,9 +64,10 @@ std::vector<BuiltSummary> BuildMethods(const Dataset2D& ds, std::size_t s,
 /// over a DatasetNd with structure = StructureSpec::Nd(ds.dims). Methods
 /// that ingest coordinates (the "nd" key's AddCoords) receive all dims
 /// axes; methods without an AddCoords path fall back to the ordinary Add
-/// path over ds.AsWeightedKeys() (id = point index, pt = the first two
-/// axes) — valid for weight-only methods like "obliv", whose estimates are
-/// id-keyed, while 2-D structure methods would see only a projection.
+/// path over ds.AsWeightedKeys() (pt = the first two axes) — valid for
+/// weight-only methods like "obliv", whose estimates are id-keyed, while
+/// 2-D structure methods would see only a projection. Either way a
+/// point's id is its index.
 std::vector<BuiltSummary> BuildMethodsNd(
     const DatasetNd& ds, std::size_t s,
     const std::vector<std::string>& methods, std::uint64_t seed);

@@ -44,12 +44,12 @@ void SnapshotHandle::Release() {
 
 QueryService::Reader::Reader(QueryService& svc) : svc_(svc) {
   slot_ = svc_.epochs_.RegisterReader();
-  if (svc_.telemetry_on()) svc_.active_readers_->Add(1);
+  if (telemetry::Enabled()) svc_.active_readers_->Add(1);
 }
 
 QueryService::Reader::~Reader() {
   svc_.epochs_.UnregisterReader(slot_);
-  if (svc_.telemetry_on()) svc_.active_readers_->Sub(1);
+  if (telemetry::Enabled()) svc_.active_readers_->Sub(1);
 }
 
 SnapshotHandle QueryService::Reader::TryAcquire() {
@@ -102,13 +102,9 @@ QueryService::~QueryService() {
   for (const Retired& r : retired_) delete r.snap;
 }
 
-bool QueryService::telemetry_on() const {
-  return opts_.telemetry && telemetry::Enabled();
-}
-
 void QueryService::Publish(const Sample& sample) {
   std::lock_guard<std::mutex> lock(publish_mu_);
-  telemetry::Span span("serve.publish", publish_ns_, opts_.telemetry);
+  telemetry::Span span("serve.publish", publish_ns_);
 
   // Step 1: build off to the side. A throw here (allocation, or the armed
   // serve.publish fault below) leaves current_ untouched — the previous
@@ -129,7 +125,7 @@ void QueryService::Publish(const Sample& sample) {
   // Step 3: advance, then collect whatever no reader can reference.
   const std::uint64_t now_epoch = epochs_.Advance();
   publishes_count_.fetch_add(1, std::memory_order_acq_rel);
-  if (telemetry_on()) {
+  if (telemetry::Enabled()) {
     publishes_->Inc();
     epoch_gauge_->Set(static_cast<std::int64_t>(now_epoch));
   }
@@ -146,7 +142,7 @@ void QueryService::ReclaimLocked() {
   if (fi.armed() && fi.Poll(fault_sites::kServeReclaim,
                             static_cast<std::int64_t>(retired_.size()))) {
     reclaim_skipped_count_.fetch_add(1, std::memory_order_acq_rel);
-    if (telemetry_on()) reclaim_skipped_->Inc();
+    if (telemetry::Enabled()) reclaim_skipped_->Inc();
     return;
   }
   const std::uint64_t min_pinned = epochs_.MinActiveEpoch();
@@ -160,7 +156,7 @@ void QueryService::ReclaimLocked() {
   retired_.erase(retired_.begin(), it);
   if (freed > 0) {
     reclaimed_count_.fetch_add(freed, std::memory_order_acq_rel);
-    if (telemetry_on()) reclaimed_->Inc(freed);
+    if (telemetry::Enabled()) reclaimed_->Inc(freed);
   }
 }
 

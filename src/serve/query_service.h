@@ -113,9 +113,6 @@ class QueryService {
     /// Fault injector for the serve.* sites; null falls back to the global
     /// injector (the FaultPoint resolution rule).
     std::shared_ptr<FaultInjector> faults;
-    /// Participates in process telemetry when armed (the
-    /// SummarizerConfig::telemetry contract).
-    bool telemetry = true;
   };
 
   QueryService();  // default Options
@@ -200,11 +197,8 @@ class QueryService {
 
   /// The sas.serve.query_ns histogram, for reader-side latency spans (null
   /// never — the instrument always resolves; gate observations on
-  /// telemetry_on()).
+  /// telemetry::Enabled()).
   telemetry::Histogram* query_latency_histogram() const { return query_ns_; }
-
-  /// True when this service feeds armed process telemetry.
-  bool telemetry_on() const;
 
  private:
   struct Retired {

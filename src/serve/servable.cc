@@ -14,7 +14,7 @@ ServableSummarizer::ServableSummarizer(const ComposedKey& key,
     : WrapperSummarizer(key, cfg),
       inner_(MakeInner(cfg.seed, cfg.s, cfg.max_bytes)),
       service_(std::make_shared<QueryService>(
-          QueryService::Options{cfg.faults, cfg.telemetry})) {
+          QueryService::Options{cfg.faults})) {
   if (WindowedSummarizer* win = inner_->AsWindowed()) {
     // Ring advances republish the merged window; the hook keeps a strong
     // reference so the service survives even if this wrapper is destroyed
@@ -35,15 +35,10 @@ void ServableSummarizer::AddBatch(std::span<const WeightedKey> items) {
   inner_->AddBatch(items);
 }
 
-void ServableSummarizer::AddCoords(const Coord* coords, int dims, Weight w) {
+void ServableSummarizer::AddCoords(KeyId id, const Coord* coords, int dims,
+                                   Weight w) {
   RequireLive("AddCoords");
-  inner_->AddCoords(coords, dims, w);
-}
-
-void ServableSummarizer::AddCoordsKeyed(KeyId id, const Coord* coords,
-                                        int dims, Weight w) {
-  RequireLive("AddCoords");
-  inner_->AddCoordsKeyed(id, coords, dims, w);
+  inner_->AddCoords(id, coords, dims, w);
 }
 
 std::unique_ptr<RangeSummary> ServableSummarizer::Finalize() {

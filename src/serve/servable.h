@@ -55,9 +55,7 @@ class ServableSummarizer final : public WrapperSummarizer {
 
   void Add(const WeightedKey& item) override;
   void AddBatch(std::span<const WeightedKey> items) override;
-  void AddCoords(const Coord* coords, int dims, Weight w) override;
-  void AddCoordsKeyed(KeyId id, const Coord* coords, int dims,
-                      Weight w) override;
+  void AddCoords(KeyId id, const Coord* coords, int dims, Weight w) override;
 
   /// Finalizes the inner builder, publishes its sample to the service, and
   /// returns the summary under the composed key. Throws

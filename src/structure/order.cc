@@ -23,13 +23,4 @@ void SortedOrderInto(const std::vector<Coord>& coords,
   });
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> AllIntervals(std::size_t n) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  out.reserve(n * (n + 1) / 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j <= n; ++j) out.emplace_back(i, j);
-  }
-  return out;
-}
-
 }  // namespace sas

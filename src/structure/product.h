@@ -8,28 +8,14 @@
 #ifndef SAS_STRUCTURE_PRODUCT_H_
 #define SAS_STRUCTURE_PRODUCT_H_
 
-#include <memory>
-#include <vector>
-
 #include "core/types.h"
-#include "structure/hierarchy.h"
 
 namespace sas {
 
-/// Kind of structure on one axis of a product domain.
-enum class AxisKind {
-  kOrder,      // linear order on coordinates; ranges are intervals
-  kHierarchy,  // hierarchy whose leaf coordinates are laid out in DFS order
-};
-
 /// Descriptor of one axis: its size (number of addressable coordinates,
-/// usually a power of two) and its structure. The hierarchy pointer (when
-/// present) is owned by the dataset; its leaves carry coordinate ranges so
-/// hierarchy nodes map to intervals.
+/// usually a power of two). Any hierarchy on the axis is the dataset's.
 struct AxisDomain {
-  AxisKind kind = AxisKind::kOrder;
-  int bits = 32;                        // domain size = 2^bits
-  const Hierarchy* hierarchy = nullptr;  // set when kind == kHierarchy
+  int bits = 32;  // domain size = 2^bits
 
   Coord size() const { return bits >= 64 ? ~Coord{0} : (Coord{1} << bits); }
 };

@@ -1,7 +1,6 @@
 #include "window/windowed.h"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -118,26 +117,11 @@ void WindowedSummarizer::ReleaseInner(std::unique_ptr<Summarizer> spent) {
 }
 
 void WindowedSummarizer::MaybeDegrade() {
-  if (cfg_.max_bytes == 0) return;
   // After a seal the stacks hold the front aggregates, the raw back
   // samples, the back aggregate, and the new bucket — each of expected
   // size at most s. Only seals and the final build at Finalize budget, so
   // interleaved queries cannot change effective_s_ or any later sample.
-  const std::size_t held = front_.size() + back_.size() + 2;
-  const auto estimate = [&](double s) {
-    return held * static_cast<std::size_t>(s) * kBytesPerSampleEntry;
-  };
-  const double before = effective_s_;
-  while (estimate(effective_s_) > cfg_.max_bytes && effective_s_ >= 2.0) {
-    effective_s_ = effective_s_ / 2.0;
-    CountDegradation();
-  }
-  if (effective_s_ != before) {
-    std::fprintf(stderr,
-                 "sas: %s: max_bytes=%zu: degraded bucket s %g -> %g "
-                 "(%zu samples held)\n",
-                 key_.c_str(), cfg_.max_bytes, before, effective_s_, held);
-  }
+  effective_s_ = FitToBudget(effective_s_, front_.size() + back_.size() + 2);
 }
 
 Sample WindowedSummarizer::BuildBucketSample(
@@ -155,7 +139,7 @@ Sample WindowedSummarizer::MergeParts(std::span<const Sample* const> parts,
                                       std::uint64_t seed) {
   try {
     FaultPoint(cfg_.faults.get(), fault_sites::kWindowQueryMerge, epoch);
-    const bool telemetry_on = TelemetryOn();
+    const bool telemetry_on = telemetry::Enabled();
     if (telemetry_on) merge_fanin_->Observe(parts.size());
     telemetry::Span merge_span("window.merge", merge_ns_, telemetry_on);
     Rng merge_rng(seed);
@@ -187,7 +171,7 @@ void WindowedSummarizer::SealCurrentBucket(std::int64_t next_epoch) {
     FaultPoint(cfg_.faults.get(), fault_sites::kWindowBucketSeal,
                cur_epoch_);
     MaybeDegrade();
-    const bool telemetry_on = TelemetryOn();
+    const bool telemetry_on = telemetry::Enabled();
     if (telemetry_on) bucket_items_->Observe(cur_items_.size());
     telemetry::Span seal_span("window.seal", seal_ns_, telemetry_on);
     sealed = BuildBucketSample(cur_epoch_, cur_items_);
@@ -228,7 +212,7 @@ void WindowedSummarizer::RetireExpired(std::int64_t current_epoch) {
     Flip(oldest_live);
     expired += held - front_.size();
   }
-  if (expired > 0 && TelemetryOn()) expired_buckets_->Inc(expired);
+  if (expired > 0 && telemetry::Enabled()) expired_buckets_->Inc(expired);
 }
 
 void WindowedSummarizer::Flip(std::int64_t oldest_live) {
@@ -328,7 +312,7 @@ void WindowedSummarizer::AddTimed(double ts, const WeightedKey& item) {
 }
 
 const Sample& WindowedSummarizer::MergedWindow() {
-  const bool telemetry_on = TelemetryOn();
+  const bool telemetry_on = telemetry::Enabled();
   if (cache_valid_) {
     if (telemetry_on) cache_hits_->Inc();
     return cached_window_;
@@ -368,7 +352,7 @@ const Sample& WindowedSummarizer::MergedWindow() {
 
 const Sample& WindowedSummarizer::QueryAt(double now) {
   RequireLive("QueryAt");
-  telemetry::Span query_span("window.query", query_ns_, TelemetryOn());
+  telemetry::Span query_span("window.query", query_ns_);
   Advance(now);
   return MergedWindow();
 }

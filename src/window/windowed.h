@@ -213,9 +213,8 @@ class WindowedSummarizer final : public WrapperSummarizer {
   /// `epoch`) and the window.merge span. Poisons the builder on failure.
   Sample MergeParts(std::span<const Sample* const> parts, std::int64_t epoch,
                     std::uint64_t seed);
-  /// Applies the max_bytes budget before a bucket build: halves
-  /// effective_s_ until the estimated bytes the stacks hold after the
-  /// build fit (floor 1), counting each step in IngestStats::degradations.
+  /// Applies the max_bytes budget (FitToBudget) to effective_s_ before a
+  /// bucket build, counting the samples the stacks hold after the build.
   void MaybeDegrade();
   void InvalidateCache() { cache_valid_ = false; }
   const Sample& MergedWindow();
@@ -261,7 +260,7 @@ class WindowedSummarizer final : public WrapperSummarizer {
   std::size_t recycled_builders_ = 0;
 
   // Telemetry instruments (core/telemetry.h), resolved once at
-  // construction; hot-path updates are guarded by TelemetryOn().
+  // construction; hot-path updates are guarded by telemetry::Enabled().
   telemetry::Histogram* seal_ns_ = nullptr;
   telemetry::Histogram* bucket_items_ = nullptr;
   telemetry::Histogram* merge_fanin_ = nullptr;

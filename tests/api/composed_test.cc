@@ -4,7 +4,8 @@
 // with a std::invalid_argument naming the whole key, keeps MakeSummarizer
 // and IsRegisteredSummarizer in agreement under a seeded key mutator, and
 // checks that each record is counted once in sas.ingest.* whatever the
-// composition.
+// composition. Also pins the edges of the wrappers' one max_bytes budget
+// model (WrapperSummarizer::FitToBudget).
 
 #include "api/composed.h"
 
@@ -303,6 +304,51 @@ TEST(ComposedIngest, QuarantinedRecordsAreCountedOnce) {
     EXPECT_EQ(builder->Describe().rejected_weight, k) << key;
     EXPECT_EQ(builder->Describe().accepted, items.size() - k) << key;
   }
+}
+
+/// A bare merging wrapper under a max_bytes budget, to call the budget
+/// model directly.
+class BudgetProbe final : public WrapperSummarizer {
+ public:
+  explicit BudgetProbe(std::size_t max_bytes)
+      : WrapperSummarizer(*ParseComposedKey("sharded:2:obliv"),
+                          Config(max_bytes)) {}
+  void Add(const WeightedKey& /*item*/) override {}
+  std::unique_ptr<RangeSummary> Finalize() override { return nullptr; }
+  using WrapperSummarizer::FitToBudget;
+
+ private:
+  static SummarizerConfig Config(std::size_t max_bytes) {
+    SummarizerConfig cfg;
+    cfg.max_bytes = max_bytes;
+    return cfg;
+  }
+};
+
+TEST(WrapperBudget, ZeroMaxBytesIsUnbounded) {
+  BudgetProbe probe(0);
+  EXPECT_EQ(probe.FitToBudget(1e6, 64), 1e6);
+  EXPECT_EQ(probe.Describe().degradations, 0u);
+}
+
+TEST(WrapperBudget, ExactFitDoesNotHalve) {
+  BudgetProbe exact(4 * 100 * kBytesPerSampleEntry);
+  EXPECT_EQ(exact.FitToBudget(100.0, 4), 100.0);
+  EXPECT_EQ(exact.Describe().degradations, 0u);
+  // One byte less halves once.
+  BudgetProbe short_by_one(4 * 100 * kBytesPerSampleEntry - 1);
+  EXPECT_EQ(short_by_one.FitToBudget(100.0, 4), 50.0);
+  EXPECT_EQ(short_by_one.Describe().degradations, 1u);
+}
+
+TEST(WrapperBudget, HalvingStopsOnceSIsBelowTwo) {
+  // Nothing fits one byte: 12 -> 6 -> 3 -> 1.5, then stop.
+  BudgetProbe probe(1);
+  EXPECT_EQ(probe.FitToBudget(12.0, 3), 1.5);
+  EXPECT_EQ(probe.Describe().degradations, 3u);
+  BudgetProbe at_floor(1);
+  EXPECT_EQ(at_floor.FitToBudget(1.0, 3), 1.0);
+  EXPECT_EQ(at_floor.Describe().degradations, 0u);
 }
 
 }  // namespace

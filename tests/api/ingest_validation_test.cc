@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -188,19 +189,39 @@ TEST(IngestValidation, AddCoordsValidatesWeightsToo) {
   const Coord p[3] = {1, 2, 3};
 
   auto strict = MakeSummarizer("nd", cfg);
-  strict->AddCoords(p, 3, 1.0);
+  strict->AddCoords(0, p, 3, 1.0);
   EXPECT_THROW(
-      strict->AddCoords(p, 3, std::numeric_limits<double>::quiet_NaN()),
+      strict->AddCoords(1, p, 3, std::numeric_limits<double>::quiet_NaN()),
       std::invalid_argument);
   EXPECT_EQ(strict->Describe().accepted, 1u);
 
   cfg.ingest_policy = IngestPolicy::kQuarantine;
   auto lax = MakeSummarizer("nd", cfg);
-  lax->AddCoords(p, 3, 1.0);
-  lax->AddCoords(p, 3, -std::numeric_limits<double>::infinity());
+  lax->AddCoords(0, p, 3, 1.0);
+  lax->AddCoords(1, p, 3, -std::numeric_limits<double>::infinity());
   EXPECT_EQ(lax->Describe().accepted, 1u);
   EXPECT_EQ(lax->Describe().rejected_weight, 1u);
   EXPECT_NO_THROW(lax->Finalize());
+
+  // A quarantined point leaves the numbering of the others alone: with id =
+  // stream position, every key samples the same ids behind a rejected one.
+  for (const char* key : {"nd", "sharded:2:nd", "serve:nd"}) {
+    SCOPED_TRACE(key);
+    auto builder = MakeSummarizer(key, cfg);
+    for (KeyId i = 0; i < 5; ++i) {
+      const Coord q[3] = {10 * i, 20 * i, 30 * i};
+      builder->AddCoords(
+          i, q, 3, i == 1 ? std::numeric_limits<double>::quiet_NaN() : 1.0);
+    }
+    EXPECT_EQ(builder->Describe().rejected_weight, 1u);
+    const auto summary = builder->Finalize();
+    ASSERT_NE(summary->AsSample(), nullptr);
+    std::set<KeyId> ids;
+    for (const auto& e : summary->AsSample()->sample().entries()) {
+      ids.insert(e.id);
+    }
+    EXPECT_EQ(ids, (std::set<KeyId>{0, 2, 3, 4}));
+  }
 }
 
 TEST(IngestValidation, NonFiniteTimestampsHitTheCoordCounter) {

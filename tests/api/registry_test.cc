@@ -324,24 +324,24 @@ TEST(RegistryErrors, NdIngestContractViolationsThrow) {
   {
     auto builder = MakeSummarizer(keys::kNd, cfg);
     const Coord pt[4] = {1, 2, 3, 4};
-    EXPECT_THROW(builder->AddCoords(pt, 4, 1.0), std::invalid_argument);
+    EXPECT_THROW(builder->AddCoords(0, pt, 4, 1.0), std::invalid_argument);
   }
   // Add carries only two coordinates; dims > 2 must use AddCoords.
   {
     auto builder = MakeSummarizer(keys::kNd, cfg);
     EXPECT_THROW(builder->Add({0, 1.0, {5, 6}}), std::logic_error);
   }
-  // Mixing the keyed and coordinate ingest paths is rejected either way.
+  // Mixing Add and AddCoords is rejected either way.
   {
     SummarizerConfig cfg2d;
     cfg2d.structure = StructureSpec::Nd(2);
     auto builder = MakeSummarizer(keys::kNd, cfg2d);
     builder->Add({0, 1.0, {5, 6}});
     const Coord pt[2] = {1, 2};
-    EXPECT_THROW(builder->AddCoords(pt, 2, 1.0), std::logic_error);
+    EXPECT_THROW(builder->AddCoords(0, pt, 2, 1.0), std::logic_error);
 
     auto builder2 = MakeSummarizer(keys::kNd, cfg2d);
-    builder2->AddCoords(pt, 2, 1.0);
+    builder2->AddCoords(0, pt, 2, 1.0);
     EXPECT_THROW(builder2->Add({0, 1.0, {5, 6}}), std::logic_error);
   }
   // Non-nd methods have no coordinate ingest path at all.
@@ -349,7 +349,7 @@ TEST(RegistryErrors, NdIngestContractViolationsThrow) {
     SummarizerConfig plain;
     auto builder = MakeSummarizer(keys::kObliv, plain);
     const Coord pt[3] = {1, 2, 3};
-    EXPECT_THROW(builder->AddCoords(pt, 3, 1.0), std::logic_error);
+    EXPECT_THROW(builder->AddCoords(0, pt, 3, 1.0), std::logic_error);
   }
 }
 

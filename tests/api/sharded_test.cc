@@ -336,12 +336,11 @@ TEST(Sharded, NestedPartitionsAreIndependent) {
 }
 
 TEST(Sharded, AddCoordsRoutesKeyedPointsAcrossShards) {
-  // The wrapper numbers AddCoords points with a wrapper-global insertion
-  // counter and replays them into the shard builders through
-  // AddCoordsKeyed, so "sharded:<N>:nd" supports d > 2 ingest: ids are
-  // unique across shards and index the original stream, the total is
-  // preserved exactly, and a fixed (seed, shard count) reproduces the
-  // summary.
+  // The wrapper routes each AddCoords point on its caller id and replays
+  // it into the shard builder's AddCoords, so "sharded:<N>:nd" supports
+  // d > 2 ingest: ids (here the stream positions) come out as the caller
+  // gave them, the total is preserved exactly, and a fixed (seed, shard
+  // count) reproduces the summary.
   constexpr int kDims = 3;
   constexpr std::size_t kN = 20000;
   Rng gen(77);
@@ -362,7 +361,8 @@ TEST(Sharded, AddCoordsRoutesKeyedPointsAcrossShards) {
   auto build = [&] {
     auto builder = MakeSummarizer("sharded:2:nd", cfg);
     for (std::size_t i = 0; i < kN; ++i) {
-      builder->AddCoords(coords.data() + i * kDims, kDims, weights[i]);
+      builder->AddCoords(static_cast<KeyId>(i), coords.data() + i * kDims,
+                         kDims, weights[i]);
     }
     return builder->Finalize();
   };

@@ -149,14 +149,14 @@ TEST(Summarizer, AddCoordsOnlySupportedByNd) {
   cfg.s = 5.0;
   auto product = MakeSummarizer(keys::kProduct, cfg);
   const Coord pt[2] = {1, 2};
-  EXPECT_THROW(product->AddCoords(pt, 2, 1.0), std::logic_error);
+  EXPECT_THROW(product->AddCoords(0, pt, 2, 1.0), std::logic_error);
 
   cfg.structure = StructureSpec::Nd(3);
   auto nd = MakeSummarizer(keys::kNd, cfg);
   const Coord pt3[3] = {1, 2, 3};
   for (int i = 0; i < 30; ++i) {
     const Coord p[3] = {pt3[0] + i, pt3[1] + 2 * i, pt3[2] + 3 * i};
-    nd->AddCoords(p, 3, 1.0 + i);
+    nd->AddCoords(static_cast<KeyId>(i), p, 3, 1.0 + i);
   }
   const auto summary = nd->Finalize();
   EXPECT_EQ(summary->SizeInElements(), 5u);
@@ -169,18 +169,18 @@ TEST(Summarizer, NdRejectsMixingAddAndAddCoordsEitherOrder) {
   const Coord p[2] = {1, 2};
 
   auto coords_first = MakeSummarizer(keys::kNd, cfg);
-  coords_first->AddCoords(p, 2, 1.0);
+  coords_first->AddCoords(0, p, 2, 1.0);
   EXPECT_THROW(coords_first->Add({0, 1.0, {3, 4}}), std::logic_error);
 
   auto add_first = MakeSummarizer(keys::kNd, cfg);
   add_first->Add({0, 1.0, {3, 4}});
-  EXPECT_THROW(add_first->AddCoords(p, 2, 1.0), std::logic_error);
+  EXPECT_THROW(add_first->AddCoords(1, p, 2, 1.0), std::logic_error);
 }
 
 TEST(Summarizer, NdRecyclesAfterCoordinateIngest) {
   // Reset clears the ingest mode and the stored coordinates: a builder fed
-  // through AddCoords takes AddCoordsKeyed after Reset, and samples exactly
-  // like a fresh builder under the new seed.
+  // through AddCoords takes other ids and points after Reset, and samples
+  // exactly like a fresh builder under the new seed.
   SummarizerConfig cfg;
   cfg.s = 12.0;
   cfg.seed = 41;
@@ -196,8 +196,8 @@ TEST(Summarizer, NdRecyclesAfterCoordinateIngest) {
   auto feed_keyed = [&](Summarizer* b) {
     const std::size_t n = weights.size();
     for (std::size_t i = 0; i < n; ++i) {
-      b->AddCoordsKeyed(static_cast<KeyId>(1000 + i), &pts[(n - 1 - i) * 3],
-                        3, weights[i]);
+      b->AddCoords(static_cast<KeyId>(1000 + i), &pts[(n - 1 - i) * 3], 3,
+                   weights[i]);
     }
   };
   auto pin = [](const RangeSummary& summary) {
@@ -210,10 +210,8 @@ TEST(Summarizer, NdRecyclesAfterCoordinateIngest) {
 
   auto recycled = MakeSummarizer(keys::kNd, cfg);
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    recycled->AddCoords(&pts[i * 3], 3, weights[i]);
+    recycled->AddCoords(static_cast<KeyId>(i), &pts[i * 3], 3, weights[i]);
   }
-  EXPECT_THROW(recycled->AddCoordsKeyed(7, pts.data(), 3, 1.0),
-               std::logic_error);
   recycled->Finalize();
   ASSERT_TRUE(recycled->Reset(97));
   feed_keyed(recycled.get());

@@ -79,7 +79,8 @@ std::unique_ptr<RangeSummary> BuildSummary(const std::string& key,
     auto builder = MakeSummarizer(key, cfg);
     const std::size_t ud = static_cast<std::size_t>(k.dims);
     for (std::size_t i = 0; i < k.weights.size(); ++i) {
-      builder->AddCoords(k.coords.data() + i * ud, k.dims, k.weights[i]);
+      builder->AddCoords(static_cast<KeyId>(i), k.coords.data() + i * ud,
+                         k.dims, k.weights[i]);
     }
     return builder->Finalize();
   }

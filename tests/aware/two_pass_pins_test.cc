@@ -274,9 +274,9 @@ Pin RunProduct(const char* key, int dims, Feed feed, std::uint64_t seed) {
     if (feed == Feed::kAdd) {
       builder->Add(it);
     } else if (feed == Feed::kAddCoords) {
-      builder->AddCoords(point, dims, it.weight);
+      builder->AddCoords(static_cast<KeyId>(i), point, dims, it.weight);
     } else if (feed == Feed::kAddCoordsKeyed) {
-      builder->AddCoordsKeyed(KeyedId(it.id), point, dims, it.weight);
+      builder->AddCoords(KeyedId(it.id), point, dims, it.weight);
     }
   }
   if (feed == Feed::kAddBatch) builder->AddBatch(in.items);

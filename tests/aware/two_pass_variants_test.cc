@@ -106,7 +106,7 @@ TEST(TwoPassDisjoint, UnbiasedRangeSum) {
 }
 
 class TwoPassHierarchyTest
-    : public ::testing::TestWithParam<HierarchyTwoPassVariant> {};
+    : public ::testing::TestWithParam<HierarchyPartition> {};
 
 TEST_P(TwoPassHierarchyTest, ExactSampleSize) {
   Rng rng(4);
@@ -163,7 +163,7 @@ TEST_P(TwoPassHierarchyTest, NodeDiscrepancyBounded) {
   // Linearize: Delta < 2 w.h.p.; ancestors: Delta < 1 w.h.p. Count
   // violations over trials with a generous oversampling factor.
   const double bound =
-      GetParam() == HierarchyTwoPassVariant::kAncestors ? 1.0 : 2.0;
+      GetParam() == HierarchyPartition::kAncestors ? 1.0 : 2.0;
   Rng tree_rng(7);
   const std::size_t n = 400;
   const Hierarchy h = Hierarchy::Random(n, 4, &tree_rng);
@@ -199,10 +199,10 @@ TEST_P(TwoPassHierarchyTest, NodeDiscrepancyBounded) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, TwoPassHierarchyTest,
-    ::testing::Values(HierarchyTwoPassVariant::kLinearize,
-                      HierarchyTwoPassVariant::kAncestors),
-    [](const ::testing::TestParamInfo<HierarchyTwoPassVariant>& info) {
-      return info.param == HierarchyTwoPassVariant::kLinearize
+    ::testing::Values(HierarchyPartition::kLinearize,
+                      HierarchyPartition::kAncestors),
+    [](const ::testing::TestParamInfo<HierarchyPartition>& info) {
+      return info.param == HierarchyPartition::kLinearize
                  ? "linearize"
                  : "ancestors";
     });

@@ -109,7 +109,7 @@ TEST(Chaos, WorkerDeathUnderFullQueuesDoesNotDeadlock) {
   // A poisoned builder fails fast on every ingest surface.
   EXPECT_THROW(builder->Add(items[0]), std::runtime_error);
   const Coord p[2] = {1, 2};
-  EXPECT_THROW(builder->AddCoords(p, 2, 1.0), std::runtime_error);
+  EXPECT_THROW(builder->AddCoords(0, p, 2, 1.0), std::runtime_error);
   try {
     builder->Finalize();
     FAIL() << "expected ShardedIngestError";

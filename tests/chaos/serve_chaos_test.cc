@@ -51,7 +51,7 @@ Sample UnitSample(std::uint32_t n) {
 TEST(ServeChaos, FailedPublishLeavesOldSnapshotServing) {
   // The 2nd publish dies before the swap; the 1st snapshot keeps serving.
   QueryService svc(
-      QueryService::Options{Injector("serve.publish=fail@2"), true});
+      QueryService::Options{Injector("serve.publish=fail@2")});
   svc.Publish(UnitSample(5));
 
   QueryService::Reader reader(svc);
@@ -72,7 +72,7 @@ TEST(ServeChaos, FailedPublishLeavesOldSnapshotServing) {
 
 TEST(ServeChaos, FailedPublishWithHeldHandleKeepsItValid) {
   QueryService svc(
-      QueryService::Options{Injector("serve.publish=fail@2"), true});
+      QueryService::Options{Injector("serve.publish=fail@2")});
   svc.Publish(UnitSample(5));
 
   QueryService::Reader reader(svc);
@@ -88,7 +88,7 @@ TEST(ServeChaos, FailedPublishWithHeldHandleKeepsItValid) {
 TEST(ServeChaos, PublishLaneNarrowsTheFaultToOneOrdinal) {
   // Lane = 0-based publish ordinal: fail only the 3rd publish (lane 2).
   QueryService svc(
-      QueryService::Options{Injector("serve.publish#2=fail@1"), true});
+      QueryService::Options{Injector("serve.publish#2=fail@1")});
   svc.Publish(UnitSample(1));
   svc.Publish(UnitSample(2));
   EXPECT_THROW(svc.Publish(UnitSample(3)), FaultInjectionError);
@@ -101,7 +101,7 @@ TEST(ServeChaos, PublishLaneNarrowsTheFaultToOneOrdinal) {
 TEST(ServeChaos, SkippedReclamationDegradesAndRecovers) {
   // Every reclamation pass from the 1st on is skipped... at first.
   QueryService svc(
-      QueryService::Options{Injector("serve.reclaim=fail@1/1"), true});
+      QueryService::Options{Injector("serve.reclaim=fail@1/1")});
   svc.Publish(UnitSample(1));  // nothing retired yet: no pass, no skip
   EXPECT_EQ(svc.reclaim_skipped(), 0u);
 
@@ -125,7 +125,7 @@ TEST(ServeChaos, SkippedReclamationDegradesAndRecovers) {
   // drains the whole backlog (tags are monotone; with no reader pinned
   // everything is below min-active).
   QueryService bounded(
-      QueryService::Options{Injector("serve.reclaim=fail@1"), true});
+      QueryService::Options{Injector("serve.reclaim=fail@1")});
   bounded.Publish(UnitSample(1));
   bounded.Publish(UnitSample(2));  // first pass: skipped (the one firing)
   EXPECT_EQ(bounded.reclaim_skipped(), 1u);
@@ -142,8 +142,8 @@ TEST(ServeChaos, DelayedPublishWidensTheRaceWindowSafely) {
   // protocol must protect. Correctness assertions are the readers'
   // consistency checks; TSan (this suite runs under `-L chaos` in the
   // sanitizer matrix) turns any torn publication into a hard failure.
-  QueryService svc(QueryService::Options{
-      Injector("serve.publish=delay@1/1:200"), true});
+  QueryService svc(
+      QueryService::Options{Injector("serve.publish=delay@1/1:200")});
   svc.Publish(UnitSample(1));
 
   std::atomic<bool> stop{false};

@@ -1,13 +1,10 @@
 // Scalar-vs-AVX2 equivalence suite for the dispatched kernels in
 // core/simd.h, pinning the contracts the header documents:
 //
-//  * per-lane kernels (FillIppsProbabilities elements, U64ToUnitDoubles,
+//  * per-lane kernels (FillIppsProbabilities, U64ToUnitDoubles,
 //    Rng::FillDoubles, InBoxesMask) are bit-identical on every level;
 //  * ThresholdPass, a reduction in one fixed 4-lane association, is
 //    bit-identical on every level too;
-//  * the FillIppsProbabilities *sum*, a float reduction, agrees within a
-//    1e-12 relative tolerance, with the scalar result fixed as the
-//    golden-seed reference;
 //  * the dispatch override (SetLevel) honors DetectLevel as a ceiling.
 //
 // With SAS_SIMD=OFF — or on a host without AVX2 — DetectLevel() is kScalar
@@ -92,15 +89,11 @@ TEST(SimdFillIppsProbabilities, ScalarMatchesClassicLoop) {
     const std::vector<double> w = ParetoWeights(n, 100 + n);
     const double tau = 2.5;
     std::vector<double> probs(n, -1.0);
-    const double sum = simd::FillIppsProbabilities(w.data(), n, tau,
-                                                   probs.data());
-    double want_sum = 0.0;
+    simd::FillIppsProbabilities(w.data(), n, tau, probs.data());
     for (std::size_t i = 0; i < n; ++i) {
       const double want = std::min(1.0, w[i] / tau);
       ASSERT_EQ(probs[i], want) << "n=" << n << " i=" << i;
-      want_sum += want;
     }
-    ASSERT_EQ(sum, want_sum) << "n=" << n;
   }
 }
 
@@ -111,18 +104,13 @@ TEST(SimdFillIppsProbabilities, ElementsBitIdenticalAcrossLevels) {
     for (double tau : {0.3, 1.0, 17.25}) {
       ASSERT_TRUE(simd::SetLevel(simd::Level::kScalar));
       std::vector<double> scalar(n, -1.0);
-      const double scalar_sum =
-          simd::FillIppsProbabilities(w.data(), n, tau, scalar.data());
+      simd::FillIppsProbabilities(w.data(), n, tau, scalar.data());
 
       simd::SetLevel(simd::DetectLevel());
       std::vector<double> best(n, -1.0);
-      const double best_sum =
-          simd::FillIppsProbabilities(w.data(), n, tau, best.data());
+      simd::FillIppsProbabilities(w.data(), n, tau, best.data());
 
       ASSERT_EQ(scalar, best) << "n=" << n << " tau=" << tau;
-      ASSERT_NEAR(best_sum, scalar_sum,
-                  1e-12 * (1.0 + std::fabs(scalar_sum)))
-          << "n=" << n << " tau=" << tau;
     }
   }
 }

@@ -165,8 +165,8 @@ TEST(TelemetrySpan, DisarmedSpanObservesNothing) {
     Span span("test.disarmed", h);
     EXPECT_EQ(span.ElapsedNs(), 0u);
   }
-  // The per-builder opt-out (armed = false) disarms even when the global
-  // flag is on.
+  // A span constructed disarmed (armed = false) records nothing even when
+  // the global flag is on.
   {
     ScopedEnabled on(true);
     Span span("test.disarmed", h, /*armed=*/false);
@@ -277,28 +277,6 @@ TEST(TelemetryThreading, ConcurrentCounterSumsAreExact) {
             static_cast<std::uint64_t>(kThreads) * kIncrements);
 }
 
-TEST(TelemetryConfig, BuilderOptOutStopsIngestMirroring) {
-  ScopedEnabled on(true);
-  Counter* accepted = GetCounter("sas.ingest.accepted");
-  const std::vector<WeightedKey> items = {
-      {1, 2.0, {10, 20}}, {2, 3.0, {30, 40}}, {3, 4.0, {50, 60}}};
-
-  SummarizerConfig cfg;
-  cfg.s = 2.0;
-  cfg.seed = 1;
-  cfg.telemetry = false;
-  auto opted_out = MakeSummarizer("obliv", cfg);
-  const std::uint64_t before = accepted->value();
-  opted_out->AddBatch(items);
-  EXPECT_EQ(accepted->value(), before);  // stats_ only, no mirroring
-  EXPECT_EQ(opted_out->Describe().accepted, items.size());
-
-  cfg.telemetry = true;
-  auto mirrored = MakeSummarizer("obliv", cfg);
-  mirrored->AddBatch(items);
-  EXPECT_EQ(accepted->value() - before, items.size());
-}
-
 TEST(TelemetryConfig, GlobalDisableIsTheDefaultOffSwitch) {
   ScopedEnabled off(false);
   Counter* accepted = GetCounter("sas.ingest.accepted");
@@ -306,7 +284,7 @@ TEST(TelemetryConfig, GlobalDisableIsTheDefaultOffSwitch) {
   SummarizerConfig cfg;
   cfg.s = 2.0;
   cfg.seed = 1;
-  auto builder = MakeSummarizer("obliv", cfg);  // telemetry = true (default)
+  auto builder = MakeSummarizer("obliv", cfg);
   builder->AddBatch(
       std::vector<WeightedKey>{{1, 2.0, {10, 20}}, {2, 3.0, {30, 40}}});
   EXPECT_EQ(accepted->value(), before);

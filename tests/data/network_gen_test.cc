@@ -85,8 +85,6 @@ TEST(GenerateNetwork, HierarchiesPresent) {
   const auto ds = GenerateNetwork(SmallConfig());
   ASSERT_NE(ds.hx, nullptr);
   ASSERT_NE(ds.hy, nullptr);
-  EXPECT_EQ(ds.domain.x.hierarchy, ds.hx.get());
-  EXPECT_EQ(ds.domain.x.kind, AxisKind::kHierarchy);
   // Hierarchy covers the distinct x-coordinates.
   std::set<Coord> xs;
   for (const auto& it : ds.items) xs.insert(it.pt.x);

@@ -392,7 +392,7 @@ TEST(Servable, FinalizedBuilderIsSpentUntilReset) {
     const Coord p[2] = {1, 2};
     EXPECT_THROW(builder->Add(items[0]), std::logic_error) << key;
     EXPECT_THROW(builder->AddBatch(items), std::logic_error) << key;
-    EXPECT_THROW(builder->AddCoords(p, 2, 1.0), std::logic_error) << key;
+    EXPECT_THROW(builder->AddCoords(0, p, 2, 1.0), std::logic_error) << key;
     EXPECT_THROW(builder->Finalize(), std::logic_error) << key;
     EXPECT_EQ(service->publishes(), publishes) << key;
 

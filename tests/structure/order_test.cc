@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 namespace sas {
@@ -26,26 +25,6 @@ TEST(SortedOrder, StableOnTies) {
 }
 
 TEST(SortedOrder, Empty) { EXPECT_TRUE(SortedOrder({}).empty()); }
-
-TEST(ApplyOrder, Permutes) {
-  const std::vector<int> values{10, 20, 30};
-  const std::vector<std::size_t> order{2, 0, 1};
-  const auto out = ApplyOrder(order, values);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], 30);
-  EXPECT_EQ(out[1], 10);
-  EXPECT_EQ(out[2], 20);
-}
-
-TEST(AllIntervals, CountAndContent) {
-  const auto ivs = AllIntervals(3);
-  EXPECT_EQ(ivs.size(), 6u);  // 3*4/2
-  // Must include [0,3) and all singletons.
-  EXPECT_NE(std::find(ivs.begin(), ivs.end(), std::make_pair<std::size_t, std::size_t>(0, 3)), ivs.end());
-  EXPECT_NE(std::find(ivs.begin(), ivs.end(), std::make_pair<std::size_t, std::size_t>(1, 2)), ivs.end());
-}
-
-TEST(AllIntervals, EmptyDomain) { EXPECT_TRUE(AllIntervals(0).empty()); }
 
 }  // namespace
 }  // namespace sas

@@ -577,7 +577,7 @@ TEST(Windowed, AddCoordsUnsupported) {
   cfg.structure = StructureSpec::Nd(2);
   auto builder = MakeSummarizer("windowed:8:4:nd", cfg);
   const Coord coords[2] = {1, 2};
-  EXPECT_THROW(builder->AddCoords(coords, 2, 1.0), std::logic_error);
+  EXPECT_THROW(builder->AddCoords(0, coords, 2, 1.0), std::logic_error);
   builder->Add({0, 1.0, {1, 2}});  // the Add path works
   EXPECT_EQ(builder->Finalize()->SizeInElements(), 1u);
 }
