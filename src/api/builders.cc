@@ -1,5 +1,5 @@
 // Built-in Summarizer implementations: adapters that put every method in
-// the library — the in-memory structure-aware samplers, the streaming
+// the library — the in-memory structure-aware samplers, the Section 5
 // two-pass constructions, and the Section 6 baselines — behind the uniform
 // Add/AddBatch/Finalize surface of api/summarizer.h. The registry
 // (api/registry.cc) pulls its built-in factory table from here.
@@ -87,8 +87,8 @@ std::unique_ptr<SampleSummary> TakeSampleSummary(
 
 // ---------------------------------------------------------------------------
 // Structure-aware samplers over a buffered stream: in memory (Sections 3
-// and 4) through a private scratch, or, for the `*-2p` keys, the Section 5
-// two-pass construction replaying the buffer.
+// and 4) through a private scratch, or, for the `*-2p` keys and `aware`,
+// the Section 5 two-pass construction replaying the buffer.
 
 class StructureBuilder : public BufferingSummarizer {
  public:
@@ -163,16 +163,18 @@ class DisjointBuilder : public StructureBuilder {
   }
 };
 
-/// `product` and `nd`: one buffered product-space builder (Section 4).
+/// `product`, `nd` and `aware`: one buffered product-space builder, in
+/// memory (Section 4) or, for `aware`, the two-pass construction (2-D).
 /// Every ingest path stores a WeightedKey. A coordinate point becomes an
 /// item under the caller's id whose pt is its first two axes; at dims > 2
 /// its full coordinates also go to coords_. `product` is this builder at
 /// dims = 2 with no coordinate path, which NdBuilder adds.
-class ProductBuilder : public BufferingSummarizer {
+class ProductBuilder : public StructureBuilder {
  public:
   explicit ProductBuilder(SummarizerConfig cfg,
-                          const char* key = keys::kProduct, int dims = 2)
-      : BufferingSummarizer(std::move(cfg)), key_(key), dims_(dims) {}
+                          const char* key = keys::kProduct, int dims = 2,
+                          bool two_pass = false)
+      : StructureBuilder(std::move(cfg), two_pass), key_(key), dims_(dims) {}
 
   void Add(const WeightedKey& item) override {
     Enter(/*coords=*/false);
@@ -195,6 +197,10 @@ class ProductBuilder : public BufferingSummarizer {
 
   std::unique_ptr<RangeSummary> Finalize() override {
     Rng rng(cfg_.seed);
+    if (two_pass_) {
+      return std::make_unique<SampleSummary>(
+          key_, TwoPassProductSample(items_, cfg_.s, two_pass_config(), &rng));
+    }
     ProductSummarizeInto(items_, dims_, coords_, cfg_.s, &rng, &scratch_,
                          &out_);
     return TakeSampleSummary(key_, items_, &out_);
@@ -232,8 +238,6 @@ class ProductBuilder : public BufferingSummarizer {
   const int dims_;
   bool coords_mode_ = false;   // the admitted points came through AddCoords
   std::vector<Coord> coords_;  // dims > 2 only: point i at [i*dims_, +dims_)
-  SummarizeScratch scratch_;
-  SummarizeOutput out_;
 };
 
 /// d-dimensional product sampler: `product` at structure.dims axes, plus
@@ -246,48 +250,6 @@ class NdBuilder final : public ProductBuilder {
                  Weight w) override {
     AddPoint(id, coords, dims, w);
   }
-};
-
-// ---------------------------------------------------------------------------
-// The streaming product two-pass builder (Section 5) drives the
-// TwoPassProductSampler pass structure directly: pass 1 runs during Add,
-// pass 2 replays the (buffered) stream at Finalize.
-
-class TwoPassProductBuilder : public Summarizer {
- public:
-  explicit TwoPassProductBuilder(SummarizerConfig cfg)
-      : Summarizer(std::move(cfg)),
-        sampler_(cfg_.s, TwoPassConfig{cfg_.sprime_factor},
-                 Rng(cfg_.seed).Split()) {}
-
-  void Add(const WeightedKey& item) override {
-    if (!AdmitWeight(item.weight)) return;
-    sampler_.Pass1(item);
-    buffer_.push_back(item);
-  }
-
-  void AddBatch(std::span<const WeightedKey> items) override {
-    if (AllFinite(items)) {
-      CountAccepted(items.size());
-      for (const WeightedKey& it : items) sampler_.Pass1(it);
-      buffer_.insert(buffer_.end(), items.begin(), items.end());
-      return;
-    }
-    for (const WeightedKey& it : items) Add(it);
-  }
-
-  bool Mergeable() const override { return true; }
-
-  std::unique_ptr<RangeSummary> Finalize() override {
-    sampler_.BeginPass2();
-    for (const WeightedKey& it : buffer_) sampler_.Pass2(it);
-    return std::make_unique<SampleSummary>(keys::kAware,
-                                           sampler_.Finalize());
-  }
-
- private:
-  TwoPassProductSampler sampler_;
-  std::vector<WeightedKey> buffer_;
 };
 
 // ---------------------------------------------------------------------------
@@ -478,7 +440,11 @@ std::vector<std::pair<std::string, SummarizerFactory>> BuiltinSummarizers() {
          return std::unique_ptr<Summarizer>(
              new NdBuilder(cfg, keys::kNd, cfg.structure.dims));
        }},
-      {keys::kAware, Plain<TwoPassProductBuilder>()},
+      {keys::kAware,
+       [](const SummarizerConfig& cfg) {
+         return std::unique_ptr<Summarizer>(
+             new ProductBuilder(cfg, keys::kAware, 2, /*two_pass=*/true));
+       }},
       {keys::kOrderTwoPass,
        Structured<OrderBuilder>(keys::kOrderTwoPass, true)},
       {keys::kHierarchyTwoPass,

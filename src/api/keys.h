@@ -30,10 +30,10 @@ inline constexpr const char kProduct[] = "product";
 /// Add (d <= 2), each under the caller's id. Mergeable.
 inline constexpr const char kNd[] = "nd";
 
-// Streaming two-pass constructions (Section 5). "aware" is the two-pass
-// product sampler — the configuration the paper's evaluation calls Aware.
+// Two-pass constructions (Section 5). "aware" is the two-pass product
+// sampler — the configuration the paper's evaluation calls Aware.
 
-/// Two-pass streaming product sampler (the paper's Aware). Mergeable.
+/// Two-pass product sampler (the paper's Aware). Mergeable.
 inline constexpr const char kAware[] = "aware";
 /// Two-pass order construction. Mergeable.
 inline constexpr const char kOrderTwoPass[] = "order-2p";

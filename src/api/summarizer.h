@@ -1,6 +1,6 @@
 // Summarizer: the uniform builder behind the public API. Every summary in
 // the library — the in-memory structure-aware samplers (src/aware/), the
-// streaming two-pass constructions, and the baseline summaries — is built
+// Section 5 two-pass constructions, and the baseline summaries — is built
 // by feeding weighted keys into a Summarizer obtained from the registry
 // (api/registry.h) and calling Finalize():
 //

@@ -25,11 +25,9 @@ SummaryInfo RangeSummary::Describe() const {
 }
 
 Weight SampleSummary::EstimateQuery(const MultiRangeQuery& q) const {
-  // A finalized summary no longer carries its builder's config, so the
-  // query-path guard is the process arming alone (one relaxed load).
   static telemetry::Histogram* const estimate_ns =
       telemetry::GetHistogram("sas.query.estimate_ns");
-  telemetry::Span span("query.estimate", estimate_ns, telemetry::Enabled());
+  telemetry::Span span("query.estimate", estimate_ns);
   return sample_.EstimateQuery(q);
 }
 

@@ -93,9 +93,6 @@ class TwoPassEngine {
     return Sample(tau_, std::move(sample_));
   }
 
-  double tau() const { return tau_; }
-  std::size_t num_cells() const { return slot_p_.size(); }
-
  private:
   struct Pass1State {
     StreamTau tau;
@@ -220,65 +217,39 @@ struct AncestorPartition : NodeCells {
 };
 
 /// Both passes over an in-memory stream, with the partition
-/// `make_partition(open guide keys)`. The guide draws from rng->Split(),
-/// pass 2 and the settle from a second split.
+/// `make_partition(open guide keys)`: the one Section 5 driver. The guide
+/// draws from `guide_rng`, pass 2 and the settle from `rng`.
 template <class MakePartition>
 Sample RunTwoPass(const std::vector<WeightedKey>& items, double s,
-                  const TwoPassConfig& cfg, Rng* rng,
+                  const TwoPassConfig& cfg, Rng guide_rng, Rng rng,
                   const MakePartition& make_partition) {
-  Rng guide_rng = rng->Split();
-  TwoPassEngine engine(s, cfg, guide_rng, rng->Split());
+  TwoPassEngine engine(s, cfg, guide_rng, rng);
   for (const auto& it : items) engine.Pass1(it);
   const auto partition = engine.EndPass1(make_partition);
   for (const auto& it : items) engine.Pass2(it, partition);
   return engine.Finalize(partition);
 }
 
+/// RunTwoPass with the guide drawing from rng->Split() and pass 2 from a
+/// second split.
+template <class MakePartition>
+Sample RunTwoPass(const std::vector<WeightedKey>& items, double s,
+                  const TwoPassConfig& cfg, Rng* rng,
+                  const MakePartition& make_partition) {
+  Rng guide_rng = rng->Split();
+  Rng pass2_rng = rng->Split();
+  return RunTwoPass(items, s, cfg, guide_rng, pass2_rng, make_partition);
+}
+
 }  // namespace
-
-struct TwoPassProductSampler::State {
-  TwoPassEngine engine;
-  std::optional<KdPartition> partition;
-};
-
-TwoPassProductSampler::TwoPassProductSampler(double s, TwoPassConfig cfg,
-                                             Rng rng) {
-  Rng guide_rng = rng.Split();
-  state_.reset(new State{TwoPassEngine(s, cfg, guide_rng, rng), {}});
-}
-
-TwoPassProductSampler::~TwoPassProductSampler() = default;
-
-void TwoPassProductSampler::Pass1(const WeightedKey& item) {
-  state_->engine.Pass1(item);
-}
-
-void TwoPassProductSampler::BeginPass2() {
-  state_->partition.emplace(state_->engine.EndPass1(
-      [](const auto& guide) { return KdPartition(guide); }));
-}
-
-void TwoPassProductSampler::Pass2(const WeightedKey& item) {
-  state_->engine.Pass2(item, *state_->partition);
-}
-
-Sample TwoPassProductSampler::Finalize() {
-  return state_->engine.Finalize(*state_->partition);
-}
-
-double TwoPassProductSampler::tau() const { return state_->engine.tau(); }
-
-std::size_t TwoPassProductSampler::num_cells() const {
-  return state_->engine.num_cells();
-}
 
 Sample TwoPassProductSample(const std::vector<WeightedKey>& items, double s,
                             const TwoPassConfig& cfg, Rng* rng) {
-  TwoPassProductSampler sampler(s, cfg, rng->Split());
-  for (const auto& it : items) sampler.Pass1(it);
-  sampler.BeginPass2();
-  for (const auto& it : items) sampler.Pass2(it);
-  return sampler.Finalize();
+  Rng r = rng->Split();
+  Rng guide = r.Split();
+  return RunTwoPass(items, s, cfg, guide, r, [](const auto& open) {
+    return KdPartition(open);
+  });
 }
 
 Sample TwoPassOrderSample(const std::vector<WeightedKey>& items, double s,

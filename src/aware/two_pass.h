@@ -11,11 +11,13 @@
 //           pair-aggregate each arriving key with its cell's active key.
 //   Final:  aggregate the remaining active keys following the structure.
 //
-// One engine in two_pass.cc runs the passes, the IO-AGGREGATE step and the
-// final aggregation (the shared settle loop of core/settle.h) for every
-// sampler below; each structure contributes only its partition: kd leaves
-// over S' (product), the intervals between sorted S' keys (order), range
-// cells (disjoint ranges), and lowest selected ancestors (hierarchies; the
+// Every sampler below reads the caller's in-memory stream twice through one
+// driver in two_pass.cc (RunTwoPass), which runs the passes, the
+// IO-AGGREGATE step and the final aggregation (the shared settle loop of
+// core/settle.h); beside the caller's vector the passes hold O(s') state.
+// Each structure contributes only its partition: kd leaves over S'
+// (product), the intervals between sorted S' keys (order), range cells
+// (disjoint ranges), and lowest selected ancestors (hierarchies; the
 // linearized variant runs the order sampler over DFS ranks, Delta < 2).
 // Partitions read the structure by stream position: key k is the k-th item
 // of the stream, whatever its id.
@@ -23,8 +25,6 @@
 #ifndef SAS_AWARE_TWO_PASS_H_
 #define SAS_AWARE_TWO_PASS_H_
 
-#include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "core/random.h"
@@ -39,41 +39,8 @@ struct TwoPassConfig {
   double sprime_factor = 5.0;
 };
 
-/// Streaming two-pass summarizer for 2-D product structures. Call Pass1
-/// over every item, then BeginPass2, then Pass2 over every item (any
-/// order), then Finalize. The convenience function below wraps this for
-/// in-memory vectors, iterating them like a stream.
-class TwoPassProductSampler {
- public:
-  TwoPassProductSampler(double s, TwoPassConfig cfg, Rng rng);
-  ~TwoPassProductSampler();  // out-of-line: State is incomplete here
-
-  void Pass1(const WeightedKey& item);
-
-  /// Builds the partition from the pass-1 state. Memory O(s').
-  void BeginPass2();
-
-  void Pass2(const WeightedKey& item);
-
-  /// Aggregates the remaining active keys along the kd-tree and returns the
-  /// final sample of size (essentially) s.
-  Sample Finalize();
-
-  /// The pass-1 threshold (0 before BeginPass2).
-  double tau() const;
-
-  /// Number of partition cells (kd leaves over the guide sample; 0 before
-  /// BeginPass2).
-  std::size_t num_cells() const;
-
- private:
-  // The two-pass engine and the kd partition (defined in two_pass.cc).
-  struct State;
-  std::unique_ptr<State> state_;
-};
-
-/// Convenience wrapper: runs both passes over `items` and returns the
-/// sample together with the IPPS probabilities (for discrepancy checks).
+/// Two-pass summarizer for 2-D product structures: the partition is the
+/// leaves of a kd-tree over the guide sample, settled bottom-up along it.
 Sample TwoPassProductSample(const std::vector<WeightedKey>& items, double s,
                             const TwoPassConfig& cfg, Rng* rng);
 

@@ -69,13 +69,6 @@ void Histogram::SnapshotTo(HistogramSnap* out) const {
   }
 }
 
-void Histogram::Reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
 double HistogramSnap::Quantile(double q) const {
   if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -332,14 +325,6 @@ Histogram* Registry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(im->mu);
   return GetInstrument<Histogram>(im->histograms, im->counters, im->gauges,
                                   name, "histogram");
-}
-
-void Registry::ResetValues() {
-  Impl* im = impl();
-  std::lock_guard<std::mutex> lock(im->mu);
-  for (auto& [name, c] : im->counters) c->Reset();
-  for (auto& [name, g] : im->gauges) g->Reset();
-  for (auto& [name, h] : im->histograms) h->Reset();
 }
 
 Registry& Registry::Global() {

@@ -69,7 +69,7 @@ inline bool Enabled() {
 }
 
 /// Arms or disarms telemetry process-wide. Instruments keep their values
-/// across disable/enable (Reset() on the registry clears them).
+/// across disable/enable.
 void SetEnabled(bool on);
 
 /// Monotonically increasing event count. Inc/Add are relaxed atomic adds:
@@ -84,8 +84,6 @@ class alignas(64) Counter {
   }
 
  private:
-  friend class Registry;
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
   std::atomic<std::uint64_t> value_{0};
 };
 
@@ -101,8 +99,6 @@ class alignas(64) Gauge {
   }
 
  private:
-  friend class Registry;
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
   std::atomic<std::int64_t> value_{0};
 };
 
@@ -136,8 +132,6 @@ class alignas(64) Histogram {
   static std::uint64_t BucketFloor(int b);
 
  private:
-  friend class Registry;
-  void Reset();
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
@@ -196,10 +190,6 @@ class Registry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
-  /// Zeroes every registered instrument (tests; instruments stay
-  /// registered and pointers stay valid).
-  void ResetValues();
-
   /// Copies every registered instrument into a snapshot (sorted by name).
   /// CaptureSnapshot() below layers the fault-site re-export on top.
   TelemetrySnapshot Capture();
@@ -228,17 +218,15 @@ Histogram* GetHistogram(const std::string& name);
 std::uint64_t NowNs();
 
 /// RAII latency timer: stamps a start time at construction when telemetry
-/// is armed (and `armed` is true — pass a builder's config toggle there),
-/// and on destruction feeds the elapsed nanoseconds into `hist` (when non
-/// null) and appends a trace event to the calling thread's ring. `name`
-/// must point at storage that outlives the export (string literals).
-/// Disarmed cost: the Enabled() load and a branch.
+/// is armed, and on destruction feeds the elapsed nanoseconds into `hist`
+/// (when non null) and appends a trace event to the calling thread's ring.
+/// `name` must point at storage that outlives the export (string
+/// literals). Disarmed cost: the Enabled() load and a branch.
 class Span {
  public:
-  explicit Span(const char* name, Histogram* hist = nullptr,
-                bool armed = true)
+  explicit Span(const char* name, Histogram* hist = nullptr)
       : name_(name), hist_(hist) {
-    if (armed && Enabled()) {
+    if (Enabled()) {
       start_ns_ = NowNs();
       live_ = true;
     }

@@ -44,12 +44,12 @@ void SnapshotHandle::Release() {
 
 QueryService::Reader::Reader(QueryService& svc) : svc_(svc) {
   slot_ = svc_.epochs_.RegisterReader();
-  if (telemetry::Enabled()) svc_.active_readers_->Add(1);
+  svc_.active_readers_->Add(1);
 }
 
 QueryService::Reader::~Reader() {
   svc_.epochs_.UnregisterReader(slot_);
-  if (telemetry::Enabled()) svc_.active_readers_->Sub(1);
+  svc_.active_readers_->Sub(1);
 }
 
 SnapshotHandle QueryService::Reader::TryAcquire() {

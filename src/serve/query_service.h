@@ -45,7 +45,8 @@
 // Telemetry (when armed): sas.serve.publishes / reclaimed /
 // reclaim_skipped counters, sas.serve.epoch + sas.serve.active_readers
 // gauges, sas.serve.publish_ns + sas.serve.query_ns histograms (the query
-// histogram is exposed for reader-side spans).
+// histogram is exposed for reader-side spans). active_readers counts live
+// Readers armed or not, so an arming toggle cannot skew it.
 
 #ifndef SAS_SERVE_QUERY_SERVICE_H_
 #define SAS_SERVE_QUERY_SERVICE_H_

@@ -11,10 +11,6 @@ namespace sas {
 
 namespace {
 
-/// Spent inner builders kept around for Reset recycling. One builder is
-/// live at a time (seal or query rebuild), so a small cap suffices.
-constexpr std::size_t kMaxFreeBuilders = 2;
-
 // Distinct salts keep the bucket-seed and merge-seed streams independent of
 // each other and of the sharded wrapper's partition salt; the stack merges
 // (back-stack pushes, flip folds) draw from their own sub-streams of the
@@ -38,7 +34,7 @@ WindowedSummarizer::WindowedSummarizer(const ComposedKey& key,
   bucket_seed_base_ = Mix64(cfg.seed ^ kBucketSeedTag);
   merge_seed_base_ = Mix64(cfg.seed ^ kMergeSeedTag);
   effective_s_ = cfg.s;
-  free_builder_s_ = cfg.s;
+  spare_s_ = cfg.s;
   // Cold registry lookups; the hot paths only touch the cached pointers.
   seal_ns_ = telemetry::GetHistogram("sas.window.seal_ns");
   bucket_items_ = telemetry::GetHistogram("sas.window.bucket_items");
@@ -54,7 +50,7 @@ WindowedSummarizer::WindowedSummarizer(const ComposedKey& key,
   // first bucket seal.
   auto probe = AcquireInner(/*epoch=*/0);
   // Probe the Reset capability too (a no-op on the fresh builder): a
-  // recyclable probe seeds the free list, a non-recyclable one — e.g. a
+  // recyclable probe becomes the spare, a non-recyclable one — e.g. a
   // sharded inner with its worker pool — is destroyed right away rather
   // than cached until the first bucket seal.
   inner_recyclable_ =
@@ -85,16 +81,14 @@ std::unique_ptr<Summarizer> WindowedSummarizer::AcquireInner(
     std::int64_t epoch) {
   const std::uint64_t seed =
       ForkSeed(bucket_seed_base_, static_cast<std::uint64_t>(epoch));
-  if (free_builder_s_ != effective_s_) {
-    // A budget degradation changed the bucket sample size; cached builders
-    // are pinned to the old s (Reset reseeds but cannot resize), so the
-    // free list is rebuilt at the new size.
-    free_builders_.clear();
-    free_builder_s_ = effective_s_;
+  if (spare_s_ != effective_s_) {
+    // A budget degradation changed the bucket sample size; the spare is
+    // pinned to the old s (Reset reseeds but cannot resize), so it goes.
+    spare_.reset();
+    spare_s_ = effective_s_;
   }
-  if (!free_builders_.empty()) {
-    auto builder = std::move(free_builders_.back());
-    free_builders_.pop_back();
+  if (spare_ != nullptr) {
+    auto builder = std::move(spare_);
     if (builder->Reset(seed)) {
       ++recycled_builders_;
       return builder;
@@ -103,7 +97,6 @@ std::unique_ptr<Summarizer> WindowedSummarizer::AcquireInner(
     // method whose Reset support is state-dependent just falls through to
     // a fresh construction.
     inner_recyclable_ = false;
-    free_builders_.clear();
   }
   // The wrapper already budgets the whole ring; the inner build must not
   // degrade again on its own.
@@ -111,9 +104,7 @@ std::unique_ptr<Summarizer> WindowedSummarizer::AcquireInner(
 }
 
 void WindowedSummarizer::ReleaseInner(std::unique_ptr<Summarizer> spent) {
-  if (inner_recyclable_ && free_builders_.size() < kMaxFreeBuilders) {
-    free_builders_.push_back(std::move(spent));
-  }
+  if (inner_recyclable_) spare_ = std::move(spent);
 }
 
 void WindowedSummarizer::MaybeDegrade() {
@@ -139,9 +130,8 @@ Sample WindowedSummarizer::MergeParts(std::span<const Sample* const> parts,
                                       std::uint64_t seed) {
   try {
     FaultPoint(cfg_.faults.get(), fault_sites::kWindowQueryMerge, epoch);
-    const bool telemetry_on = telemetry::Enabled();
-    if (telemetry_on) merge_fanin_->Observe(parts.size());
-    telemetry::Span merge_span("window.merge", merge_ns_, telemetry_on);
+    if (telemetry::Enabled()) merge_fanin_->Observe(parts.size());
+    telemetry::Span merge_span("window.merge", merge_ns_);
     Rng merge_rng(seed);
     // The target is effective_s_, which tracks cfg.s until the max_bytes
     // budget steps it down; parts built at an older, larger s are
@@ -171,9 +161,8 @@ void WindowedSummarizer::SealCurrentBucket(std::int64_t next_epoch) {
     FaultPoint(cfg_.faults.get(), fault_sites::kWindowBucketSeal,
                cur_epoch_);
     MaybeDegrade();
-    const bool telemetry_on = telemetry::Enabled();
-    if (telemetry_on) bucket_items_->Observe(cur_items_.size());
-    telemetry::Span seal_span("window.seal", seal_ns_, telemetry_on);
+    if (telemetry::Enabled()) bucket_items_->Observe(cur_items_.size());
+    telemetry::Span seal_span("window.seal", seal_ns_);
     sealed = BuildBucketSample(cur_epoch_, cur_items_);
     // sas-lint: allow(catch-all): a failed seal leaves the bucket
     // half-built; mark the builder poisoned before the error propagates so
@@ -328,8 +317,8 @@ const Sample& WindowedSummarizer::MergedWindow() {
   if (!cur_items_.empty()) {
     try {
       partial = BuildBucketSample(cur_epoch_, cur_items_);
-      // sas-lint: allow(catch-all): a failed build can leave the builder
-      // free list mid-update; poison before the error propagates, as for a
+      // sas-lint: allow(catch-all): a failed build can leave the spare
+      // builder mid-update; poison before the error propagates, as for a
       // failed merge.
     } catch (...) {
       Poison();
@@ -388,9 +377,9 @@ bool WindowedSummarizer::Reset(std::uint64_t seed) {
   effective_s_ = cfg_.s;
   bucket_seed_base_ = Mix64(seed ^ kBucketSeedTag);
   merge_seed_base_ = Mix64(seed ^ kMergeSeedTag);
-  // Free-list builders survive the reset: AcquireInner reseeds them per
-  // bucket anyway, and a stale effective_s_ is caught by the
-  // free_builder_s_ check there.
+  // The spare builder survives the reset: AcquireInner reseeds it per
+  // bucket anyway, and a stale effective_s_ is caught by the spare_s_
+  // check there.
   return true;
 }
 

@@ -236,17 +236,17 @@ class WindowedSummarizer final : public WrapperSummarizer {
   std::vector<Part> back_;
   Sample back_merged_;
 
-  // Inner-builder free list (spent builders awaiting Reset) and merge
-  // scratch, reused across bucket builds and merges. The free list is
-  // only kept while the inner method supports the Reset capability
-  // (probed at construction) — spent non-recyclable builders are destroyed
-  // immediately instead of cached.
+  // The spare inner builder (the last spent one, awaiting Reset) and merge
+  // scratch, reused across bucket builds and merges. One builder is live
+  // at a time, so one spare suffices. It is only kept while the inner
+  // method supports the Reset capability (probed at construction) — spent
+  // non-recyclable builders are destroyed immediately instead of cached.
   bool inner_recyclable_ = false;
-  std::vector<std::unique_ptr<Summarizer>> free_builders_;
-  /// The s the free-list builders were constructed with: a budget
-  /// degradation changes effective_s_, and builders cannot resize through
-  /// Reset, so a mismatch invalidates the whole free list.
-  double free_builder_s_ = 0.0;
+  std::unique_ptr<Summarizer> spare_;
+  /// The s the spare was constructed with: a budget degradation changes
+  /// effective_s_, and builders cannot resize through Reset, so a mismatch
+  /// drops the spare.
+  double spare_s_ = 0.0;
   MergeScratch merge_scratch_;
 
   std::function<void(const Sample&)> publish_hook_;

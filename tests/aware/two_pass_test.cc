@@ -131,18 +131,6 @@ TEST(TwoPassProduct, BoxDiscrepancyBeatsOblivious) {
       << "aware rms=" << aware << " obliv rms=" << obliv;
 }
 
-TEST(TwoPassProduct, StreamingInterfaceMatchesWrapper) {
-  Rng rng(6);
-  const auto items = RandomItems(200, 1 << 12, &rng);
-  TwoPassProductSampler sampler(15.0, TwoPassConfig{}, rng.Split());
-  for (const auto& it : items) sampler.Pass1(it);
-  sampler.BeginPass2();
-  EXPECT_GT(sampler.num_cells(), 0u);
-  for (const auto& it : items) sampler.Pass2(it);
-  const Sample sample = sampler.Finalize();
-  EXPECT_EQ(sample.size(), 15u);
-}
-
 TEST(TwoPassOrder, ExactSampleSize) {
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {

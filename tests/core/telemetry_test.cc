@@ -23,6 +23,7 @@
 #include "core/fault.h"
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
+#include "serve/query_service.h"
 #include "window/windowed.h"
 
 namespace sas {
@@ -165,13 +166,6 @@ TEST(TelemetrySpan, DisarmedSpanObservesNothing) {
     Span span("test.disarmed", h);
     EXPECT_EQ(span.ElapsedNs(), 0u);
   }
-  // A span constructed disarmed (armed = false) records nothing even when
-  // the global flag is on.
-  {
-    ScopedEnabled on(true);
-    Span span("test.disarmed", h, /*armed=*/false);
-    EXPECT_EQ(span.ElapsedNs(), 0u);
-  }
   EXPECT_EQ(h->count(), before);
 }
 
@@ -288,6 +282,26 @@ TEST(TelemetryConfig, GlobalDisableIsTheDefaultOffSwitch) {
   builder->AddBatch(
       std::vector<WeightedKey>{{1, 2.0, {10, 20}}, {2, 3.0, {30, 40}}});
   EXPECT_EQ(accepted->value(), before);
+}
+
+TEST(TelemetryConfig, ReaderGaugeSurvivesAnArmingToggle) {
+  // sas.serve.active_readers counts live readers whatever the arming: a
+  // reader built disarmed and destroyed armed leaves the level unchanged.
+  ScopedEnabled off(false);
+  Gauge* readers = GetGauge("sas.serve.active_readers");
+  const std::int64_t before = readers->value();
+  QueryService svc;
+  {
+    QueryService::Reader reader(svc);
+    SetEnabled(true);
+  }
+  EXPECT_EQ(readers->value(), before);
+  SetEnabled(false);
+  {
+    QueryService::Reader reader(svc);
+    EXPECT_EQ(readers->value(), before + 1);
+  }
+  EXPECT_EQ(readers->value(), before);
 }
 
 TEST(TelemetrySpan, ProductBuildPhasesObserveOncePerFinalize) {

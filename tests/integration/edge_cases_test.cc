@@ -177,24 +177,6 @@ TEST(EdgeCases, SystematicWithHeavyKeys) {
   }
 }
 
-TEST(EdgeCases, TwoPassPass2OrderIrrelevantForSize) {
-  // The second pass may see items in any order; sample size stays exact.
-  Rng rng(11);
-  std::vector<WeightedKey> items;
-  for (KeyId i = 0; i < 200; ++i) {
-    items.push_back(
-        {i, rng.NextPareto(1.3), {rng.NextBounded(1000), rng.NextBounded(1000)}});
-  }
-  TwoPassProductSampler sampler(15.0, TwoPassConfig{}, rng.Split());
-  for (const auto& it : items) sampler.Pass1(it);
-  sampler.BeginPass2();
-  // Reverse order in pass 2.
-  for (auto it = items.rbegin(); it != items.rend(); ++it) {
-    sampler.Pass2(*it);
-  }
-  EXPECT_EQ(sampler.Finalize().size(), 15u);
-}
-
 TEST(EdgeCases, FractionalSampleSize) {
   // Non-integral s: the sample size is floor(s) or ceil(s).
   Rng rng(12);

@@ -156,6 +156,8 @@ TEST(Windowed, MatchesBatchBuildOverWindowWithinHtTolerance) {
       for (std::size_t i = 0; i < items.size(); ++i) {
         wb.win->AddTimed(ts[i], items[i]);
       }
+      // Every inner here recycles its bucket builders through Reset.
+      EXPECT_GT(wb.win->recycled_builders(), 0u) << inner;
       windowed_mean += wb.win->QueryAt(horizon).EstimateBox(box);
 
       auto batch = MakeSummarizer(inner, cfg);
@@ -453,8 +455,9 @@ TEST(Windowed, RecycledBuilderMatchesFreshBuilder) {
   const std::vector<WeightedKey> second_half(items.begin() + 3000,
                                              items.end());
 
-  for (const std::string& inner : {std::string("obliv"), std::string("order"),
-                                   std::string("product"), std::string("nd")}) {
+  for (const std::string& inner :
+       {std::string("obliv"), std::string("order"), std::string("product"),
+        std::string("nd"), std::string("aware")}) {
     SummarizerConfig cfg;
     cfg.s = 100.0;
     cfg.seed = 5;
@@ -485,8 +488,8 @@ TEST(Windowed, RecycledBuilderMatchesFreshBuilder) {
   // Methods without the capability report false from Reset.
   SummarizerConfig cfg;
   cfg.s = 100.0;
-  auto aware = MakeSummarizer("aware", cfg);
-  EXPECT_FALSE(aware->Reset(1));
+  auto sketch = MakeSummarizer("sketch", cfg);
+  EXPECT_FALSE(sketch->Reset(1));
 }
 
 TEST(Windowed, ComposesWithShardedInEitherOrder) {
