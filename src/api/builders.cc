@@ -1,7 +1,7 @@
 // Built-in Summarizer implementations: adapters that put every method in
 // the library — the in-memory structure-aware samplers, the Section 5
 // two-pass constructions, and the Section 6 baselines — behind the uniform
-// Add/AddBatch/Finalize surface of api/summarizer.h. The registry
+// AddBatch/Finalize surface of api/summarizer.h. The registry
 // (api/registry.cc) pulls its built-in factory table from here.
 //
 // Determinism contract: a builder seeded with cfg.seed produces exactly the
@@ -41,19 +41,11 @@ class BufferingSummarizer : public Summarizer {
  public:
   using Summarizer::Summarizer;
 
-  void Add(const WeightedKey& item) override {
-    if (!AdmitWeight(item.weight)) return;
-    items_.push_back(item);
-  }
   void AddBatch(std::span<const WeightedKey> items) override {
-    if (AllFinite(items)) {
-      CountAccepted(items.size());
-      items_.insert(items_.end(), items.begin(), items.end());
-      return;
-    }
-    for (const WeightedKey& it : items) {
-      if (AdmitWeight(it.weight)) items_.push_back(it);
-    }
+    AdmitBatch(items, [this](std::span<const WeightedKey> run) {
+      items_.insert(items_.end(), run.begin(), run.end());
+      return run.size();
+    });
   }
 
   /// Buffering methods recycle trivially: drop the buffer (keeping its
@@ -176,10 +168,6 @@ class ProductBuilder : public StructureBuilder {
                           bool two_pass = false)
       : StructureBuilder(std::move(cfg), two_pass), key_(key), dims_(dims) {}
 
-  void Add(const WeightedKey& item) override {
-    Enter(/*coords=*/false);
-    BufferingSummarizer::Add(item);
-  }
   void AddBatch(std::span<const WeightedKey> items) override {
     if (items.empty()) return;
     Enter(/*coords=*/false);
@@ -219,14 +207,14 @@ class ProductBuilder : public StructureBuilder {
   }
 
  private:
-  /// Throws std::logic_error unless points may enter through Add
-  /// (`coords` false) or AddCoords: Add carries at most 2 axes, and the two
-  /// do not mix once a point is admitted.
+  /// Throws std::logic_error unless points may enter through AddBatch
+  /// (`coords` false) or AddCoords: a WeightedKey carries at most 2 axes,
+  /// and the two do not mix once a point is admitted.
   void Enter(bool coords) {
     if (!coords && dims_ > 2) {
       throw std::logic_error(
-          "nd summarizer: Add carries only 2 coordinates; use AddCoords "
-          "for dims > 2");
+          "nd summarizer: Add/AddBatch carry only 2 coordinates; use "
+          "AddCoords for dims > 2");
     }
     if (items_.empty()) coords_mode_ = coords;
     if (coords != coords_mode_) {
@@ -261,21 +249,11 @@ class OblivBuilder : public Summarizer {
       : Summarizer(std::move(cfg)),
         sketch_(static_cast<std::size_t>(cfg_.s), Rng(cfg_.seed)) {}
 
-  void Add(const WeightedKey& item) override {
-    if (!AdmitWeight(item.weight)) return;
-    sketch_.Push(item);
-  }
-
-  /// Batched ingest fast path: one virtual dispatch per batch, then the
-  /// sketch's non-virtual per-item loop. Falls back to per-record
-  /// validation only when the batch pre-scan finds an invalid weight.
   void AddBatch(std::span<const WeightedKey> items) override {
-    if (AllFinite(items)) {
-      CountAccepted(items.size());
-      sketch_.PushBatch(items);
-      return;
-    }
-    for (const WeightedKey& it : items) Add(it);
+    AdmitBatch(items, [this](std::span<const WeightedKey> run) {
+      sketch_.PushBatch(run);
+      return run.size();
+    });
   }
 
   bool Mergeable() const override { return true; }
@@ -325,18 +303,11 @@ class SketchBuilder : public Summarizer {
         sketch_(cfg_.bits_x, cfg_.bits_y, static_cast<std::size_t>(cfg_.s),
                 kSketchRows, Rng(cfg_.seed).Next()) {}
 
-  void Add(const WeightedKey& item) override {
-    if (!AdmitWeight(item.weight)) return;
-    sketch_.Update(item.pt, item.weight);
-  }
-
   void AddBatch(std::span<const WeightedKey> items) override {
-    if (AllFinite(items)) {
-      CountAccepted(items.size());
-      for (const WeightedKey& it : items) sketch_.Update(it.pt, it.weight);
-      return;
-    }
-    for (const WeightedKey& it : items) Add(it);
+    AdmitBatch(items, [this](std::span<const WeightedKey> run) {
+      for (const WeightedKey& it : run) sketch_.Update(it.pt, it.weight);
+      return run.size();
+    });
   }
 
   std::unique_ptr<RangeSummary> Finalize() override {

@@ -57,11 +57,12 @@ std::size_t ShardIndex(KeyId id, std::uint64_t seed, int num_shards) {
 
 // ---------------------------------------------------------------------------
 
-/// One hand-off unit: 2-D items plus keyed d-dimensional points (the two
-/// ingest surfaces share the queue so per-shard arrival order is
-/// preserved). Points are flat and aligned: point j occupies
-/// coords[j*dims .. j*dims+dims) with id coord_ids[j] and weight
-/// coord_weights[j].
+/// One hand-off unit: 2-D items plus keyed d-dimensional points. The worker
+/// feeds a batch's items before its points, so each surface keeps its
+/// per-shard arrival order but the two do not interleave; no inner method
+/// takes both (the nd builder rejects mixing them). Points are flat and
+/// aligned: point j occupies coords[j*dims .. j*dims+dims) with id
+/// coord_ids[j] and weight coord_weights[j].
 struct ShardedSummarizer::Batch {
   std::vector<WeightedKey> items;
   std::vector<Coord> coords;
@@ -174,33 +175,27 @@ ShardedSummarizer::Shard& ShardedSummarizer::ShardOf(KeyId id) {
   return *shards_[IndexWithSalt(id, salt_, shards_.size())];
 }
 
-void ShardedSummarizer::Add(const WeightedKey& item) {
-  RequireLive("Add");
-  if (!AdmitWeight(item.weight)) return;
-  Shard& sh = ShardOf(item.id);
-  sh.pending.items.push_back(item);
-  if (sh.pending.size() >= kBatchSize) FlushPending(sh);
-}
-
 void ShardedSummarizer::AddBatch(std::span<const WeightedKey> items) {
   RequireLive("AddBatch");
-  if (!AllFinite(items)) {
-    for (const WeightedKey& it : items) Add(it);
-    return;
-  }
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    Shard& sh = ShardOf(items[i].id);
-    sh.pending.items.push_back(items[i]);
+  AdmitBatch(items, [this](std::span<const WeightedKey> run) {
+    // A record-by-record batch meets the guard before each record, so one
+    // hand-off that finds a worker dead stops the records behind it.
+    RequireLive("AddBatch");
+    return Route(run);
+  });
+  RequireLive("AddBatch");
+}
+
+std::size_t ShardedSummarizer::Route(std::span<const WeightedKey> run) {
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    Shard& sh = ShardOf(run[i].id);
+    sh.pending.items.push_back(run[i]);
     if (sh.pending.size() >= kBatchSize) {
       FlushPending(sh);
-      if (poisoned()) {
-        // Count what was routed, as the per-item loop would have.
-        CountAccepted(i + 1);
-        RequireLive("AddBatch");
-      }
+      if (poisoned()) return i + 1;
     }
   }
-  CountAccepted(items.size());
+  return run.size();
 }
 
 void ShardedSummarizer::AddCoords(KeyId id, const Coord* coords, int dims,

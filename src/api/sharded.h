@@ -14,8 +14,8 @@
 // accumulation buffers; full buffers are handed to the shard's bounded
 // queue (double-buffered — drained buffers are recycled back to the
 // producer, and a full queue applies back-pressure). Each worker drains its
-// queue with the inner summarizer's batched AddBatch fast path and
-// finalizes its shard in parallel.
+// queue into the inner summarizer one buffer per AddBatch and finalizes
+// its shard in parallel.
 //
 // Determinism: the partition is a seed-salted hash of the key id (the salt
 // keeps nested wrappers' partitions independent), shard i's summarizer is
@@ -86,31 +86,23 @@ std::size_t ShardIndex(KeyId id, std::uint64_t seed, int num_shards);
 class ShardedSummarizer final : public WrapperSummarizer {
  public:
   /// Builds the N inner builders and spawns one worker thread per shard,
-  /// returning once every worker is running, so the first Add meets a live
+  /// returning once every worker is running, so the first batch meets a live
   /// pool rather than racing the threads' start-up. Throws
   /// std::invalid_argument if the inner method is unknown, its config
   /// invalid, or it is not Mergeable.
   ShardedSummarizer(const ComposedKey& key, const SummarizerConfig& cfg);
   ~ShardedSummarizer() override;
 
-  /// Routes the item to its shard's buffer (the lifecycle guard of
-  /// api/composed.h throws once finalized or poisoned). The caller-side
-  /// work is just the hash and a buffer append; the heavy lifting happens
-  /// on the workers.
-  void Add(const WeightedKey& item) override;
-
-  /// Routes a whole batch in one pass: one health check up front and one
-  /// after each buffer hand-off (so a failed worker still stops the
-  /// producer at the next hand-off), one bulk IngestStats bump, then a
-  /// hash and an append per item. A batch holding any non-finite or
-  /// negative weight falls back to the per-item Add loop, so strict and
-  /// quarantine ingest behave exactly as they do item by item. Routing is
-  /// the same ShardIndex partition as Add, so the summary is bit-identical
-  /// to adding the items one at a time.
+  /// Routes the admitted records of the batch to their shards' buffers:
+  /// the caller-side work is a hash and an append per item, and the heavy
+  /// lifting happens on the workers. The lifecycle guard of api/composed.h
+  /// runs before the batch and after it; a buffer hand-off that finds a
+  /// worker dead stops the batch there, counting only the records routed
+  /// so far, and throws.
   void AddBatch(std::span<const WeightedKey> items) override;
 
   /// Routes one d-dimensional point: hash-routes on the caller's id like
-  /// Add and replays the point into the shard's builder via its AddCoords,
+  /// AddBatch and replays the point into the shard's builder via its AddCoords,
   /// so a sampled point carries the id its caller gave it, as it would in
   /// an unsharded "nd" builder. Inner methods without coordinate support
   /// throw on the worker thread; Finalize rethrows.
@@ -142,6 +134,9 @@ class ShardedSummarizer final : public WrapperSummarizer {
   struct Batch;
 
   Shard& ShardOf(KeyId id);
+  /// Routes a prefix of `run`, stopping after a hand-off that finds a
+  /// worker dead; returns the records routed (AdmitBatch's sink).
+  std::size_t Route(std::span<const WeightedKey> run);
   void FlushPending(Shard& sh);
   void Enqueue(Shard& sh, Batch batch);
   void WorkerLoop(Shard* sh);

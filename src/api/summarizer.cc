@@ -1,6 +1,5 @@
 #include "api/summarizer.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -67,35 +66,18 @@ telemetry::TelemetrySnapshot Summarizer::DescribeTelemetry() const {
 void Summarizer::AddCoords(KeyId /*id*/, const Coord* /*coords*/,
                            int /*dims*/, Weight /*w*/) {
   throw std::logic_error(
-      "AddCoords is only supported by the \"nd\" summarizer; use Add for "
-      "2-D methods");
+      "AddCoords is only supported by the \"nd\" summarizer and the "
+      "sharded:/serve: wrappers over it; use Add for 2-D methods and "
+      "windowed: keys");
 }
 
-bool Summarizer::AdmitWeight(Weight w) {
-  if (std::isfinite(w) && w >= 0.0) {
-    CountAccepted();
-    return true;
-  }
+void Summarizer::RejectWeight(Weight w) {
   if (cfg_.ingest_policy == IngestPolicy::kStrict) {
     throw std::invalid_argument(
         "ingest rejected: weight must be finite and non-negative, got " +
         std::to_string(w));
   }
   CountRejectedWeight();
-  return false;
-}
-
-bool Summarizer::AllFinite(std::span<const WeightedKey> items) {
-  // Summing is branch-free per element: any NaN/Inf poisons the total, and
-  // a negative weight can only drag a non-negative running minimum below
-  // zero. One pass, no early exits to mispredict on clean input.
-  Weight sum = 0.0;
-  Weight min = 0.0;
-  for (const WeightedKey& it : items) {
-    sum += it.weight;
-    min = it.weight < min ? it.weight : min;
-  }
-  return std::isfinite(sum) && min >= 0.0;
 }
 
 }  // namespace sas

@@ -15,6 +15,13 @@
 // wrappers (sharded or async backends) can compose in front of any method
 // without touching call sites.
 //
+// Ingest has one entry: AddBatch is the only virtual that takes items, and
+// Add(item) is a one-item AddBatch. Builders admit a batch through the one
+// admission routine, AdmitBatch (serve: hands its batches on to an inner
+// builder that does), so a builder, a wrapper or a user-registered method
+// implements one ingest path and a batch behaves exactly like a loop of
+// Add over it.
+//
 // Thread-safety: a Summarizer is single-caller — drive each builder from
 // one thread at a time (no internal synchronization on the ingest path).
 // Distinct builders are fully independent and may run on distinct threads
@@ -27,6 +34,7 @@
 #ifndef SAS_API_SUMMARIZER_H_
 #define SAS_API_SUMMARIZER_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -53,8 +61,10 @@ struct TelemetrySnapshot;
 /// What a builder does with an invalid record (non-finite or negative
 /// weight, non-finite coordinate or timestamp at the parse boundary).
 enum class IngestPolicy {
-  /// Reject loudly: Add/AddBatch throw std::invalid_argument before any
-  /// state changes. The default — corrupt input is a caller bug.
+  /// Reject loudly: the first invalid record throws std::invalid_argument
+  /// and nothing of it is kept. A batch admits every record before that
+  /// one, exactly as a loop of Add stopped there would. The default —
+  /// corrupt input is a caller bug.
   kStrict,
   /// Quarantine quietly: drop the record, count it in IngestStats, keep
   /// ingesting. For pipelines fed by untrusted traces that must not stall.
@@ -168,7 +178,7 @@ struct SummarizerConfig {
   std::shared_ptr<FaultInjector> faults;
 };
 
-/// Uniform builder: feed items with Add/AddBatch (or AddCoords for the
+/// Uniform builder: feed items with AddBatch/Add (or AddCoords for the
 /// d-dimensional method), then call Finalize() exactly once. A finalized
 /// summarizer is spent; build a new one for the next summary (or recycle
 /// it through Reset() when the method supports that). Single-caller: one
@@ -180,14 +190,13 @@ class Summarizer {
   explicit Summarizer(SummarizerConfig cfg) : cfg_(std::move(cfg)) {}
   virtual ~Summarizer() = default;
 
-  /// Feeds one weighted key. Must not be called after Finalize().
-  virtual void Add(const WeightedKey& item) = 0;
+  /// Feeds a contiguous batch of weighted keys: the one ingest entry every
+  /// method implements, admitting the batch through AdmitBatch. Must not be
+  /// called after Finalize().
+  virtual void AddBatch(std::span<const WeightedKey> items) = 0;
 
-  /// Adds a contiguous batch; the default loops over Add. Overrides give
-  /// the hot ingest path a single virtual dispatch per batch.
-  virtual void AddBatch(std::span<const WeightedKey> items) {
-    for (const WeightedKey& it : items) Add(it);
-  }
+  /// Feeds one weighted key: a batch of one.
+  void Add(const WeightedKey& item) { AddBatch({&item, 1}); }
 
   /// Adds one d-dimensional point (dims coordinates) under the caller's
   /// key id. Only the "nd" method supports general d; the default throws
@@ -258,19 +267,42 @@ class Summarizer {
   telemetry::TelemetrySnapshot DescribeTelemetry() const;
 
  protected:
-  /// Validates one weight at the ingest boundary: accepts finite
-  /// non-negative weights (counted in stats_.accepted) and handles the rest
-  /// per cfg_.ingest_policy — kStrict throws std::invalid_argument naming
-  /// the offending value; kQuarantine counts it in stats_.rejected_weight
-  /// and returns false ("drop this record"). Implementations call this
-  /// before any state changes so strict rejection leaves the builder
-  /// untouched.
-  bool AdmitWeight(Weight w);
+  /// The admission routine of every AddBatch. Hands `sink` the records of
+  /// `items` whose weight is finite and non-negative, in order, and counts
+  /// the ones it takes in stats_.accepted: `sink(run)` consumes a prefix of
+  /// `run` (all of it, unless the builder stops mid-batch) and returns its
+  /// length. A clean batch, the common case, goes to the sink whole in one
+  /// call. Otherwise each record is judged alone: a valid one goes to the
+  /// sink as a run of one, an invalid one is handled per
+  /// cfg_.ingest_policy (see RejectWeight). So a strict batch keeps every
+  /// record before its first invalid one and then throws.
+  template <typename Sink>
+  void AdmitBatch(std::span<const WeightedKey> items, Sink&& sink) {
+    if (AllFinite(items)) [[likely]] {
+      CountAccepted(sink(items));
+      return;
+    }
+    for (const WeightedKey& it : items) {
+      if (ValidWeight(it.weight)) {
+        CountAccepted(sink(std::span<const WeightedKey>(&it, 1)));
+      } else {
+        RejectWeight(it.weight);
+      }
+    }
+  }
 
-  /// Batch fast path: true when every weight in `items` is finite and
-  /// non-negative, so AddBatch overrides can skip per-record AdmitWeight
-  /// calls (bulk-count into stats_.accepted) on clean input.
-  static bool AllFinite(std::span<const WeightedKey> items);
+  /// Admits one weight outside a WeightedKey batch (the coordinate path):
+  /// true and counted in stats_.accepted when it is finite and
+  /// non-negative, else RejectWeight. Callers admit before any state
+  /// changes, so strict rejection leaves the builder untouched.
+  bool AdmitWeight(Weight w) {
+    if (ValidWeight(w)) {
+      CountAccepted();
+      return true;
+    }
+    RejectWeight(w);
+    return false;
+  }
 
   /// IngestStats bumpers that mirror into the process telemetry counters
   /// (`sas.ingest.*`) when armed. Engines route every stats_ mutation
@@ -286,6 +318,25 @@ class Summarizer {
   IngestStats stats_;
 
  private:
+  static bool ValidWeight(Weight w) { return std::isfinite(w) && w >= 0.0; }
+  /// True when every weight in `items` is finite and non-negative. Summing
+  /// is branch-free per element: any NaN/Inf poisons the total, and a
+  /// negative weight can only drag a non-negative running minimum below
+  /// zero. One pass, no early exits to mispredict on clean input.
+  static bool AllFinite(std::span<const WeightedKey> items) {
+    Weight sum = 0.0;
+    Weight min = 0.0;
+    for (const WeightedKey& it : items) {
+      sum += it.weight;
+      min = it.weight < min ? it.weight : min;
+    }
+    return std::isfinite(sum) && min >= 0.0;
+  }
+  /// An invalid weight under cfg_.ingest_policy: kStrict throws
+  /// std::invalid_argument naming the value; kQuarantine counts it in
+  /// stats_.rejected_weight ("drop this record").
+  void RejectWeight(Weight w);
+
   friend class WrapperSummarizer;  // the inner-builder factory clears it
   bool mirror_ingest_ = true;
 };

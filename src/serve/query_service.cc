@@ -92,8 +92,7 @@ QueryService::QueryService(Options opts)
       reclaim_skipped_(telemetry::GetCounter("sas.serve.reclaim_skipped")),
       epoch_gauge_(telemetry::GetGauge("sas.serve.epoch")),
       active_readers_(telemetry::GetGauge("sas.serve.active_readers")),
-      publish_ns_(telemetry::GetHistogram("sas.serve.publish_ns")),
-      query_ns_(telemetry::GetHistogram("sas.serve.query_ns")) {}
+      publish_ns_(telemetry::GetHistogram("sas.serve.publish_ns")) {}
 
 QueryService::~QueryService() {
   // The Reader contract guarantees no pins remain; everything is writer-

@@ -44,8 +44,7 @@
 //
 // Telemetry (when armed): sas.serve.publishes / reclaimed /
 // reclaim_skipped counters, sas.serve.epoch + sas.serve.active_readers
-// gauges, sas.serve.publish_ns + sas.serve.query_ns histograms (the query
-// histogram is exposed for reader-side spans). active_readers counts live
+// gauges, the sas.serve.publish_ns histogram. active_readers counts live
 // Readers armed or not, so an arming toggle cannot skew it.
 
 #ifndef SAS_SERVE_QUERY_SERVICE_H_
@@ -196,11 +195,6 @@ class QueryService {
   /// Readers currently inside a read-side critical section (diagnostic).
   int pinned_readers() const { return epochs_.PinnedReaders(); }
 
-  /// The sas.serve.query_ns histogram, for reader-side latency spans (null
-  /// never — the instrument always resolves; gate observations on
-  /// telemetry::Enabled()).
-  telemetry::Histogram* query_latency_histogram() const { return query_ns_; }
-
  private:
   struct Retired {
     const ServingSnapshot* snap = nullptr;
@@ -232,7 +226,6 @@ class QueryService {
   telemetry::Gauge* epoch_gauge_ = nullptr;
   telemetry::Gauge* active_readers_ = nullptr;
   telemetry::Histogram* publish_ns_ = nullptr;
-  telemetry::Histogram* query_ns_ = nullptr;
 };
 
 }  // namespace sas

@@ -25,11 +25,6 @@ ServableSummarizer::ServableSummarizer(const ComposedKey& key,
   }
 }
 
-void ServableSummarizer::Add(const WeightedKey& item) {
-  RequireLive("Add");
-  inner_->Add(item);
-}
-
 void ServableSummarizer::AddBatch(std::span<const WeightedKey> items) {
   RequireLive("AddBatch");
   inner_->AddBatch(items);

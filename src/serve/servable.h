@@ -53,7 +53,6 @@ class ServableSummarizer final : public WrapperSummarizer {
   /// is an instance property, checked at Finalize.
   ServableSummarizer(const ComposedKey& key, const SummarizerConfig& cfg);
 
-  void Add(const WeightedKey& item) override;
   void AddBatch(std::span<const WeightedKey> items) override;
   void AddCoords(KeyId id, const Coord* coords, int dims, Weight w) override;
 

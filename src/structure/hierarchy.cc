@@ -241,23 +241,4 @@ void Hierarchy::SetLeafCoords(const std::vector<Coord>& coord_by_rank) {
   }
 }
 
-int Hierarchy::Lca(int u, int v) const {
-  while (depth(u) > depth(v)) u = parent(u);
-  while (depth(v) > depth(u)) v = parent(v);
-  while (u != v) {
-    u = parent(u);
-    v = parent(v);
-  }
-  return u;
-}
-
-std::vector<KeyId> Hierarchy::KeysUnder(int v) const {
-  std::vector<KeyId> out;
-  out.reserve(leaf_end(v) - leaf_begin(v));
-  for (std::size_t r = leaf_begin(v); r < leaf_end(v); ++r) {
-    out.push_back(keys_in_dfs_[r]);
-  }
-  return out;
-}
-
 }  // namespace sas

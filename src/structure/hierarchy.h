@@ -78,12 +78,6 @@ class Hierarchy {
   /// spread a synthetic hierarchy's leaves over a larger coordinate domain.
   void SetLeafCoords(const std::vector<Coord>& coord_by_rank);
 
-  /// Lowest common ancestor by parent walking (O(depth)).
-  int Lca(int u, int v) const;
-
-  /// All keys under node v, in DFS order.
-  std::vector<KeyId> KeysUnder(int v) const;
-
  private:
   struct Node {
     int parent = kNoParent;

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "api/keys.h"
 #include "core/fault.h"
 #include "core/telemetry.h"
 
@@ -45,6 +47,13 @@ WindowedSummarizer::WindowedSummarizer(const ComposedKey& key,
   cache_hits_ = telemetry::GetCounter("sas.window.cache_hits");
   cache_misses_ = telemetry::GetCounter("sas.window.cache_misses");
 
+  // The ring buffers WeightedKeys, which carry two coordinates: an nd
+  // method over more axes could never seal a bucket.
+  if (key.innermost == keys::kNd && cfg.structure.dims > 2) {
+    BadKey("the window buffers 2-D items, so an nd inner method needs "
+           "structure.dims <= 2 (got " +
+           std::to_string(cfg.structure.dims) + ")");
+  }
   // Probe the inner method eagerly: unknown keys, invalid configs, and
   // non-mergeable methods must throw at MakeSummarizer time, not at the
   // first bucket seal.
@@ -252,25 +261,14 @@ void WindowedSummarizer::Advance(double now) {
   if (publish_hook_) publish_hook_(MergedWindow());
 }
 
-void WindowedSummarizer::Add(const WeightedKey& item) {
-  RequireLive("Add");
-  if (!AdmitWeight(item.weight)) return;
-  cur_items_.push_back(item);
-  InvalidateCache();
-}
-
 void WindowedSummarizer::AddBatch(std::span<const WeightedKey> items) {
   RequireLive("AddBatch");
   if (items.empty()) return;
-  if (AllFinite(items)) {
-    CountAccepted(items.size());
-    cur_items_.insert(cur_items_.end(), items.begin(), items.end());
-  } else {
-    for (const WeightedKey& it : items) {
-      if (AdmitWeight(it.weight)) cur_items_.push_back(it);
-    }
-  }
-  InvalidateCache();
+  AdmitBatch(items, [this](std::span<const WeightedKey> run) {
+    cur_items_.insert(cur_items_.end(), run.begin(), run.end());
+    InvalidateCache();
+    return run.size();
+  });
 }
 
 void WindowedSummarizer::AddTimed(double ts, const WeightedKey& item) {

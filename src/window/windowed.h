@@ -95,12 +95,13 @@ class Histogram;
 class WindowedSummarizer final : public WrapperSummarizer {
  public:
   /// Probes the inner method eagerly (unknown, invalid or non-mergeable
-  /// inner keys throw std::invalid_argument here, not at the first seal).
+  /// inner keys throw std::invalid_argument here, not at the first seal,
+  /// as does an nd inner method at structure.dims > 2: the ring buffers
+  /// 2-D WeightedKeys).
   WindowedSummarizer(const ComposedKey& key, const SummarizerConfig& cfg);
 
   // --- Generic builder surface (untimed: ingests at the current clock) ---
 
-  void Add(const WeightedKey& item) override;
   void AddBatch(std::span<const WeightedKey> items) override;
 
   /// Merges the live window into its summary and spends the builder, like

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -313,7 +314,7 @@ class BudgetProbe final : public WrapperSummarizer {
   explicit BudgetProbe(std::size_t max_bytes)
       : WrapperSummarizer(*ParseComposedKey("sharded:2:obliv"),
                           Config(max_bytes)) {}
-  void Add(const WeightedKey& /*item*/) override {}
+  void AddBatch(std::span<const WeightedKey> /*items*/) override {}
   std::unique_ptr<RangeSummary> Finalize() override { return nullptr; }
   using WrapperSummarizer::FitToBudget;
 

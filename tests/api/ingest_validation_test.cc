@@ -1,6 +1,7 @@
 // Ingest-boundary validation across every registry key family: strict
-// builds reject non-finite/negative weights with std::invalid_argument
-// before any state changes; quarantine builds drop and count them in
+// builds reject non-finite/negative weights with std::invalid_argument,
+// keeping nothing of the bad record (a strict batch keeps every record
+// before it, like a loop of Add); quarantine builds drop and count them in
 // Describe() and produce a summary bit-identical to the clean build.
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -159,6 +161,46 @@ TEST(IngestValidation, QuarantineCountsAndLeavesTheSummaryUntouched) {
                      clean_summary->EstimateQuery(q));
     EXPECT_EQ(dirty_summary->SizeInElements(),
               clean_summary->SizeInElements());
+  }
+}
+
+TEST(IngestValidation, StrictBatchStopsWhereTheAddLoopStops) {
+  // A strict batch with a NaN at position k admits records 0..k-1 and
+  // throws at k, leaving the builder where a loop of Add stopped at k
+  // leaves it. Both builders then take the rest of the stream, so the
+  // positional methods (hierarchy, disjoint) finalize too.
+  const Inputs in;
+  const MultiRangeQuery q = FullDomain();
+  for (const MethodCase& c : AllCases(in)) {
+    const std::vector<WeightedKey>& items = *c.items;
+    for (std::size_t k : {std::size_t{0}, kN / 2, kN}) {
+      SCOPED_TRACE(c.key + " k=" + std::to_string(k));
+      const WeightedKey bad{kBadId, kBadWeights[0], {1, 1}};
+      std::vector<WeightedKey> batch(items.begin(), items.begin() + k);
+      batch.push_back(bad);
+      batch.insert(batch.end(), items.begin() + k, items.end());
+      const std::span<const WeightedKey> rest(items.begin() + k,
+                                              items.end());
+
+      auto batched = MakeSummarizer(c.key, BaseConfig(c));
+      EXPECT_THROW(batched->AddBatch(batch), std::invalid_argument);
+      EXPECT_EQ(batched->Describe().accepted, k);
+      EXPECT_EQ(batched->Describe().rejected_weight, 0u);
+      batched->AddBatch(rest);
+
+      auto looped = MakeSummarizer(c.key, BaseConfig(c));
+      for (std::size_t i = 0; i < k; ++i) looped->Add(items[i]);
+      EXPECT_THROW(looped->Add(bad), std::invalid_argument);
+      for (const WeightedKey& it : rest) looped->Add(it);
+
+      EXPECT_EQ(batched->Describe().accepted, looped->Describe().accepted);
+      const auto batched_summary = batched->Finalize();
+      const auto looped_summary = looped->Finalize();
+      EXPECT_EQ(batched_summary->EstimateQuery(q),
+                looped_summary->EstimateQuery(q));
+      EXPECT_EQ(batched_summary->SizeInElements(),
+                looped_summary->SizeInElements());
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -373,7 +374,9 @@ TEST(Registry, CustomRegistrationRoundTrips) {
   class TrivialBuilder : public Summarizer {
    public:
     using Summarizer::Summarizer;
-    void Add(const WeightedKey& item) override { items_.push_back(item); }
+    void AddBatch(std::span<const WeightedKey> items) override {
+      items_.insert(items_.end(), items.begin(), items.end());
+    }
     std::unique_ptr<RangeSummary> Finalize() override {
       ++builds;
       return std::make_unique<SampleSummary>("custom-test",

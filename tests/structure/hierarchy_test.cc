@@ -52,14 +52,6 @@ TEST(Hierarchy, Depths) {
   EXPECT_EQ(h.depth(3), 2);
 }
 
-TEST(Hierarchy, Lca) {
-  const Hierarchy h = Hierarchy::FromParents({-1, 0, 0, 1, 1});
-  EXPECT_EQ(h.Lca(3, 4), 1);
-  EXPECT_EQ(h.Lca(3, 2), 0);
-  EXPECT_EQ(h.Lca(4, 4), 4);
-  EXPECT_EQ(h.Lca(1, 3), 1);
-}
-
 TEST(Hierarchy, BalancedShape) {
   const Hierarchy h = Hierarchy::Balanced(3, 2);
   EXPECT_EQ(h.num_keys(), 8u);
@@ -120,14 +112,6 @@ TEST(Hierarchy, ChildIntervalsPartitionParent) {
     }
     EXPECT_EQ(cursor, h.leaf_end(v));
   }
-}
-
-TEST(Hierarchy, KeysUnder) {
-  const Hierarchy h = Hierarchy::FromParents({-1, 0, 0, 1, 1});
-  const auto keys = h.KeysUnder(1);
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], 0u);
-  EXPECT_EQ(keys[1], 1u);
 }
 
 TEST(CompressedBinaryTrie, SingleKey) {

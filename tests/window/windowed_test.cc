@@ -88,6 +88,39 @@ TEST(WindowedKey, NonMergeableInnerRejected) {
                std::invalid_argument);
 }
 
+TEST(WindowedKey, NdInnerOverMoreThanTwoAxesRejected) {
+  // The ring buffers 2-D WeightedKeys, so an nd inner method at dims > 2
+  // could never seal a bucket: the key is refused up front, naming the
+  // whole key, under every wrapper that can sit around the window.
+  SummarizerConfig cfg;
+  cfg.s = 50.0;
+  cfg.structure = StructureSpec::Nd(3);
+  for (const std::string& key :
+       {std::string("windowed:60:4:nd"), std::string("serve:windowed:60:4:nd"),
+        std::string("sharded:2:windowed:60:4:nd")}) {
+    try {
+      (void)MakeSummarizer(key, cfg);
+      ADD_FAILURE() << key << " built at dims = 3";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("MakeSummarizer(\"" + key + "\")"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // At dims <= 2 every item fits the ring, and buckets seal.
+  for (int dims : {1, 2}) {
+    cfg.structure = StructureSpec::Nd(dims);
+    for (const char* key : {"windowed:60:4:nd", "serve:windowed:60:4:nd"}) {
+      SCOPED_TRACE(key);
+      auto builder = MakeSummarizer(key, cfg);
+      builder->Add({0, 1.0, {1, 2}});
+      builder->AsWindowed()->Advance(16.0);
+      builder->Add({1, 2.0, {3, 4}});
+      EXPECT_EQ(builder->Finalize()->SizeInElements(), 2u);
+    }
+  }
+}
+
 TEST(Windowed, FractionalSizeRejected) {
   SummarizerConfig cfg;
   cfg.s = 0.5;  // merged window budget is integral
