@@ -84,6 +84,15 @@ bool ParseCoord(std::string_view s, Coord* out) {
   return true;
 }
 
+/// True when the first field of `line` parses as a number: a first data
+/// line that does is data, never a header.
+bool NumericTimestamp(std::string_view line, char delim) {
+  std::string_view ts;
+  SplitFields(line, delim, &ts, 1);
+  double v = 0.0;
+  return ParseDouble(ts, &v);
+}
+
 }  // namespace
 
 TraceReader::TraceReader(std::istream& in, Options opt)
@@ -179,8 +188,16 @@ bool TraceReader::NextBatch(std::vector<TimedItem>* out) {
     if (first == line.size() || line[first] == '#') continue;
 
     const RowStatus status = ParseLine(line, &record);
-    if (status == RowStatus::kOk) {
+    if (first_data_line_) {
       first_data_line_ = false;
+      // A first data line that does not parse and whose timestamp is not a
+      // number is a header; skip it silently.
+      if (status != RowStatus::kOk &&
+          !NumericTimestamp(line, opt_.delimiter)) {
+        continue;
+      }
+    }
+    if (status == RowStatus::kOk) {
       // The trace.row fault site corrupts this (otherwise good) row: it is
       // dropped and counted as malformed, like a row mangled on the wire.
       if (faults.armed() && faults.Poll(fault_sites::kTraceRow)) {
@@ -189,9 +206,6 @@ bool TraceReader::NextBatch(std::vector<TimedItem>* out) {
       }
       ++stats_.parsed;
       out->push_back(record);
-    } else if (first_data_line_) {
-      // A non-parsing first data line is a header; skip it silently.
-      first_data_line_ = false;
     } else if (status == RowStatus::kNonFinite) {
       ++stats_.nonfinite;
     } else {

@@ -7,9 +7,10 @@
 // `key` the integer key id (at most UINT32_MAX), `weight` the item weight;
 // the optional `x`/`y` columns place the key in the 2-D domain (default:
 // x = key, y = 0; at most UINT64_MAX). Blank lines and lines starting with
-// '#' are skipped; a leading header line is detected (first field not
-// numeric) and skipped; malformed lines are counted and skipped rather than
-// aborting a long ingest.
+// '#' are skipped; a first data line that does not parse is a header, and
+// is skipped, only when its first field is not a number (`1.0,5,inf` as a
+// first line is counted, not skipped); malformed lines are counted and
+// skipped rather than aborting a long ingest.
 //
 // Accepted field syntax: after trimming surrounding spaces/tabs (and a
 // trailing '\r', for CRLF input), a timestamp or weight is what `strtod`

@@ -168,6 +168,26 @@ TEST(TraceReader, HeaderLineIsNotCountedAgainstStats) {
   EXPECT_EQ(reader.stats().nonfinite, 0u);
 }
 
+TEST(TraceReader, NumericFirstLineIsCountedNotSkippedAsHeader) {
+  // Only a first line whose timestamp is not a number is a header; a bad
+  // first row with a numeric timestamp lands in a stats bucket.
+  struct Case {
+    const char* first;
+    std::size_t malformed, nonfinite;
+  };
+  for (const Case& c : {Case{"1.0,5,inf", 0, 1}, Case{"1.0,5,2.0,-3", 1, 0},
+                        Case{"1.0,2", 1, 0}, Case{"ts,key,weight", 0, 0}}) {
+    SCOPED_TRACE(c.first);
+    std::istringstream in(std::string(c.first) + "\n2.0,1,3.0\n");
+    TraceReader reader(in);
+    std::vector<TimedItem> batch;
+    ASSERT_TRUE(reader.NextBatch(&batch));
+    EXPECT_EQ(reader.stats().parsed, 1u);
+    EXPECT_EQ(reader.stats().malformed, c.malformed);
+    EXPECT_EQ(reader.stats().nonfinite, c.nonfinite);
+  }
+}
+
 TEST(TraceReader, TraceRowFaultCorruptsGoodRowsDeterministically) {
   // The trace.row fault site drops otherwise-good rows as if mangled on
   // the wire: schedule fail@2/2 corrupts every even good row. Bad rows

@@ -90,16 +90,20 @@ class GetlineTraceReader {
       if (first == line.size() || line[first] == '#') continue;
 
       const Status status = ParseLine(line, &record);
-      if (status == Status::kOk) {
+      if (first_data_line_) {
         first_data_line_ = false;
+        std::string ts;
+        double v = 0.0;
+        SplitFields(line, opt_.delimiter, &ts, 1);
+        if (status != Status::kOk && !ParseDouble(ts, &v)) continue;
+      }
+      if (status == Status::kOk) {
         if (faults.armed() && faults.Poll(fault_sites::kTraceRow)) {
           ++stats_.malformed;
           continue;
         }
         ++stats_.parsed;
         out->push_back(record);
-      } else if (first_data_line_) {
-        first_data_line_ = false;
       } else if (status == Status::kNonFinite) {
         ++stats_.nonfinite;
       } else {
