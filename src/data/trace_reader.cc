@@ -3,8 +3,10 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -17,6 +19,116 @@ namespace {
 
 /// Initial read block; a longer line doubles the buffer.
 constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
+
+/// 10^0 .. 10^22: the powers of ten a double holds exactly.
+constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                             1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                             1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+constexpr std::size_t kMaxExactScale = std::size(kPow10) - 1;
+/// Significands up to 2^53 convert to a double exactly.
+constexpr std::uint64_t kMaxExactSig = std::uint64_t{1} << 53;
+/// 19 decimal digits always fit a uint64_t.
+constexpr std::ptrdiff_t kMaxDigits = 19;
+
+/// Reads the digit run at `*p` (stopping at `end`) into `*v`, advancing
+/// `*p` past it, and returns its length. A run longer than kMaxDigits
+/// wraps `*v`; callers reject it by length.
+std::ptrdiff_t ScanDigits(const char** p, const char* end, std::uint64_t* v) {
+  const char* const begin = *p;
+  const char* q = begin;
+  std::uint64_t acc = *v;
+  while (q != end && static_cast<unsigned char>(*q - '0') < 10) {
+    acc = acc * 10 + static_cast<unsigned char>(*q - '0');
+    ++q;
+  }
+  *p = q;
+  *v = acc;
+  return q - begin;
+}
+
+/// `digits` of at most kMaxDigits, as a key or coordinate.
+bool ScanPlainInt(const char** p, const char* end, std::uint64_t* out) {
+  std::uint64_t v = 0;
+  const std::ptrdiff_t n = ScanDigits(p, end, &v);
+  if (n == 0 || n > kMaxDigits) return false;
+  *out = v;
+  return true;
+}
+
+/// Zeros before the first nonzero digit of the `digits[.digits]` field
+/// `[begin, end)`: they lengthen the field but add nothing to its value.
+std::ptrdiff_t LeadingZeros(const char* begin, const char* end) {
+  std::ptrdiff_t n = 0;
+  for (; begin != end && (*begin == '0' || *begin == '.'); ++begin) {
+    n += *begin == '0';
+  }
+  return n;
+}
+
+/// `digits[.digits]` with at most kMaxDigits significant digits, a
+/// significand a double holds exactly and a scale kPow10 holds: Clinger's
+/// fast path, one correctly rounded division of two exact doubles, so the
+/// bits are strtod's.
+bool ScanPlainDecimal(const char** p, const char* end, double* out) {
+  const char* const begin = *p;
+  std::uint64_t sig = 0;
+  std::ptrdiff_t digits = ScanDigits(p, end, &sig);
+  if (digits == 0) return false;
+  std::ptrdiff_t scale = 0;
+  if (*p != end && **p == '.') {
+    ++*p;
+    scale = ScanDigits(p, end, &sig);
+    if (scale == 0) return false;
+    digits += scale;
+  }
+  if (digits > kMaxDigits) digits -= LeadingZeros(begin, *p);
+  if (digits > kMaxDigits || sig > kMaxExactSig ||
+      static_cast<std::size_t>(scale) > kMaxExactScale) {
+    return false;
+  }
+  *out = static_cast<double>(sig) / kPow10[scale];
+  return true;
+}
+
+/// One walk over a plain row, splitting and converting as it goes:
+///
+///   digits[.digits] D digits D digits[.digits] [D digits [D digits [D ...]]]
+///
+/// for delimiter D, after stripping one trailing '\r'. Fills `*out` and
+/// returns true only where the general path would return the same record;
+/// false sends the line to the general path. A delimiter that can sit
+/// inside a number ('0'-'9', '.') or that the '\r' strip would eat never
+/// takes this path.
+bool ParsePlainRow(std::string_view line, char delim, TimedItem* out) {
+  if (static_cast<unsigned char>(delim - '0') < 10 || delim == '.' ||
+      delim == '\r') {
+    return false;
+  }
+  const char* p = line.data();
+  const char* end = p + line.size();
+  if (p != end && end[-1] == '\r') --end;
+  double ts = 0.0, weight = 0.0;
+  std::uint64_t key = 0;
+  if (!ScanPlainDecimal(&p, end, &ts) || p == end || *p++ != delim ||
+      !ScanPlainInt(&p, end, &key) ||
+      key > std::numeric_limits<KeyId>::max() || p == end ||
+      *p++ != delim || !ScanPlainDecimal(&p, end, &weight)) {
+    return false;
+  }
+  Point2D pt{key, 0};
+  if (p != end) {
+    if (*p++ != delim || !ScanPlainInt(&p, end, &pt.x)) return false;
+    if (p != end) {
+      if (*p++ != delim || !ScanPlainInt(&p, end, &pt.y)) return false;
+      if (p != end && *p != delim) return false;
+    }
+  }
+  out->ts = ts;
+  out->item.id = static_cast<KeyId>(key);
+  out->item.weight = weight;
+  out->item.pt = pt;
+  return true;
+}
 
 /// Splits `line` on `delim` into at most `max_fields` trimmed views stored
 /// in `fields`; returns the field count. Surrounding spaces/tabs and a
@@ -102,6 +214,8 @@ TraceReader::TraceReader(std::istream& in, Options opt)
 
 TraceReader::RowStatus TraceReader::ParseLine(std::string_view line,
                                               TimedItem* out) const {
+  if (ParsePlainRow(line, opt_.delimiter, out)) return RowStatus::kOk;
+  // Every other spelling: split, trim and convert field by field.
   std::string_view fields[5];
   const std::size_t n = SplitFields(line, opt_.delimiter, fields, 5);
   if (n < 3) return RowStatus::kMalformed;

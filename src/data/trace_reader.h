@@ -17,9 +17,24 @@
 // accepts as a whole field, and a key or coordinate is what `strtoull`
 // (base 10) accepts as a whole field, minus any field whose first
 // non-whitespace character is '-' (strtoull would wrap it). Fields beyond
-// the fifth are ignored. Plain decimal fields take a `std::from_chars`
-// fast path; every other spelling falls back to the C call, so both paths
-// classify and round a field the same way.
+// the fifth are ignored.
+//
+// Parsing is exact on two paths. A plain row,
+//
+//   digits[.digits] D digits D digits[.digits] [D digits [D digits]]
+//
+// for delimiter D (not a digit, '.' or '\r'), after one trailing '\r' is
+// stripped and with anything after a fifth field ignored, is split and
+// converted in one walk over its bytes: integers of at most 19 digits
+// accumulate in a uint64_t, and a decimal whose significand has at most 19
+// significant digits and is at most 2^53, at a scale of at most 22, is one
+// correctly rounded division (significand / 10^scale) of two exact
+// doubles, which is the value strtod returns. Every other line (signs,
+// padding, exponents, hex, inf/nan, longer significands or integers, keys
+// above UINT32_MAX, headers) runs the general path: split and trim the
+// fields, then convert each with `std::from_chars`, falling back to
+// strtod/strtoull for what it does not take whole. Both paths give a row
+// the same record and class bit for bit.
 //
 // The reader reads its stream in 64 KiB blocks and splits lines in place,
 // so it reads ahead of the rows it has emitted: the stream belongs to the

@@ -372,11 +372,11 @@ void ExpectSameOutput(const Drained& got, const Drained& want,
 /// whitespace, such as "\v-5" (strtoull skips the whitespace and then
 /// wraps the negative value to 2^64-5). These are the only rows the
 /// differential test drops.
-bool IntentionallyRejectedRow(const std::string& line) {
+bool IntentionallyRejectedRow(const std::string& line, char delimiter = ',') {
   std::size_t first = line.find_first_not_of(" \t\r");
   if (first == std::string::npos || line[first] == '#') return false;
   std::string fields[5];
-  const std::size_t n = oracle::SplitFields(line, ',', fields, 5);
+  const std::size_t n = oracle::SplitFields(line, delimiter, fields, 5);
   Coord key = 0;
   if (n >= 2 && oracle::ParseCoord(fields[1], &key) &&
       key > std::numeric_limits<KeyId>::max()) {
@@ -405,7 +405,8 @@ bool IntentionallyRejectedRow(const std::string& line) {
 
 /// Runs both readers over `text` with every batch size, with and without a
 /// trace.row schedule, over a string stream and a 1-17-byte streambuf.
-void ExpectMatchesOracle(const std::string& text, std::uint64_t seed) {
+void ExpectMatchesOracle(const std::string& text, std::uint64_t seed,
+                         char delimiter = ',') {
   for (const std::size_t batch_size : {std::size_t{1}, std::size_t{3},
                                        std::size_t{4096}}) {
     for (const bool faulty : {false, true}) {
@@ -421,6 +422,7 @@ void ExpectMatchesOracle(const std::string& text, std::uint64_t seed) {
         }
         TraceReader::Options opt;
         opt.batch_size = batch_size;
+        opt.delimiter = delimiter;
         opt.faults = &oracle_faults;
         std::istringstream oracle_in(text);
         oracle::GetlineTraceReader oracle_reader(oracle_in, opt);
@@ -475,6 +477,81 @@ TEST(TraceReaderDifferential, RowsStraddlingTheReadBlockEdge) {
     text += "13.5,5,0x1p3";
     ExpectMatchesOracle(text, shift);
   }
+}
+
+TEST(TraceReaderDifferential, PlainPathEdgeRows) {
+  // Rows on both sides of each limit of the reader's one-pass plain-row
+  // scan: what the scan takes must match the getline reader bit for bit,
+  // and what it refuses must still parse as the getline reader parses it.
+  const std::vector<std::string> rows = {
+      // 19- and 20-digit integers.
+      "1.5,7,2.5,1234567890123456789,9999999999999999999",
+      "1.5,7,2.5,12345678901234567890,18446744073709551615",
+      "1.5,7,2.5,00000000000000000001,0000000000000000000012",
+      "1234567890123456789,7,1234567890123456789.5",
+      "12345678901234567890,7,1.0",
+      // A key of UINT32_MAX (UINT32_MAX + 1 is checked below).
+      "2.0,4294967295,1.0",
+      "2.0,0004294967295,1.0,4294967296",
+      // Significands of 2^53 and 2^53 + 1.
+      "9007199254740992,1,9007199254740993",
+      "900719925474099.2,1,900719925474099.3",
+      "9.007199254740992,1,9.007199254740993",
+      "0.9007199254740992,1,90071992547409.93",
+      // Scales of 22 and 23.
+      "0.0000000000000000000001,1,0.00000000000000000000001",
+      "0.0000000000000000000012,1,0.00000000000000000000012",
+      "1.0000000000000000000001,1,000000000000000000000.5",
+      // Spellings left to the general path.
+      "5.,1,.5",
+      "-0.0,1,+1",
+      "+1,+1,-0.0",
+      "007,007,0.000",
+      "0.000,1,007.50,007,+7",
+      "1.0, 2,3.0",
+      "1e3,2,0x10",
+      // CRLF, a sixth field, trailing delimiters.
+      "3.25,2,4.5\r",
+      "3.25,2,4.5,6,7\r",
+      "3.25,2,4.5,6,7,junk",
+      "3.25,2,4.5,6,7,",
+      "3.25,2,4.5,6,",
+      "3.25,2,4.5,",
+      "3.25,2,4.5\r\r",
+      "3.25,2,4.5,6,7x",
+  };
+  std::string text;
+  for (const std::string& row : rows) {
+    EXPECT_FALSE(IntentionallyRejectedRow(row)) << row;
+    text += row + "\n";
+  }
+  ExpectMatchesOracle(text, 1);
+  // Other delimiters: a tab, and ones that can sit inside a number. These
+  // split some rows into keys above UINT32_MAX, which are left out.
+  for (const char delimiter : {'\t', '.', '5'}) {
+    std::string swapped;
+    for (std::string row : rows) {
+      std::replace(row.begin(), row.end(), ',', delimiter);
+      if (!IntentionallyRejectedRow(row, delimiter)) swapped += row + "\n";
+    }
+    ExpectMatchesOracle(swapped, 2, delimiter);
+  }
+  // A final plain row with no '\n' ends on each offset around the 64 KiB
+  // read block's edge.
+  constexpr std::size_t kBlock = std::size_t{64} << 10;
+  const std::string last = "7.5,3,1.25,8,9";
+  for (std::size_t shift = 0; shift < 8; ++shift) {
+    const std::size_t pad = kBlock - 4 + shift - last.size();
+    ExpectMatchesOracle("#" + std::string(pad - 2, 'p') + "\n" + last, shift);
+  }
+  // The one row class the getline reader truncates: a key of
+  // UINT32_MAX + 1 is malformed.
+  std::istringstream in("2.0,4294967296,1.0\n2.0,4294967295,1.0\n");
+  TraceReader reader(in);
+  const std::vector<TimedItem> all = ReadAll(&reader);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].item.id, std::numeric_limits<KeyId>::max());
+  EXPECT_EQ(reader.stats().malformed, 1u);
 }
 
 // --- Telemetry --------------------------------------------------------------
