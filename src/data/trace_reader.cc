@@ -65,11 +65,15 @@ std::ptrdiff_t LeadingZeros(const char* begin, const char* end) {
   return n;
 }
 
+/// A `digits[.digits]` field as its significand and scale.
+struct PlainDecimal {
+  std::uint64_t sig = 0;
+  std::size_t scale = 0;
+};
+
 /// `digits[.digits]` with at most kMaxDigits significant digits, a
-/// significand a double holds exactly and a scale kPow10 holds: Clinger's
-/// fast path, one correctly rounded division of two exact doubles, so the
-/// bits are strtod's.
-bool ScanPlainDecimal(const char** p, const char* end, double* out) {
+/// significand a double holds exactly and a scale kPow10 holds.
+bool ScanPlainDecimal(const char** p, const char* end, PlainDecimal* out) {
   const char* const begin = *p;
   std::uint64_t sig = 0;
   std::ptrdiff_t digits = ScanDigits(p, end, &sig);
@@ -86,8 +90,14 @@ bool ScanPlainDecimal(const char** p, const char* end, double* out) {
       static_cast<std::size_t>(scale) > kMaxExactScale) {
     return false;
   }
-  *out = static_cast<double>(sig) / kPow10[scale];
+  *out = {sig, static_cast<std::size_t>(scale)};
   return true;
+}
+
+/// Clinger's fast path: one correctly rounded division of two exact
+/// doubles, so the bits are strtod's.
+double ToDouble(PlainDecimal d) {
+  return static_cast<double>(d.sig) / kPow10[d.scale];
 }
 
 /// One walk over a plain row, splitting and converting as it goes:
@@ -107,7 +117,7 @@ bool ParsePlainRow(std::string_view line, char delim, TimedItem* out) {
   const char* p = line.data();
   const char* end = p + line.size();
   if (p != end && end[-1] == '\r') --end;
-  double ts = 0.0, weight = 0.0;
+  PlainDecimal ts, weight;
   std::uint64_t key = 0;
   if (!ScanPlainDecimal(&p, end, &ts) || p == end || *p++ != delim ||
       !ScanPlainInt(&p, end, &key) ||
@@ -123,9 +133,9 @@ bool ParsePlainRow(std::string_view line, char delim, TimedItem* out) {
       if (p != end && *p != delim) return false;
     }
   }
-  out->ts = ts;
+  out->ts = ToDouble(ts);
   out->item.id = static_cast<KeyId>(key);
-  out->item.weight = weight;
+  out->item.weight = ToDouble(weight);
   out->item.pt = pt;
   return true;
 }
