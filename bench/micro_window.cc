@@ -164,10 +164,12 @@ class TextBuf : public std::streambuf {
   }
 };
 
-/// ~100k five-column rows (timestamp,key,weight,x,y) shaped like a flow
-/// trace export: a header, increasing timestamps with six decimals,
-/// Pareto weights with three, 32-bit coordinates.
-std::string SyntheticTrace(std::size_t rows, std::uint64_t seed) {
+/// Five-column rows (timestamp,key,weight,x,y) shaped like a flow trace
+/// export: a header, increasing timestamps with six decimals, Pareto
+/// weights with three, 32-bit coordinates. `sep` follows each field
+/// but the last.
+std::string SyntheticTrace(std::size_t rows, std::uint64_t seed,
+                           const char* sep) {
   Rng rng(seed);
   std::string csv = "timestamp,key,weight,x,y\n";
   char line[128];
@@ -175,33 +177,47 @@ std::string SyntheticTrace(std::size_t rows, std::uint64_t seed) {
   for (std::size_t i = 0; i < rows; ++i) {
     ts += rng.NextExp() / 64.0;
     const int n = std::snprintf(
-        line, sizeof(line), "%.6f,%llu,%.3f,%llu,%llu\n", ts,
-        static_cast<unsigned long long>(rng.NextBounded(1 << 20)),
-        rng.NextPareto(1.2),
-        static_cast<unsigned long long>(rng.NextBounded(1ULL << 32)),
+        line, sizeof(line), "%.6f%s%llu%s%.3f%s%llu%s%llu\n", ts, sep,
+        static_cast<unsigned long long>(rng.NextBounded(1 << 20)), sep,
+        rng.NextPareto(1.2), sep,
+        static_cast<unsigned long long>(rng.NextBounded(1ULL << 32)), sep,
         static_cast<unsigned long long>(rng.NextBounded(1ULL << 32)));
     csv.append(line, static_cast<std::size_t>(n));
   }
   return csv;
 }
 
-/// CSV bytes to TimedItem batches through TraceReader: the parse layer of
-/// a streamed windowed ingest, reported as rows/s.
-void BM_TraceParse(benchmark::State& state) {
-  constexpr std::size_t kRows = 100000;
-  static const std::string csv = SyntheticTrace(kRows, 68);
+constexpr std::size_t kTraceRows = 100000;
+
+/// CSV bytes to TimedItem batches through TraceReader, reported as rows/s.
+void ParseTrace(benchmark::State& state, const std::string& csv) {
   std::vector<TimedItem> batch;
   for (auto _ : state) {
     TextBuf text(csv);
     std::istream in(&text);
     TraceReader reader(in);
     while (reader.NextBatch(&batch)) benchmark::DoNotOptimize(batch.data());
-    if (reader.records_read() != kRows) std::abort();
+    if (reader.records_read() != kTraceRows) std::abort();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kRows));
+                          static_cast<std::int64_t>(kTraceRows));
+}
+
+/// The parse layer of a streamed windowed ingest: ~100k plain rows, which
+/// take the reader's one-pass scan.
+void BM_TraceParse(benchmark::State& state) {
+  static const std::string csv = SyntheticTrace(kTraceRows, 68, ",");
+  ParseTrace(state, csv);
 }
 BENCHMARK(BM_TraceParse)->Unit(benchmark::kMillisecond);
+
+/// The same rows with a space after each delimiter: every row takes the
+/// reader's general split-trim-convert path.
+void BM_TraceParseFallback(benchmark::State& state) {
+  static const std::string csv = SyntheticTrace(kTraceRows, 68, ", ");
+  ParseTrace(state, csv);
+}
+BENCHMARK(BM_TraceParseFallback)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sas
