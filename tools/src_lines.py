@@ -9,6 +9,7 @@ nothing is checked out. The worktree count reads every .h/.cc file under
 src/, tracked or not, as a build of this checkout would compile it.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -41,10 +42,21 @@ def lines_in_worktree():
     return total
 
 
+def is_revision(rev):
+    return subprocess.run(
+        ("git", "-C", ROOT, "rev-parse", "--verify", "--quiet",
+         "--end-of-options", rev + "^{commit}"),
+        capture_output=True).returncode == 0
+
+
 def main():
-    if len(sys.argv) > 2:
-        sys.exit(__doc__)
-    rev = sys.argv[1] if len(sys.argv) == 2 else "HEAD"
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0].replace("\n", " "))
+    parser.add_argument("rev", nargs="?", default="HEAD",
+                        help="git revision to count against (default: HEAD)")
+    rev = parser.parse_args().rev
+    if not is_revision(rev):
+        sys.exit(f"src_lines.py: unknown revision: {rev}")
     at_rev = lines_at(rev)
     now = lines_in_worktree()
     print(f"src/ at {rev}: {at_rev}")
