@@ -1,6 +1,7 @@
 #include "data/trace_reader.h"
 
 #include <cerrno>
+#include <cfloat>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -19,6 +20,9 @@ namespace {
 
 /// Initial read block; a longer line doubles the buffer.
 constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
+
+// The plain path's one division must round once, to double.
+static_assert(FLT_EVAL_METHOD == 0, "double arithmetic must not be widened");
 
 /// 10^0 .. 10^22: the powers of ten a double holds exactly.
 constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
