@@ -526,9 +526,9 @@ TEST(TraceReaderDifferential, PlainPathEdgeRows) {
     text += row + "\n";
   }
   ExpectMatchesOracle(text, 1);
-  // Other delimiters: a tab, and ones that can sit inside a number. These
-  // split some rows into keys above UINT32_MAX, which are left out.
-  for (const char delimiter : {'\t', '.', '5'}) {
+  // Other delimiters: a tab, ones that can sit inside a number, and '\r'.
+  // These split some rows into keys above UINT32_MAX, which are left out.
+  for (const char delimiter : {'\t', '.', '5', '\r'}) {
     std::string swapped;
     for (std::string row : rows) {
       std::replace(row.begin(), row.end(), ',', delimiter);
