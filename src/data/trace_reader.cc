@@ -227,17 +227,8 @@ TraceReader::TraceReader(std::istream& in, Options opt)
 }
 
 TraceReader::RowStatus TraceReader::ParseLine(std::string_view line,
-                                              TimedItem* out) {
-  // A trace's rows are nearly all plain or nearly all not (padded, say):
-  // after two misses in a row, probe the plain scan on every 16th line
-  // only. Both paths give the same bits, so this moves time, not output.
-  if (plain_misses_ < 2 || plain_misses_ % 16 == 0) {
-    if (ParsePlainRow(line, opt_.delimiter, out)) {
-      plain_misses_ = 0;
-      return RowStatus::kOk;
-    }
-  }
-  ++plain_misses_;
+                                              TimedItem* out) const {
+  if (ParsePlainRow(line, opt_.delimiter, out)) return RowStatus::kOk;
   // Every other spelling: split, trim and convert field by field.
   std::string_view fields[5];
   const std::size_t n = SplitFields(line, opt_.delimiter, fields, 5);

@@ -34,9 +34,7 @@
 // above UINT32_MAX, headers) runs the general path: split and trim the
 // fields, then convert each with `std::from_chars`, falling back to
 // strtod/strtoull for what it does not take whole. Both paths give a row
-// the same record and class bit for bit. After two lines in a row miss
-// the plain scan, it is tried on every 16th line only, so a trace with no
-// plain rows pays almost nothing for it.
+// the same record and class bit for bit.
 //
 // The reader reads its stream in 64 KiB blocks and splits lines in place,
 // so it reads ahead of the rows it has emitted: the stream belongs to the
@@ -127,7 +125,7 @@ class TraceReader {
   /// How ParseLine classified one data line.
   enum class RowStatus { kOk, kMalformed, kNonFinite };
 
-  RowStatus ParseLine(std::string_view line, TimedItem* out);
+  RowStatus ParseLine(std::string_view line, TimedItem* out) const;
 
   /// Points `*line` at the next line in the buffer, without its '\n'
   /// (valid until the next call); false at end of input. A final line with
@@ -142,8 +140,6 @@ class TraceReader {
   Options opt_;
   TraceStats stats_;
   bool first_data_line_ = true;
-  /// Lines since the plain scan last took one (see ParseLine).
-  std::size_t plain_misses_ = 0;
   std::vector<char> buf_;
   std::size_t pos_ = 0;  // first unconsumed byte of buf_
   std::size_t end_ = 0;  // one past the last byte read into buf_
