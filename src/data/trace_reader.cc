@@ -24,15 +24,15 @@ constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
 // The plain path's one division must round once, to double.
 static_assert(FLT_EVAL_METHOD == 0, "double arithmetic must not be widened");
 
-/// 10^0 .. 10^22: the powers of ten a double holds exactly.
-constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
-                             1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
-                             1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
-constexpr std::size_t kMaxExactScale = std::size(kPow10) - 1;
-/// Significands up to 2^53 convert to a double exactly.
-constexpr std::uint64_t kMaxExactSig = std::uint64_t{1} << 53;
 /// 19 decimal digits always fit a uint64_t.
 constexpr std::ptrdiff_t kMaxDigits = 19;
+/// 10^0 .. 10^18, each exact in a double: the scales a plain decimal of
+/// at most kMaxDigits digits, one of them before the '.', can have.
+constexpr double kPow10[kMaxDigits] = {
+    1e0, 1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8, 1e9,
+    1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18};
+/// Significands up to 2^53 convert to a double exactly.
+constexpr std::uint64_t kMaxExactSig = std::uint64_t{1} << 53;
 
 /// Reads the digit run at `*p` (stopping at `end`) into `*v`, advancing
 /// `*p` past it, and returns its length. A run longer than kMaxDigits
@@ -59,26 +59,15 @@ bool ScanPlainInt(const char** p, const char* end, std::uint64_t* out) {
   return true;
 }
 
-/// Zeros before the first nonzero digit of the `digits[.digits]` field
-/// `[begin, end)`: they lengthen the field but add nothing to its value.
-std::ptrdiff_t LeadingZeros(const char* begin, const char* end) {
-  std::ptrdiff_t n = 0;
-  for (; begin != end && (*begin == '0' || *begin == '.'); ++begin) {
-    n += *begin == '0';
-  }
-  return n;
-}
-
 /// A `digits[.digits]` field as its significand and scale.
 struct PlainDecimal {
   std::uint64_t sig = 0;
   std::size_t scale = 0;
 };
 
-/// `digits[.digits]` with at most kMaxDigits significant digits, a
-/// significand a double holds exactly and a scale kPow10 holds.
+/// `digits[.digits]` with at most kMaxDigits digits in all and a
+/// significand a double holds exactly.
 bool ScanPlainDecimal(const char** p, const char* end, PlainDecimal* out) {
-  const char* const begin = *p;
   std::uint64_t sig = 0;
   std::ptrdiff_t digits = ScanDigits(p, end, &sig);
   if (digits == 0) return false;
@@ -89,11 +78,7 @@ bool ScanPlainDecimal(const char** p, const char* end, PlainDecimal* out) {
     if (scale == 0) return false;
     digits += scale;
   }
-  if (digits > kMaxDigits) digits -= LeadingZeros(begin, *p);
-  if (digits > kMaxDigits || sig > kMaxExactSig ||
-      static_cast<std::size_t>(scale) > kMaxExactScale) {
-    return false;
-  }
+  if (digits > kMaxDigits || sig > kMaxExactSig) return false;
   *out = {sig, static_cast<std::size_t>(scale)};
   return true;
 }

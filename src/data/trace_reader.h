@@ -26,10 +26,10 @@
 // for delimiter D (not a digit, '.' or '\r'), after one trailing '\r' is
 // stripped and with anything after a fifth field ignored, is split and
 // converted in one walk over its bytes: integers of at most 19 digits
-// accumulate in a uint64_t, and a decimal whose significand has at most 19
-// significant digits and is at most 2^53, at a scale of at most 22, is one
-// correctly rounded division (significand / 10^scale) of two exact
-// doubles, which is the value strtod returns. Every other line (signs,
+// accumulate in a uint64_t, and a decimal of at most 19 digits whose
+// significand is at most 2^53 is one correctly rounded division
+// (significand / 10^scale, scale at most 18) of two exact doubles, which
+// is the value strtod returns. Every other line (signs,
 // padding, exponents, hex, inf/nan, longer significands or integers, keys
 // above UINT32_MAX, headers) runs the general path: split and trim the
 // fields, then convert each with `std::from_chars`, falling back to
