@@ -29,12 +29,12 @@
 // accumulate in a uint64_t, and a decimal of at most 19 digits whose
 // significand is at most 2^53 is one correctly rounded division
 // (significand / 10^scale, scale at most 18) of two exact doubles, which
-// is the value strtod returns. Every other line (signs,
-// padding, exponents, hex, inf/nan, longer significands or integers, keys
-// above UINT32_MAX, headers) runs the general path: split and trim the
-// fields, then convert each with `std::from_chars`, falling back to
-// strtod/strtoull for what it does not take whole. Both paths give a row
-// the same record and class bit for bit.
+// is the value strtod returns. Every other line (signs, padding,
+// exponents, hex, inf/nan, longer numbers, keys above UINT32_MAX, headers)
+// runs the general path: split and trim the fields, then convert each
+// with `std::from_chars`, falling back to strtod/strtoull for what it does
+// not take whole. Both paths give a row the same record and class bit for
+// bit.
 //
 // The reader reads its stream in 64 KiB blocks and splits lines in place,
 // so it reads ahead of the rows it has emitted: the stream belongs to the
