@@ -29,7 +29,7 @@ constexpr std::ptrdiff_t kMaxDigits = 19;
 /// 10^0 .. 10^18, each exact in a double: the scales a plain decimal of
 /// at most kMaxDigits digits, one of them before the '.', can have.
 constexpr double kPow10[kMaxDigits] = {
-    1e0, 1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8, 1e9,
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,
     1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18};
 /// Significands up to 2^53 convert to a double exactly.
 constexpr std::uint64_t kMaxExactSig = std::uint64_t{1} << 53;
